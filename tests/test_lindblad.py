@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import poisson
 
-from qho_cal.fock import displacement_matrix
+from qho_cal.fock import displacement_matrix, quadratures
 from qho_cal.lindblad import (
     expectation,
     integrate,
@@ -12,7 +12,7 @@ from qho_cal.lindblad import (
     thermal_state,
     truncation_convergence_check,
 )
-from qho_cal.model import PhysicalParams, bath_occupation, make_rates
+from qho_cal.model import PhysicalParams, bath_occupation, jump_operators, make_rates
 
 pytestmark = pytest.mark.filterwarnings("ignore::qho_cal.errors.RegimeWarning")
 
@@ -98,14 +98,29 @@ class TestIntegrate:
         disp = displacement_matrix(p.lambda0 * t / 2.0, 24)
         np.testing.assert_allclose(pops[:12], np.abs(disp[:12, 0]) ** 2, atol=1e-7)
 
-    def test_step_halving_stable(self):
-        p = fig4_params()
+    @pytest.mark.parametrize(
+        "gamma, grid_frac",
+        [(0.001, [0.3]), (0.01, [0.025, 0.05])],
+        ids=["fig4", "fig5a-short"],
+    )
+    def test_matches_rk4_reference(self, gamma, grid_frac):
+        p = PhysicalParams(gamma=gamma, beta=2.0, lambda0=0.01, dim=10)
         r = make_rates(p)
         rho0 = thermal_state(p.beta, p.dim)
-        grid = [0.3 * p.drive_time]
-        base = integrate(rho0, p, r, grid)[0]
-        fine = integrate(rho0, p, r, grid, dt=integrate_default_dt(p, r, grid) / 2)[0]
-        assert np.abs(np.diag(base - fine)).max() < 1e-8
+        grid = [f * p.drive_time for f in grid_frac]
+        dt = 0.001 / max(r.gamma_sigma * p.dim, p.lambda0)
+        for got, ref in zip(integrate(rho0, p, r, grid), rk4_reference(rho0, p, r, grid, dt)):
+            assert np.abs(np.diag(got - ref)).max() < 1e-8
+
+    def test_independent_of_grid_cuts(self):
+        # exact propagation: one interval or sixteen give the same state
+        p = PhysicalParams(gamma=0.01, beta=2.0, lambda0=0.01, dim=10)
+        r = make_rates(p)
+        rho0 = thermal_state(p.beta, p.dim)
+        t = 0.7 * p.drive_time
+        whole = integrate(rho0, p, r, [t])[0]
+        cut = integrate(rho0, p, r, np.linspace(0.0, t, 17)[1:])[-1]
+        assert np.abs(whole - cut).max() < 1e-12
 
     def test_trace_and_hermiticity_preserved(self):
         p = fig4_params()
@@ -134,10 +149,35 @@ class TestIntegrate:
             integrate(rho0, p, r, [2.0, 1.0])
 
 
-def integrate_default_dt(params, rates, grid):
-    from qho_cal.trajectories import default_time_step
+def rk4_reference(rho0, params, rates, grid, dt):
+    """Classical RK4 on the master equation with a fixed step of at most dt:
+    an independent time-stepping reference for the exact propagator."""
+    _, p = quadratures(params.dim)
+    h = params.lambda0 / np.sqrt(2) * p
+    cs = jump_operators(rates, params.dim)
+    cdc = [c.conj().T @ c for c in cs]
 
-    return default_time_step(params, rates, grid) / 10.0
+    def rhs(rho):
+        out = -1j * (h @ rho - rho @ h)
+        for c, d in zip(cs, cdc):
+            out += c @ rho @ c.conj().T - 0.5 * (d @ rho + rho @ d)
+        return out
+
+    out = []
+    rho = rho0.astype(complex).copy()
+    t_prev = 0.0
+    for t_next in grid:
+        n_steps = max(1, int(np.ceil((t_next - t_prev) / dt - 1e-12)))
+        h_step = (t_next - t_prev) / n_steps
+        for _ in range(n_steps):
+            k1 = rhs(rho)
+            k2 = rhs(rho + 0.5 * h_step * k1)
+            k3 = rhs(rho + 0.5 * h_step * k2)
+            k4 = rhs(rho + h_step * k3)
+            rho = rho + (h_step / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        out.append(rho.copy())
+        t_prev = t_next
+    return out
 
 
 def test_truncation_convergence_fig4():
