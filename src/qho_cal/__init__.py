@@ -8,18 +8,17 @@ independent cross-checks.
 """
 
 from .analytics import (
-    PerturbativeElement,
     TruncationPolicy,
     mu,
-    perturbative_u,
-    transmission_T0,
-    transmission_T1,
+    perturbative_matrix,
+    perturbative_moments,
+    transfer_table,
     transmission_TN,
     truncated_calorimetric_moment,
     unitary_T0,
     unitary_calorimetric_moment,
     unitary_projective_moments,
-    w_nk,
+    unitary_table,
 )
 from .errors import (
     ConfigError,
@@ -63,13 +62,12 @@ from .work import (
     MomentSummary,
     WorkSample,
     calorimetric_work,
-    guardian_final_probs_level,
-    guardian_final_probs_state,
-    guardian_initial_probs,
+    guardian_probs,
     heat_up_to,
     measure_ensemble,
     projective_work,
     summarize,
+    work_moments,
 )
 
 __version__ = "0.1.0"

@@ -1,28 +1,38 @@
 """Closed-form and semi-analytic work moments.
 
-Unitary limit: for drive times short against the relaxation time the no-jump
-propagator is a pure displacement by alpha(t) = lambda0*t/2, so transfer
-probabilities are exact displacement matrix elements and the work moments
-reduce to guardian-photon algebra weighted by those probabilities.
+Every moment here is read from one transfer table per time point,
+P[n, m, Q]: the weight of starting in level n, ending in level m and
+exchanging the integer jump heat Q with the bath. work.work_moments turns a
+table into the mean and second moment of both work values (projective
+W_p = m - n + Q, calorimetric W_c = [ell_f = 0] - ell_i + Q), so the
+guardian-photon algebra lives in one kernel.
+
+Unitary limit: for drive times short against the relaxation time the
+no-jump propagator is a pure displacement by alpha(t) = lambda0*t/2 and no
+jump occurs, so the table is the Q = 0 slice |<m|D(alpha)|n>|^2 of exact
+displacement matrix elements.
 
 Dissipative corrections: the no-jump propagator is expanded to second order
 in gamma_sigma/2 around the displacement (the decay generator, commuted
 through the drive, becomes D(s) = n + gamma1/gamma_sigma + mu(s) +
-sqrt(2 mu(s)) X up to the -i gamma_sigma/2 prefactor). Jump operators are
-commuted through the propagator exactly, giving the one-jump transfer
-coefficient
+sqrt(2 mu(s)) X up to the -i gamma_sigma/2 prefactor; it is linear in n, 1
+and X, so its nested time integrals reduce to scalar weight sums). Jump
+operators are commuted through the propagator exactly, giving the one-jump
+transfer coefficient
 
     T1 = gamma_i |b_i(t1) u(m,t|n) + a_i(t1) sqrt(n+d_i1) u(m,t|n+-1)|^2,
 
 with a_i(s) = exp(+-gamma_sigma s/2) and b_i(s) = lambda0|a_i(s)-1|/gamma_sigma,
-and analogously for more jumps. The relative sign between the two amplitude
+and analogously for two jumps. The relative sign between the two amplitude
 terms is fixed by the exact operator identity
 U_nh(-s) a U_nh(s) = a0(s) a + (lambda0/gamma_sigma)(1 - a0(s)), which the
 tests verify against full matrix exponentials.
 
-Moment sums truncate at n_max initial levels (thermal weights renormalized),
-m_max final levels and jumps_max jumps; jump-time integrals use
-Gauss-Legendre quadrature with node-doubling convergence control.
+The table truncates at n_max initial levels (thermal weights renormalized),
+m_max final levels and jumps_max <= 2 jumps, so Q runs over -2..2. The
+one- and two-jump time integrals use Gauss-Legendre rules evaluated on all
+nodes at once, and node doubling checks the four moments once per time
+point.
 """
 
 from __future__ import annotations
@@ -35,39 +45,40 @@ from typing import Sequence
 import numpy as np
 
 from .errors import RegimeWarning, SimulationError
-from .fock import displacement_element, displacement_matrix, number_operator, quadratures
+from .fock import displacement_element, displacement_matrix, quadratures
 from .model import PhysicalParams, Rates, bath_occupation
 from .quadrature import csv_float, gauss_legendre
-from .work import guardian_final_probs_level, guardian_initial_probs
+from .work import work_moments
 
 __all__ = [
     "TruncationPolicy",
-    "PerturbativeElement",
     "mu",
     "drive_displacement",
     "unitary_projective_moments",
     "unitary_T0",
-    "w_nk",
+    "unitary_table",
     "unitary_calorimetric_moment",
-    "perturbative_u",
     "perturbative_matrix",
-    "transmission_T0",
-    "transmission_T1",
     "transmission_TN",
+    "transfer_table",
+    "perturbative_moments",
     "truncated_calorimetric_moment",
     "truncated_projective_moment",
     "write_analytic_csv",
 ]
 
 _QUAD_TOL = 1e-8
-_TAIL_TOL = 1e-10
+_MAX_JUMPS = 2
+# jump sequences, earliest jump first: index 0 emits a quantum into the bath
+# (heat +1), index 1 absorbs one (heat -1)
+_SEQUENCES = ((), (0,), (1,), (0, 0), (0, 1), (1, 0), (1, 1))
 
 
 @dataclass(frozen=True)
 class TruncationPolicy:
     """How far the semi-analytic moment sums reach: initial levels n <= n_max
     (thermal weights renormalized on that set), final levels m <= m_max and
-    at most jumps_max jumps per trajectory."""
+    at most jumps_max <= 2 jumps per trajectory."""
 
     n_max: int = 1
     m_max: int = 10
@@ -80,16 +91,11 @@ class TruncationPolicy:
             raise ValueError(
                 f"n_max = {self.n_max} must not exceed m_max = {self.m_max}"
             )
-
-
-@dataclass(frozen=True)
-class PerturbativeElement:
-    """Second-order no-jump amplitude u(m, t | n)."""
-
-    m: int
-    n: int
-    t: float
-    value: complex
+        if self.jumps_max > _MAX_JUMPS:
+            raise ValueError(
+                f"jumps_max = {self.jumps_max} exceeds the {_MAX_JUMPS} jumps "
+                "the transfer table holds"
+            )
 
 
 def mu(t: float, lambda0: float) -> float:
@@ -118,60 +124,30 @@ def unitary_T0(m: int, n: int, t: float, lambda0: float) -> float:
     return abs(displacement_element(m, n, drive_displacement(t, lambda0))) ** 2
 
 
-def _final_bracket_moment(
-    m: int, ell_i: int, jump_heat: int, k: int, rates: Rates
-) -> float:
-    """Sum over the final guardian branch of [ell_f - ell_i + J + (-1)^ell_f]^k,
-    weighted by the final-photon probabilities for level m; the no-photon
-    branch contributes [-ell_i + J]^k with the leftover probability."""
-    p0, p1 = guardian_final_probs_level(m, rates)
-    out = p0 * float(1 - ell_i + jump_heat) ** k
-    # ell_f = 1 gives (1 - ell_i + J - 1)^k = (-ell_i + J)^k, the same value
-    # as the no-photon branch: neither carries net guardian energy
-    out += p1 * float(-ell_i + jump_heat) ** k
-    p_no = 1.0 - p0 - p1
-    if p_no > 1e-15:
-        out += p_no * float(-ell_i + jump_heat) ** k
-    return out
+def unitary_table(t: float, lambda0: float, n_max: int = 1) -> np.ndarray:
+    """No-jump transfer table |<m|D(alpha(t))|n>|^2 for initial levels
+    n <= n_max, shape (n_max + 1, M + 1, 1); the single heat column is Q = 0.
+    Final levels reach M = ceil(mu + 12 sqrt(mu) + 25) + n_max, deep enough
+    into the Poisson-like tail that the moments do not see the cut."""
+    if n_max < 0:
+        raise ValueError(f"n_max must be non-negative, got {n_max}")
+    mu_t = mu(t, lambda0)
+    m_top = int(math.ceil(mu_t + 12.0 * math.sqrt(mu_t) + 25.0)) + n_max
+    rows = [[unitary_T0(m, n, t, lambda0) for m in range(m_top + 1)] for n in range(n_max + 1)]
+    return np.array(rows)[:, :, None]
 
 
-def w_nk(
-    n: int,
-    k: int,
-    t: float,
-    params: PhysicalParams,
-    rates: Rates,
-    m_max: int | None = None,
-) -> float:
-    """Guardian-weighted unitary coefficient
+def _thermal_weights(beta: float, n_max: int) -> np.ndarray:
+    weights = np.exp(-beta * np.arange(n_max + 1))
+    return weights / weights.sum()
 
-        w_nk = sum_m sum_{guardians} p_i(l_i|n) p_f(l_f|m) T0(m,t|n) [...]^k.
 
-    With m_max = None the final-level sum is extended until the increment
-    falls below 1e-10.
-    """
-    if n < 0:
-        raise ValueError(f"level must be non-negative, got {n}")
-    if k < 1:
-        raise ValueError(f"moment order must be >= 1, got {k}")
-    mu_t = mu(t, params.lambda0)
-    adaptive = m_max is None
-    if adaptive:
-        m_max = int(math.ceil(mu_t + 12.0 * math.sqrt(mu_t) + 25.0)) + n
-    pi0, pi1 = guardian_initial_probs(n, rates)
-    total = 0.0
-    for m in range(m_max + 1):
-        t0 = unitary_T0(m, n, t, params.lambda0)
-        if t0 == 0.0:
-            continue
-        term = t0 * (
-            pi0 * _final_bracket_moment(m, 0, 0, k, rates)
-            + pi1 * _final_bracket_moment(m, 1, 0, k, rates)
-        )
-        total += term
-        if adaptive and m > mu_t + n + 10 and abs(term) < _TAIL_TOL:
-            break
-    return total
+def _moment_index(k: int, offset: int) -> int:
+    """Position of the k-th moment in work_moments' output; offset 0 picks
+    the projective pair, 2 the calorimetric one."""
+    if k not in (1, 2):
+        raise ValueError(f"moment order must be 1 or 2, got {k}")
+    return offset + k - 1
 
 
 def unitary_calorimetric_moment(
@@ -181,14 +157,12 @@ def unitary_calorimetric_moment(
     rates: Rates,
     n_max: int = 1,
 ) -> float:
-    """k-th calorimetric work moment in the unitary limit: thermal average of
-    w_nk over the initial levels n <= n_max (weights renormalized), in units
-    of (hbar*omega0)^k. The default keeps the two lowest levels."""
-    weights = np.exp(-params.beta * np.arange(n_max + 1))
-    weights /= weights.sum()
-    return float(
-        sum(wt * w_nk(n, k, t, params, rates) for n, wt in enumerate(weights))
-    )
+    """k-th (k = 1, 2) calorimetric work moment in the unitary limit, thermally
+    averaged over the initial levels n <= n_max (weights renormalized), in
+    units of (hbar*omega0)^k. The default keeps the two lowest levels."""
+    i = _moment_index(k, 2)
+    table = unitary_table(t, params.lambda0, n_max)
+    return float(work_moments(table, _thermal_weights(params.beta, n_max), rates)[i])
 
 
 # ---------------------------------------------------------------------------
@@ -203,23 +177,25 @@ def _pert_matrix_raw(
     gs = rates.gamma_sigma
     if gs == 0.0 or t == 0.0:
         return u0.copy()
-    nmat = np.asarray(number_operator(dim)).real
     x, _ = quadratures(dim)
-    xmat = np.asarray(x).real
-    ratio = rates.gamma1 / gs
-    eye = np.eye(dim)
+    # gen(s) = sum_k f_k(s) G_k with G = (n, 1, X), so the first- and
+    # second-order integrals of gen reduce to the scalar sums
+    # single[k] = int_0^t f_k and double[k, j] = int_0^t f_k(s) int_0^s f_j
+    basis = (np.diag(np.arange(dim, dtype=float)), np.eye(dim), np.asarray(x).real)
 
-    def gen(s: float) -> np.ndarray:
-        return nmat + (ratio + mu(s, lam)) * eye + (lam * s / np.sqrt(2)) * xmat
+    def coeffs(s: np.ndarray) -> np.ndarray:
+        mu_s = (lam * s / 2.0) ** 2
+        return np.stack([np.ones_like(s), rates.gamma1 / gs + mu_s, lam * s / np.sqrt(2)])
 
-    t1s, w1s = gauss_legendre(nodes, 0.0, t)
-    s1 = sum(w * gen(s) for s, w in zip(t1s, w1s))
-    s2 = np.zeros_like(s1)
-    for s_outer, w_outer in zip(t1s, w1s):
-        t2s, w2s = gauss_legendre(nodes, 0.0, s_outer)
-        inner = sum(w * gen(s) for s, w in zip(t2s, w2s))
-        s2 += w_outer * (gen(s_outer) @ inner)
-    core = eye - (gs / 2.0) * s1 + (gs**2 / 4.0) * s2
+    s2, w2 = gauss_legendre(nodes, 0.0, t)
+    s1, w1 = gauss_legendre(nodes, 0.0, s2[:, None])  # one inner rule per outer node
+    f2 = coeffs(s2)
+    single = f2 @ w2
+    double = (f2 * w2) @ (coeffs(s1) * w1).sum(axis=-1).T
+    core = basis[1] - (gs / 2.0) * sum(c * g for c, g in zip(single, basis))
+    for k, gk in enumerate(basis):
+        for j, gj in enumerate(basis):
+            core += (gs**2 / 4.0) * double[k, j] * (gk @ gj)
     return u0 @ core.astype(complex)
 
 
@@ -256,35 +232,20 @@ def perturbative_matrix(
     return fine
 
 
-def perturbative_u(
-    m: int,
-    n: int,
-    t: float,
-    params: PhysicalParams,
-    rates: Rates,
-    nodes: int = 32,
-) -> PerturbativeElement:
-    """Single amplitude u(m, t | n); see perturbative_matrix."""
-    if m < 0 or n < 0:
-        raise ValueError(f"levels must be non-negative, got m={m}, n={n}")
-    dim = max(m, n) + 5
-    mat = perturbative_matrix(t, params, rates, dim=dim, nodes=nodes)
-    return PerturbativeElement(m=m, n=n, t=float(t), value=complex(mat[m, n]))
-
-
 # ---------------------------------------------------------------------------
 # transfer coefficients with jumps
 
 
-def _jump_coeffs(i: int, s: float, params: PhysicalParams, rates: Rates):
+def _jump_coeffs(i: int, s, params: PhysicalParams, rates: Rates):
     """Exact commutation of one jump operator through the no-jump propagator:
     C_i U_nh(s) = U_nh(s) sqrt(gamma_i) [a_i(s) A_i + b_i(s)], with A_0 = a,
-    A_1 = a^+. Returns (rate, a_i, b_i, level shift)."""
+    A_1 = a^+. The jump time s may be an array. Returns (rate, a_i, b_i,
+    level shift)."""
     if i not in (0, 1):
         raise ValueError(f"jump index must be 0 or 1, got {i}")
     gs = rates.gamma_sigma
     sign = -1.0 if i == 0 else 1.0
-    a = math.exp(sign * gs * s / 2.0)
+    a = np.exp(sign * gs * np.asarray(s, dtype=float) / 2.0)
     b = params.lambda0 * (1.0 - a) / gs if i == 0 else params.lambda0 * (a - 1.0) / gs
     rate = rates.gamma0 if i == 0 else rates.gamma1
     shift = -1 if i == 0 else 1
@@ -294,55 +255,29 @@ def _jump_coeffs(i: int, s: float, params: PhysicalParams, rates: Rates):
 def _commuted_jump_vector(
     n: int,
     indices: Sequence[int],
-    times: Sequence[float],
+    times: Sequence,
     params: PhysicalParams,
     rates: Rates,
     dim: int,
 ) -> tuple[float, np.ndarray]:
     """Apply the commuted jump factors (earliest first) to |n>, returning the
-    total rate prefactor and the resulting vector."""
+    total rate prefactor and the resulting vector. Jump times may be arrays
+    that broadcast against each other; the vectors then stack along leading
+    axes, one per combination of times."""
     vec = np.zeros(dim)
     vec[n] = 1.0
     rate_product = 1.0
-    ls = np.arange(dim)
+    root = np.sqrt(np.arange(1.0, dim))
     for i, s in zip(indices, times):
         rate, a, b, shift = _jump_coeffs(i, s, params, rates)
         rate_product *= rate
-        moved = np.zeros(dim)
+        moved = np.zeros(vec.shape)
         if shift == -1:  # lowering: |l> -> sqrt(l)|l-1>
-            moved[: dim - 1] = np.sqrt(ls[1:]) * vec[1:]
+            moved[..., :-1] = root * vec[..., 1:]
         else:  # raising: |l> -> sqrt(l+1)|l+1>
-            moved[1:] = np.sqrt(ls[:-1] + 1.0) * vec[:-1]
-        vec = a * moved + b * vec
+            moved[..., 1:] = root * vec[..., :-1]
+        vec = a[..., None] * moved + b[..., None] * vec
     return rate_product, vec
-
-
-def transmission_T0(
-    m: int,
-    n: int,
-    t: float,
-    params: PhysicalParams,
-    rates: Rates,
-    nodes: int = 32,
-) -> float:
-    """No-jump transfer probability |u(m,t|n)|^2 to second order in the decay."""
-    return abs(perturbative_u(m, n, t, params, rates, nodes=nodes).value) ** 2
-
-
-def transmission_T1(
-    m: int,
-    n: int,
-    i1: int,
-    t1: float,
-    t: float,
-    params: PhysicalParams,
-    rates: Rates,
-    nodes: int = 32,
-) -> float:
-    """One-jump transfer density at jump time t1."""
-    if not 0 <= t1 <= t:
-        raise ValueError(f"jump time t1 = {t1} must lie in [0, t = {t}]")
-    return transmission_TN(m, n, (i1,), (t1,), t, params, rates, nodes=nodes)
 
 
 def transmission_TN(
@@ -359,8 +294,9 @@ def transmission_TN(
     squared amplitude of U_nh(t - t_N) C_{i_N} ... C_{i_1} U_nh(t_1) between
     |n> and <m|, with every jump operator commuted through the propagator
     exactly and the remaining full-interval amplitude taken from the
-    second-order expansion. With no jumps this is transmission_T0 and with
-    one jump the closed one-jump formula, identically."""
+    second-order expansion. With no jumps this is the no-jump transfer
+    probability |u(m,t|n)|^2 and with one jump the closed one-jump formula,
+    identically."""
     if len(indices) != len(times):
         raise ValueError("one time per jump index required")
     if any(b <= a for a, b in zip(times, times[1:])):
@@ -370,195 +306,78 @@ def transmission_TN(
     if m < 0 or n < 0:
         raise ValueError(f"levels must be non-negative, got m={m}, n={n}")
     dim = max(m, n + len(indices)) + 5
-    if not indices:
-        return transmission_T0(m, n, t, params, rates, nodes=nodes)
     rate_product, vec = _commuted_jump_vector(n, indices, times, params, rates, dim)
     u = perturbative_matrix(t, params, rates, dim=dim, nodes=nodes)
-    amp = u[m] @ vec
-    return rate_product * float(abs(amp) ** 2)
+    return rate_product * float(abs(u[m] @ vec) ** 2)
 
 
 # ---------------------------------------------------------------------------
-# truncated moment sums
+# transfer table and the moments read from it
 
 
-def _one_jump_integrals(
-    n: int,
+def transfer_table(
     t: float,
-    u_cols: np.ndarray,
     params: PhysicalParams,
     rates: Rates,
-    nodes: int,
-) -> dict[int, np.ndarray]:
-    """integral over t1 of T1(m, t; i1, t1 | n) for each jump type; u_cols is
-    the (m_max+1, dim_work) amplitude block."""
-    out: dict[int, np.ndarray] = {}
-    t1s, ws = gauss_legendre(nodes, 0.0, t)
-    for i1 in (0, 1):
-        rate = rates.gamma0 if i1 == 0 else rates.gamma1
-        if rate == 0.0:
+    policy: TruncationPolicy = TruncationPolicy(),
+    nodes: int = 32,
+) -> np.ndarray:
+    """Transfer weights P[n, m, Q + 2] at time t for n <= n_max, m <= m_max
+    and jump heat Q in -2..2: the no-jump |u(m,t|n)|^2 plus the one- and
+    two-jump densities integrated over ordered jump times, with one
+    ``nodes``-point Gauss-Legendre rule per time axis (the inner rule of the
+    two-jump integral spans [0, t2] for each outer node t2)."""
+    dim = policy.m_max + 7
+    u = _pert_matrix_raw(t, params, rates, dim, nodes)[: policy.m_max + 1]
+    jumps_max = policy.jumps_max if rates.gamma_sigma > 0 else 0
+    s2, w2 = gauss_legendre(nodes, 0.0, t)
+    s1, w1 = gauss_legendre(nodes, 0.0, s2[:, None])
+    rules = {0: ((), 1.0), 1: ((s2,), w2), 2: ((s1, s2[:, None]), w2[:, None] * w1)}
+    table = np.zeros((policy.n_max + 1, policy.m_max + 1, 2 * _MAX_JUMPS + 1))
+    for seq in _SEQUENCES:
+        if len(seq) > jumps_max:
             continue
-        gs = rates.gamma_sigma
-        sign = -1.0 if i1 == 0 else 1.0
-        a = np.exp(sign * gs * t1s / 2.0)
-        b = params.lambda0 * (1.0 - a) / gs if i1 == 0 else params.lambda0 * (a - 1.0) / gs
-        shift = -1 if i1 == 0 else 1
-        fac = math.sqrt(n) if i1 == 0 else math.sqrt(n + 1)
-        base = u_cols[:, n]
-        target = u_cols[:, n + shift] if 0 <= n + shift else np.zeros_like(base)
-        # amplitude (m, node): b(t1) u(m,t|n) + a(t1) fac u(m,t|n+shift)
-        amp = np.outer(base, b) + fac * np.outer(target, a)
-        t1_density = rate * (amp.real**2 + amp.imag**2)
-        out[i1] = t1_density @ ws
-    return out
+        times, weights = rules[len(seq)]
+        heat = seq.count(0) - seq.count(1)
+        for n in range(policy.n_max + 1):
+            rate, vec = _commuted_jump_vector(n, seq, times, params, rates, dim)
+            amp = vec @ u.T
+            density = rate * (amp.real**2 + amp.imag**2)
+            table[n, :, heat + _MAX_JUMPS] += np.tensordot(weights, density, np.ndim(weights))
+    return table
 
 
-def _two_jump_integrals(
-    n: int,
-    t: float,
-    u_cols: np.ndarray,
-    params: PhysicalParams,
-    rates: Rates,
-    nodes: int,
-) -> dict[tuple[int, int], np.ndarray]:
-    """Nested integral over 0 < t1 < t2 < t of T2 for each ordered pair."""
-    out: dict[tuple[int, int], np.ndarray] = {}
-    t2s, w2s = gauss_legendre(nodes, 0.0, t)
-    gs = rates.gamma_sigma
-    lam = params.lambda0
-    for i1 in (0, 1):
-        rate1 = rates.gamma0 if i1 == 0 else rates.gamma1
-        if rate1 == 0.0:
-            continue
-        s1 = -1 if i1 == 0 else 1
-        f1 = math.sqrt(n) if i1 == 0 else math.sqrt(n + 1)
-        lvl1 = n + s1
-        for i2 in (0, 1):
-            rate2 = rates.gamma0 if i2 == 0 else rates.gamma1
-            if rate2 == 0.0:
-                continue
-            s2 = -1 if i2 == 0 else 1
-            lvl12 = lvl1 + s2
-            f12 = 0.0
-            if lvl1 >= 0:
-                f12 = math.sqrt(lvl1) if i2 == 0 else math.sqrt(lvl1 + 1)
-            f2 = math.sqrt(n) if i2 == 0 else math.sqrt(n + 1)
-            lvl2 = n + s2
-            total = np.zeros(u_cols.shape[0])
-            for t2, w2 in zip(t2s, w2s):
-                t1s, w1s = gauss_legendre(nodes, 0.0, t2)
-                sg1 = -1.0 if i1 == 0 else 1.0
-                sg2 = -1.0 if i2 == 0 else 1.0
-                a1 = np.exp(sg1 * gs * t1s / 2.0)
-                b1 = lam * (1.0 - a1) / gs if i1 == 0 else lam * (a1 - 1.0) / gs
-                a2 = math.exp(sg2 * gs * t2 / 2.0)
-                b2 = lam * (1.0 - a2) / gs if i2 == 0 else lam * (a2 - 1.0) / gs
-                # amplitude (m, node over t1)
-                amp = np.outer(b2 * u_cols[:, n], b1)
-                if lvl2 >= 0:
-                    amp += f2 * np.outer(a2 * u_cols[:, lvl2], b1)
-                if lvl1 >= 0:
-                    amp += f1 * np.outer(b2 * u_cols[:, lvl1], a1)
-                    if lvl12 >= 0 and f12 > 0.0:
-                        amp += f1 * f12 * np.outer(a2 * u_cols[:, lvl12], a1)
-                dens = amp.real**2 + amp.imag**2
-                total += w2 * (dens @ w1s)
-            out[(i1, i2)] = rate1 * rate2 * total
-    return out
-
-
-def _truncated_moment_raw(
-    k: int,
+def perturbative_moments(
     t: float,
     params: PhysicalParams,
     rates: Rates,
-    policy: TruncationPolicy,
-    nodes: int,
-    kind: str,
-) -> float:
-    dim_work = policy.m_max + 1 + 6
-    u = _pert_matrix_raw(t, params, rates, dim_work, nodes)
-    u_cols = u[: policy.m_max + 1, :]
-    ms = np.arange(policy.m_max + 1)
+    policy: TruncationPolicy = TruncationPolicy(),
+    nodes: int = 32,
+) -> np.ndarray:
+    """[<W_p>, <W_p^2>, <W_c>, <W_c^2>] at time t with dissipative
+    corrections, from the transfer table truncated per ``policy``.
 
-    weights = np.exp(-params.beta * np.arange(policy.n_max + 1))
-    weights /= weights.sum()
-
-    if kind == "calorimetric":
-        pf0 = np.array([guardian_final_probs_level(m, rates)[0] for m in ms])
-        pf1 = np.array([guardian_final_probs_level(m, rates)[1] for m in ms])
-        pno = np.clip(1.0 - pf0 - pf1, 0.0, 1.0)
-
-        def bracket(ell_i: int, heat: int) -> np.ndarray:
-            v0 = float(1 - ell_i + heat) ** k
-            v1 = float(-ell_i + heat) ** k
-            vno = float(-ell_i + heat) ** k
-            return pf0 * v0 + pf1 * v1 + pno * vno
-
-    total = 0.0
-    for n, wt in enumerate(weights):
-        t0_vec = np.abs(u_cols[:, n]) ** 2
-        t1_int = (
-            _one_jump_integrals(n, t, u_cols, params, rates, nodes)
-            if policy.jumps_max >= 1
-            else {}
-        )
-        t2_int = (
-            _two_jump_integrals(n, t, u_cols, params, rates, nodes)
-            if policy.jumps_max >= 2
-            else {}
-        )
-        if policy.jumps_max > 2:
-            raise NotImplementedError("moment sums support at most two jumps")
-        if kind == "calorimetric":
-            pi0, pi1 = guardian_initial_probs(n, rates)
-            contrib = 0.0
-            for ell_i, pi_w in ((0, pi0), (1, pi1)):
-                if pi_w == 0.0:
-                    continue
-                term = float(t0_vec @ bracket(ell_i, 0))
-                for i1, integ in t1_int.items():
-                    term += float(integ @ bracket(ell_i, 1 - 2 * i1))
-                for (i1, i2), integ in t2_int.items():
-                    term += float(integ @ bracket(ell_i, 2 - 2 * i1 - 2 * i2))
-                contrib += pi_w * term
-        else:  # projective
-            contrib = float(t0_vec @ ((ms - n).astype(float) ** k))
-            for i1, integ in t1_int.items():
-                contrib += float(integ @ ((ms - n + 1 - 2 * i1).astype(float) ** k))
-            for (i1, i2), integ in t2_int.items():
-                contrib += float(
-                    integ @ ((ms - n + 2 - 2 * i1 - 2 * i2).astype(float) ** k)
-                )
-        total += wt * contrib
-    return total
-
-
-def _truncated_moment(
-    k: int,
-    t: float,
-    params: PhysicalParams,
-    rates: Rates,
-    policy: TruncationPolicy,
-    nodes: int,
-    kind: str,
-) -> float:
-    if k < 1:
-        raise ValueError(f"moment order must be >= 1, got {k}")
+    The table is built at ``nodes`` and 2*``nodes`` Gauss-Legendre points; a
+    moment that moves by more than 1e-8 max(1, |moment|) raises.
+    """
     if t < 0:
         raise ValueError(f"time must be non-negative, got {t}")
     if rates.gamma_sigma * t > 1.0:
         warnings.warn(
             "second-order dissipative expansion pushed beyond gamma_sigma*t = 1",
             RegimeWarning,
-            stacklevel=3,
+            stacklevel=2,
         )
-    coarse = _truncated_moment_raw(k, t, params, rates, policy, nodes, kind)
-    fine = _truncated_moment_raw(k, t, params, rates, policy, 2 * nodes, kind)
-    if abs(fine - coarse) > _QUAD_TOL * max(1.0, abs(fine)):
+    weights = _thermal_weights(params.beta, policy.n_max)
+    coarse, fine = (
+        work_moments(transfer_table(t, params, rates, policy, q), weights, rates)
+        for q in (nodes, 2 * nodes)
+    )
+    delta = np.abs(fine - coarse)
+    if (delta > _QUAD_TOL * np.maximum(1.0, np.abs(fine))).any():
         raise SimulationError(
             f"jump-time quadrature not converged at {nodes} nodes "
-            f"(delta = {abs(fine - coarse):.2e})"
+            f"(delta = {delta.max():.2e})"
         )
     return fine
 
@@ -571,9 +390,10 @@ def truncated_calorimetric_moment(
     policy: TruncationPolicy = TruncationPolicy(),
     nodes: int = 32,
 ) -> float:
-    """k-th calorimetric work moment with dissipative corrections, truncated
-    per ``policy``; in units of (hbar*omega0)^k."""
-    return _truncated_moment(k, t, params, rates, policy, nodes, "calorimetric")
+    """k-th (k = 1, 2) calorimetric work moment with dissipative corrections,
+    truncated per ``policy``; in units of (hbar*omega0)^k."""
+    i = _moment_index(k, 2)
+    return float(perturbative_moments(t, params, rates, policy, nodes)[i])
 
 
 def truncated_projective_moment(
@@ -585,8 +405,9 @@ def truncated_projective_moment(
     nodes: int = 32,
 ) -> float:
     """Projective counterpart of truncated_calorimetric_moment (same transfer
-    coefficients, two-measurement energy bookkeeping)."""
-    return _truncated_moment(k, t, params, rates, policy, nodes, "projective")
+    table, two-measurement energy bookkeeping)."""
+    i = _moment_index(k, 0)
+    return float(perturbative_moments(t, params, rates, policy, nodes)[i])
 
 
 # ---------------------------------------------------------------------------
@@ -605,30 +426,22 @@ def write_analytic_csv(
     nodes: int = 32,
 ) -> None:
     """Analytic curves on the grid: unitary rows always, perturbative rows
-    when there is any dissipation."""
+    when there is any dissipation. The unitary projective columns are the
+    closed forms; every other column is read from one table per time."""
+    weights = _thermal_weights(params.beta, 1)
     with open(path, "w") as fh:
         for line in header_lines:
             fh.write(f"# {line}\n")
         fh.write(_ANALYTIC_COLUMNS + "\n")
         for t in grid:
             mean_p, var_p = unitary_projective_moments(t, params)
-            m1 = unitary_calorimetric_moment(1, t, params, rates)
-            m2 = unitary_calorimetric_moment(2, t, params, rates)
+            _, _, m1, m2 = work_moments(unitary_table(t, params.lambda0), weights, rates)
             row = [t, mean_p, var_p, m1, m2 - m1 * m1]
             fh.write(",".join(csv_float(x) for x in row) + ",unitary\n")
         if rates.gamma_sigma > 0:
             with warnings.catch_warnings():
                 warnings.simplefilter("once", RegimeWarning)
                 for t in grid:
-                    mean_p = truncated_projective_moment(
-                        1, t, params, rates, policy, nodes
-                    )
-                    m2p = truncated_projective_moment(2, t, params, rates, policy, nodes)
-                    mean_c = truncated_calorimetric_moment(
-                        1, t, params, rates, policy, nodes
-                    )
-                    m2c = truncated_calorimetric_moment(
-                        2, t, params, rates, policy, nodes
-                    )
-                    row = [t, mean_p, m2p - mean_p**2, mean_c, m2c - mean_c**2]
+                    m1p, m2p, m1c, m2c = perturbative_moments(t, params, rates, policy, nodes)
+                    row = [t, m1p, m2p - m1p**2, m1c, m2c - m1c**2]
                     fh.write(",".join(csv_float(x) for x in row) + ",perturbative\n")

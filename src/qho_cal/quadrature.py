@@ -10,7 +10,9 @@ _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
 def gauss_legendre(n: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights for [lo, hi]. Degenerate intervals get zero weights."""
+    """Nodes and weights for [lo, hi]. Degenerate intervals get zero weights.
+    lo and hi broadcast: a column of upper limits gives one row of nodes and
+    weights per interval."""
     if n < 1:
         raise ValueError(f"need at least one node, got {n}")
     if n not in _GL_CACHE:

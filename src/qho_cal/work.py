@@ -12,6 +12,10 @@ Two work values are attached to each trajectory at a checkpoint time tau:
   ending in the ground state emits no final photon; that branch contributes
   delta_u = -ell_i and no guardian heat.
 
+One set of guardian probabilities (guardian_probs) and one W_c rule serve
+both the sampled measurement and the exact moment kernel work_moments, which
+the analytics apply to their transfer tables.
+
 All work values are exact integers in units of hbar*omega0, so moment
 accumulation is a value -> count histogram and merging ensembles is exact,
 associative and commutative.
@@ -38,9 +42,8 @@ __all__ = [
     "EnsembleWorkResult",
     "heat_up_to",
     "projective_work",
-    "guardian_initial_probs",
-    "guardian_final_probs_level",
-    "guardian_final_probs_state",
+    "guardian_probs",
+    "work_moments",
     "draw_guardian_outcome",
     "calorimetric_work",
     "summarize",
@@ -91,66 +94,63 @@ def projective_work(
     return WorkSample("projective", float(tau), delta_u, heat, delta_u + heat)
 
 
-def guardian_initial_probs(n: int, rates: Rates) -> tuple[float, float]:
-    """Probabilities of the last pre-drive photon type given initial level n.
+def guardian_probs(
+    levels, rates: Rates
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Guardian-photon probabilities per level, x = gamma1/gamma0.
 
-    (p0, p1) with p0 = x(n+1) / (x(n+1) + n), x = gamma1/gamma0: a level-n
-    equilibrium state was entered from above (emission, index 0) or from
-    below (absorption, index 1). The degenerate point n = 0 at zero
-    temperature (no photon was ever needed) is resolved as index 0 with
-    certainty, consistent with the system having sat in the ground state.
+    Returns (pi0, pf0, pf1). pi0 = x(n+1) / (x(n+1) + n) is the probability
+    that the last pre-drive photon was an emission (index 0) given initial
+    level n: a level-n equilibrium state was entered from above or from
+    below. pf0 = m / (m + x(m+1)) and pf1 = x(m+1) / (m + x(m+1)) are the
+    probabilities that the first post-drive photon given final level m is an
+    emission or an absorption; the remainder 1 - pf0 - pf1 is the no-photon
+    branch. It is nonzero only at m = 0 and zero temperature, where no photon
+    is ever observed; the same degenerate point resolves pi0 = 1, the system
+    having sat in the ground state.
     """
-    if n < 0:
-        raise ValueError(f"level must be non-negative, got {n}")
-    x = rates.boltzmann_ratio
-    den = x * (n + 1) + n
-    if den == 0:
-        return 1.0, 0.0
-    return x * (n + 1) / den, n / den
-
-
-def guardian_final_probs_level(m: int, rates: Rates) -> tuple[float, float]:
-    """Probabilities of the first post-drive photon type given final level m.
-
-    (p0, p1) with p0 = m / (m + x(m+1)): emission needs occupation, absorption
-    is always open at finite temperature. At m = 0 and zero temperature both
-    probabilities vanish -- no photon is ever observed; callers treat the
-    missing mass as the no-photon branch.
-    """
-    if m < 0:
-        raise ValueError(f"level must be non-negative, got {m}")
-    x = rates.boltzmann_ratio
-    den = m + x * (m + 1)
-    if den == 0:
-        return 0.0, 0.0
-    return m / den, x * (m + 1) / den
-
-
-def _final_prob_vectors(dim: int, rates: Rates) -> tuple[np.ndarray, np.ndarray]:
-    ms = np.arange(dim, dtype=float)
-    x = rates.boltzmann_ratio
-    den = ms + x * (ms + 1)
-    pf0 = np.zeros(dim)
-    pf1 = np.zeros(dim)
+    lv = np.asarray(levels, dtype=float)
+    if (lv < 0).any():
+        raise ValueError(f"levels must be non-negative, got {levels}")
+    up = rates.boltzmann_ratio * (lv + 1)
+    den = up + lv
     ok = den > 0
-    pf0[ok] = ms[ok] / den[ok]
-    pf1[ok] = x * (ms[ok] + 1) / den[ok]
-    return pf0, pf1
+    den = np.where(ok, den, 1.0)
+    return np.where(ok, up / den, 1.0), np.where(ok, lv / den, 0.0), np.where(ok, up / den, 0.0)
 
 
-def guardian_final_probs_state(
-    state: np.ndarray, rates: Rates
-) -> tuple[float, float, float]:
-    """Mixture of the per-level final-photon probabilities over |c_m|^2.
+def _calorimetric_value(final_emission, ell_i, heat):
+    """W_c = [ell_f = 0] - ell_i + Q. An emitted final guardian adds its own
+    quantum to the inferred rise; an absorbed one cancels its own energy and
+    a missing one carries none, so only P(ell_f = 0 | m) matters."""
+    return final_emission - ell_i + heat
 
-    Returns (p0, p1, p_no_photon); the last is nonzero only at zero
-    temperature, where it equals the ground-state population.
+
+def work_moments(table: np.ndarray, weights: np.ndarray, rates: Rates) -> np.ndarray:
+    """Mean and second moment of both work values from transfer weights.
+
+    ``table[n, m, j]`` is the weight of ending in level m with integer jump
+    heat Q = j - (J - 1)/2 from initial level n (J = table.shape[2] odd, so
+    the heat axis is centred on Q = 0); ``weights[n]`` are the initial-level
+    probabilities. Returns [<W_p>, <W_p^2>, <W_c>, <W_c^2>] with
+    W_p = m - n + Q and W_c as in _calorimetric_value, the guardian photons
+    drawn independently given n and m.
     """
-    p = state.real**2 + state.imag**2
-    pf0, pf1 = _final_prob_vectors(p.size, rates)
-    p0 = float(p @ pf0)
-    p1 = float(p @ pf1)
-    return p0, p1, max(0.0, float(p.sum()) - p0 - p1)
+    n_lv, m_lv, q_lv = table.shape
+    ns, ms = np.arange(n_lv), np.arange(m_lv)
+    heats = np.arange(q_lv) - q_lv // 2
+    joint = np.asarray(weights, dtype=float)[:, None, None] * table
+    pi0, _, _ = guardian_probs(ns, rates)
+    _, pf0, _ = guardian_probs(ms, rates)
+    wp = ms[None, :, None] - ns[:, None, None] + heats
+    out = np.array([np.sum(joint * wp), np.sum(joint * wp**2), 0.0, 0.0])
+    for ell_i, p_i in ((0, pi0), (1, 1.0 - pi0)):
+        for emitted, p_f in ((1, pf0), (0, 1.0 - pf0)):
+            wc = _calorimetric_value(emitted, ell_i, heats)
+            branch = p_i[:, None, None] * p_f[None, :, None] * joint
+            out[2] += np.sum(branch * wc)
+            out[3] += np.sum(branch * wc**2)
+    return out
 
 
 def draw_guardian_outcome(
@@ -161,15 +161,16 @@ def draw_guardian_outcome(
     ell_i: int | None = None,
 ) -> GuardianOutcome:
     """Sample the guardian pair for one trajectory at checkpoint tau."""
+    state = record.states[record.checkpoint_index(tau)]
+    pi0, pf0, pf1 = guardian_probs(np.arange(state.size), rates)
     if ell_i is None:
-        p0_i, _ = guardian_initial_probs(record.initial_level, rates)
-        ell_i = 0 if rng.random() < p0_i else 1
-    k = record.checkpoint_index(tau)
-    p0, p1, _ = guardian_final_probs_state(record.states[k], rates)
+        ell_i = 0 if rng.random() < pi0[record.initial_level] else 1
+    p = state.real**2 + state.imag**2
+    p0 = float(p @ pf0)
     r = rng.random()
     if r < p0:
         ell_f: int | None = 0
-    elif r < p0 + p1:
+    elif r < p0 + float(p @ pf1):
         ell_f = 1
     else:
         ell_f = None
@@ -363,9 +364,7 @@ def measure_ensemble(
     counts_p: list[Counter] | None = None
     counts_c: list[Counter] | None = None
     pop_sum = pop_sumsq = nbar_sum = nbar_sumsq = None
-    narr = None
-    pf0 = pf1 = None
-    pi_cache: dict[int, float] = {}
+    narr = pi0 = pf0 = None
     n_total = 0
 
     for chunk in _record_chunks(records, 2048):
@@ -380,7 +379,7 @@ def measure_ensemble(
             nbar_sum = np.zeros(k_n)
             nbar_sumsq = np.zeros(k_n)
             narr = np.arange(dim, dtype=float)
-            pf0, pf1 = _final_prob_vectors(dim, rates)
+            pi0, pf0, _ = guardian_probs(narr, rates)
         k_n = times.size
         vp_chunk = np.empty((len(chunk), k_n), dtype=np.int64)
         vc_chunk = np.empty((len(chunk), k_n), dtype=np.int64)
@@ -396,9 +395,7 @@ def measure_ensemble(
             p2 = record.states.real**2 + record.states.imag**2  # (K, dim)
 
             n0 = record.initial_level
-            if n0 not in pi_cache:
-                pi_cache[n0] = guardian_initial_probs(n0, rates)[0]
-            ell_i = 0 if u[0] < pi_cache[n0] else 1
+            ell_i = 0 if u[0] < pi0[n0] else 1
 
             cum = np.cumsum(p2, axis=1)
             m_draw = (cum < u[1::2, None]).sum(axis=1)
@@ -406,13 +403,8 @@ def measure_ensemble(
             heats = record.heats
             vp_chunk[row] = m_draw - n0 + heats
 
-            p0 = p2 @ pf0
-            p1 = p2 @ pf1
-            r = u[2::2]
-            ell_f = np.where(r < p0, 0, np.where(r < p0 + p1, 1, -1))
-            vc_chunk[row] = np.where(
-                ell_f >= 0, ell_f - ell_i + heats + 1 - 2 * ell_f, -ell_i + heats
-            )
+            final_emission = (u[2::2] < p2 @ pf0).astype(np.int64)
+            vc_chunk[row] = _calorimetric_value(final_emission, ell_i, heats)
 
             pop_sum += p2
             pop_sumsq += p2**2

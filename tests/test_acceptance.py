@@ -30,8 +30,7 @@ from qho_cal.trajectories import (
 )
 from qho_cal.work import (
     calorimetric_work,
-    guardian_final_probs_level,
-    guardian_initial_probs,
+    guardian_probs,
     measure_ensemble,
     projective_work,
 )
@@ -253,13 +252,22 @@ def t0_artifact_run():
 
 
 def _t0_exact_moments(p, r):
-    """Exact t = 0 calorimetric moments by direct summation over levels."""
+    """Exact t = 0 calorimetric moments by direct summation over levels.
+
+    The guardian probabilities are written out here, independently of the
+    package: with x = gamma1/gamma0 > 0, the last pre-drive photon from level
+    n was an emission with probability x(n+1)/(x(n+1)+n), and without drive
+    the first post-drive photon from the same level is an emission with
+    probability n/(n+x(n+1)).
+    """
+    x = r.boltzmann_ratio
     weights = thermal_probabilities(p.beta, p.dim)
     mean = 0.0
     second = 0.0
     for n, wt in enumerate(weights):
-        pi0, pi1 = guardian_initial_probs(n, r)
-        pf0, pf1 = guardian_final_probs_level(n, r)
+        den = x * (n + 1) + n
+        pi0, pi1 = x * (n + 1) / den, n / den
+        pf0, pf1 = n / den, x * (n + 1) / den
         for ell_i, pw_i in ((0, pi0), (1, pi1)):
             for ell_f, pw_f in ((0, pf0), (1, pf1)):
                 v = ell_f - ell_i + (1 - 2 * ell_f)
@@ -435,11 +443,11 @@ def test_criterion_8_property_suites(tmp_path):
     # guardian distributions normalize exactly
     p = PhysicalParams(gamma=0.3, beta=1.7, lambda0=0.01)
     r = make_rates(p)
-    for n in range(60):
-        pi = guardian_initial_probs(n, r)
-        pf = guardian_final_probs_level(n, r)
-        assert abs(pi[0] + pi[1] - 1.0) < 1e-12
-        assert abs(pf[0] + pf[1] - 1.0) < 1e-12
+    ns = np.arange(60)
+    pi0, pf0, pf1 = guardian_probs(ns, r)
+    pi1 = ns / (r.boltzmann_ratio * (ns + 1) + ns)
+    assert np.abs(pi0 + pi1 - 1.0).max() < 1e-12
+    assert np.abs(pf0 + pf1 - 1.0).max() < 1e-12
     details.append("guardian normalization exact")
 
     # first law and integer heat on a real ensemble

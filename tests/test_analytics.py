@@ -5,25 +5,29 @@ import pytest
 from scipy.stats import poisson
 
 from qho_cal.analytics import (
-    PerturbativeElement,
     TruncationPolicy,
     mu,
     perturbative_matrix,
-    perturbative_u,
-    transmission_T0,
-    transmission_T1,
+    transfer_table,
     transmission_TN,
     truncated_calorimetric_moment,
     truncated_projective_moment,
     unitary_T0,
     unitary_calorimetric_moment,
     unitary_projective_moments,
-    w_nk,
+    unitary_table,
 )
+from qho_cal.cli import parse_config, run_analytic
 from qho_cal.errors import RegimeWarning
-from qho_cal.fock import displacement_matrix, ladder_operators, matrix_exponential
+from qho_cal.fock import (
+    displacement_matrix,
+    ladder_operators,
+    matrix_exponential,
+    quadratures,
+)
 from qho_cal.model import PhysicalParams, bath_occupation, make_rates, nh_generator
 from qho_cal.quadrature import gauss_legendre
+from qho_cal.work import work_moments
 
 pytestmark = pytest.mark.filterwarnings("ignore::qho_cal.errors.RegimeWarning")
 
@@ -33,6 +37,13 @@ PI2_4 = np.pi**2 / 4.0
 def fig4():
     p = PhysicalParams(gamma=0.001, beta=2.0, lambda0=0.01, dim=10)
     return p, make_rates(p)
+
+
+def w_nk(n, k, t, p, r):
+    """Guardian-weighted unitary coefficient of initial level n: the work
+    kernel on the unitary table with all initial weight on n."""
+    table = unitary_table(t, p.lambda0, n_max=n)
+    return work_moments(table, np.eye(n + 1)[n], r)[1 + k]
 
 
 class TestMu:
@@ -101,6 +112,9 @@ class TestUnitaryT0:
 
 
 class TestWnk:
+    """w_nk = sum_m sum_{guardians} p_i(l_i|n) p_f(l_f|m) T0(m,t|n) [...]^k,
+    read per initial level from the unitary table."""
+
     def test_zero_temperature_mean(self):
         p = PhysicalParams(gamma=1e-6, beta=50.0, lambda0=0.01)
         r = make_rates(p)
@@ -125,19 +139,22 @@ class TestWnk:
         assert w_nk(50, 2, t, p, r) == pytest.approx(0.5, abs=2e-3)
 
     def test_explicit_m_max_converges(self):
+        # the final-level range sized from mu(t) (m <= 40 here) gives the
+        # converged sum that an explicit cut at m = 30 already reaches
         p = PhysicalParams(gamma=1e-4, beta=2.0, lambda0=0.01)
         r = make_rates(p)
         t = 0.7 * p.drive_time
-        full = w_nk(0, 1, t, p, r)
-        capped = w_nk(0, 1, t, p, r, m_max=40)
-        assert capped == pytest.approx(full, abs=1e-10)
+        full = work_moments(unitary_table(t, p.lambda0, n_max=0), [1.0], r)
+        capped = np.array([unitary_T0(m, 0, t, p.lambda0) for m in range(31)])[None, :, None]
+        assert work_moments(capped, [1.0], r) == pytest.approx(full, abs=1e-10)
 
     def test_invalid_arguments(self):
         p, r = fig4()
         with pytest.raises(ValueError):
-            w_nk(-1, 1, 1.0, p, r)
-        with pytest.raises(ValueError):
-            w_nk(0, 0, 1.0, p, r)
+            unitary_table(1.0, p.lambda0, n_max=-1)
+        for k in (0, 3):
+            with pytest.raises(ValueError):
+                unitary_calorimetric_moment(k, 1.0, p, r)
 
 
 class TestUnitaryCalorimetricMoment:
@@ -190,9 +207,36 @@ class TestPerturbativeU:
         u = perturbative_matrix(t, p, r, dim=12)
         disp = displacement_matrix(p.lambda0 * t / 2.0, 12)
         np.testing.assert_allclose(u, disp, atol=1e-14)
-        el = perturbative_u(3, 1, t, p, r)
-        assert isinstance(el, PerturbativeElement)
-        assert el.value == pytest.approx(complex(disp[3, 1]), rel=1e-12)
+        assert transmission_TN(3, 1, (), (), t, p, r) == pytest.approx(
+            abs(disp[3, 1]) ** 2, rel=1e-12
+        )
+
+    def test_matches_nested_loop_reference(self):
+        # the expansion integrals summed node by node with the generator
+        # D(s) = n + gamma1/gamma_sigma + mu(s) + (lambda0 s/sqrt2) X built at
+        # every node, as a reference for the scalar weight sums
+        p = PhysicalParams(gamma=0.01, beta=2.0, lambda0=0.01, dim=10)
+        r = make_rates(p)
+        t, dim, nodes = 0.3 * p.drive_time, 12, 64
+        nmat = np.diag(np.arange(dim, dtype=float))
+        xmat = np.asarray(quadratures(dim)[0]).real
+
+        def gen(s):
+            return nmat + (r.gamma1 / r.gamma_sigma + mu(s, p.lambda0)) * np.eye(dim) + (
+                p.lambda0 * s / np.sqrt(2)
+            ) * xmat
+
+        t1s, w1s = gauss_legendre(nodes, 0.0, t)
+        s1 = sum(w * gen(s) for s, w in zip(t1s, w1s))
+        s2 = np.zeros((dim, dim))
+        for s_outer, w_outer in zip(t1s, w1s):
+            t2s, w2s = gauss_legendre(nodes, 0.0, s_outer)
+            s2 += w_outer * (gen(s_outer) @ sum(w * gen(s) for s, w in zip(t2s, w2s)))
+        core = np.eye(dim) - (r.gamma_sigma / 2.0) * s1 + (r.gamma_sigma**2 / 4.0) * s2
+        reference = np.asarray(displacement_matrix(p.lambda0 * t / 2.0, dim)) @ core
+        np.testing.assert_allclose(
+            perturbative_matrix(t, p, r, dim=dim), reference, rtol=0, atol=1e-13
+        )
 
     def test_identity_at_t_zero(self):
         p, r = fig4()
@@ -252,7 +296,7 @@ class TestTransmissionT0:
         r = make_rates(p)
         t = 0.6 * p.drive_time
         for m, n in [(0, 0), (3, 0), (2, 1)]:
-            assert transmission_T0(m, n, t, p, r) == pytest.approx(
+            assert transmission_TN(m, n, (), (), t, p, r) == pytest.approx(
                 unitary_T0(m, n, t, p.lambda0), rel=1e-12
             )
 
@@ -264,7 +308,7 @@ class TestTransmissionT0:
         for n in (0, 1, 2):
             s = (r.gamma_sigma * n + r.gamma1) * t / 2.0
             exact = math.exp(-2 * s)
-            got = transmission_T0(n, n, t, p, r)
+            got = transmission_TN(n, n, (), (), t, p, r)
             assert abs(got - exact) <= 2.2 * s**3 / 6.0 + 1e-12
 
     def test_subnormalized(self):
@@ -287,7 +331,7 @@ class TestTransmissionT1:
         for i1, shift, fac in ((0, -1, 1.0), (1, +1, 2.0)):
             rate = r.gamma0 if i1 == 0 else r.gamma1
             for m in range(5):
-                got = transmission_T1(m, n, i1, 0.0, t, p, r)
+                got = transmission_TN(m, n, (i1,), (0.0,), t, p, r)
                 expected = rate * fac * abs(u[m, n + shift]) ** 2
                 assert got == pytest.approx(expected, rel=1e-9, abs=1e-18)
 
@@ -295,7 +339,7 @@ class TestTransmissionT1:
         p = PhysicalParams(gamma=1e-4, beta=800.0, lambda0=0.01)
         r = make_rates(p)
         t = 0.3 * p.drive_time
-        assert transmission_T1(2, 0, 1, 0.1 * t, t, p, r) == 0.0
+        assert transmission_TN(2, 0, (1,), (0.1 * t,), t, p, r) == 0.0
 
     def test_time_integrated_decay_without_drive(self):
         # lambda0 = 0, start |1>, emission: integral over t1 gives 1 - exp(-gamma0 t)
@@ -304,7 +348,7 @@ class TestTransmissionT1:
         t = 45.0
         nodes, weights = gauss_legendre(64, 0.0, t)
         total = sum(
-            w * transmission_T1(0, 1, 0, t1, t, p, r) for t1, w in zip(nodes, weights)
+            w * transmission_TN(0, 1, (0,), (t1,), t, p, r) for t1, w in zip(nodes, weights)
         )
         assert total == pytest.approx(1.0 - math.exp(-r.gamma0 * t), abs=1e-10)
 
@@ -323,25 +367,31 @@ class TestTransmissionT1:
             for n in (0, 1, 2):
                 for m in range(6):
                     exact = abs(exact_amp[m, n]) ** 2
-                    got = transmission_T1(m, n, i1, t1, t, p, r)
+                    got = transmission_TN(m, n, (i1,), (t1,), t, p, r)
                     assert got == pytest.approx(exact, rel=2e-2, abs=1e-10)
 
     def test_invalid_jump_time(self):
         p, r = fig4()
         with pytest.raises(ValueError):
-            transmission_T1(0, 0, 0, 5.0, 1.0, p, r)
+            transmission_TN(0, 0, (0,), (5.0,), 1.0, p, r)
 
 
 class TestTransmissionTN:
     def test_reduces_to_t0_and_t1(self):
+        # no jumps: |u(m,t|n)|^2; one emission at t1: the closed formula
+        # gamma0 |b0(t1) u(m,t|n) + a0(t1) sqrt(n) u(m,t|n-1)|^2
         p, r = fig4()
         t = 0.15 * p.drive_time
+        u = perturbative_matrix(t, p, r, dim=7)
         assert transmission_TN(2, 0, (), (), t, p, r) == pytest.approx(
-            transmission_T0(2, 0, t, p, r), rel=1e-12
+            abs(u[2, 0]) ** 2, rel=1e-12
         )
-        got = transmission_TN(2, 1, (0,), (0.3 * t,), t, p, r)
+        t1 = 0.3 * t
+        a0 = math.exp(-r.gamma_sigma * t1 / 2.0)
+        b0 = p.lambda0 * (1.0 - a0) / r.gamma_sigma
+        got = transmission_TN(2, 1, (0,), (t1,), t, p, r)
         assert got == pytest.approx(
-            transmission_T1(2, 1, 0, 0.3 * t, t, p, r), rel=1e-12
+            r.gamma0 * abs(b0 * u[2, 1] + a0 * u[2, 0]) ** 2, rel=1e-12
         )
 
     def test_two_jumps_against_full_propagator(self):
@@ -368,45 +418,57 @@ class TestTransmissionTN:
 
     def test_probability_bookkeeping(self):
         # total probability of 0, <=1 and <=2 jump histories approaches one
-        # from below, with the deficit shrinking at each order
-        from qho_cal.analytics import _one_jump_integrals, _two_jump_integrals
-
+        # from below, with the deficit shrinking at each order; each order
+        # fills only the heat slices its jumps can reach
         p, r = fig4()
         t = 0.35 * p.drive_time
         n = 1
-        dimw = 25
-        u = perturbative_matrix(t, p, r, dim=dimw)
-        p0 = float(np.sum(np.abs(u[:, n]) ** 2))
-        one = _one_jump_integrals(n, t, u, p, r, nodes=48)
-        p1 = float(sum(v.sum() for v in one.values()))
-        two = _two_jump_integrals(n, t, u, p, r, nodes=24)
-        p2 = float(sum(v.sum() for v in two.values()))
+        tables = [
+            transfer_table(t, p, r, TruncationPolicy(n_max=1, m_max=24, jumps_max=j), nodes=48)[n]
+            for j in (0, 1, 2)
+        ]
+        # columns are Q = -2..2
+        assert not tables[0][:, [0, 1, 3, 4]].any()
+        assert not tables[1][:, [0, 4]].any()
+        np.testing.assert_array_equal(tables[1][:, 2], tables[0][:, 2])
+        np.testing.assert_array_equal(tables[2][:, [1, 3]], tables[1][:, [1, 3]])
+        p0, p01, p012 = (float(tab.sum()) for tab in tables)
         assert p0 <= 1.0 + 1e-9
-        assert p0 + p1 <= 1.0 + 1e-6
+        assert p01 <= 1.0 + 1e-6
         deficit1 = 1.0 - p0
-        deficit2 = 1.0 - (p0 + p1)
-        deficit3 = 1.0 - (p0 + p1 + p2)
+        deficit2 = 1.0 - p01
+        deficit3 = 1.0 - p012
         assert abs(deficit2) < abs(deficit1)
         assert abs(deficit3) < abs(deficit2)
 
     def test_internal_kernels_match_public_density(self):
-        # the integrated kernels used by the moment sums agree with the
-        # public per-time transfer densities
-        from qho_cal.analytics import _one_jump_integrals
-
+        # the table's heat slices agree with the public per-time transfer
+        # densities integrated on the same Gauss-Legendre rules
         p, r = fig4()
         t = 0.2 * p.drive_time
         n = 1
-        u = perturbative_matrix(t, p, r, dim=20)
-        one = _one_jump_integrals(n, t, u, p, r, nodes=48)
+        policy = TruncationPolicy(n_max=1, m_max=19, jumps_max=1)
+        table = transfer_table(t, p, r, policy, nodes=48)
         nodes, weights = gauss_legendre(48, 0.0, t)
-        for i1 in (0, 1):
+        for i1, q in ((0, 1), (1, -1)):
             for m in (0, 2):
                 direct = sum(
-                    w * transmission_T1(m, n, i1, t1, t, p, r)
+                    w * transmission_TN(m, n, (i1,), (t1,), t, p, r)
                     for t1, w in zip(nodes, weights)
                 )
-                assert one[i1][m] == pytest.approx(direct, rel=1e-6, abs=1e-15)
+                assert table[n, m, q + 2] == pytest.approx(direct, rel=1e-6, abs=1e-15)
+        # two emissions (Q = +2) on a nested 8-point rule
+        table = transfer_table(t, p, r, TruncationPolicy(n_max=1, m_max=6), nodes=8)
+        outer, w_outer = gauss_legendre(8, 0.0, t)
+        for m in (0, 1):
+            direct = 0.0
+            for t2, w2 in zip(outer, w_outer):
+                inner, w_inner = gauss_legendre(8, 0.0, t2)
+                direct += w2 * sum(
+                    w1 * transmission_TN(m, n, (0, 0), (t1, t2), t, p, r)
+                    for t1, w1 in zip(inner, w_inner)
+                )
+            assert table[n, m, 4] == pytest.approx(direct, rel=1e-6, abs=1e-18)
 
     def test_validation(self):
         p, r = fig4()
@@ -468,8 +530,58 @@ class TestTruncatedMoments:
             TruncationPolicy(n_max=5, m_max=2)
         with pytest.raises(ValueError):
             TruncationPolicy(jumps_max=-1)
+        with pytest.raises(ValueError, match="jumps_max"):
+            TruncationPolicy(jumps_max=3)
         p, r = fig4()
-        with pytest.raises(NotImplementedError):
-            truncated_calorimetric_moment(
-                1, 1.0, p, r, TruncationPolicy(jumps_max=3)
-            )
+        with pytest.raises(ValueError):
+            truncated_projective_moment(3, 1.0, p, r)
+
+
+# `qho-cal analytic --preset fig5a --grid 11` as written by the per-moment
+# sums the transfer table replaced, frozen to pin both row types. Columns:
+# t, mean_Wp, var_Wp, mean_Wc, var_Wc. The unitary sums there stopped at the
+# first displacement tail term below 1e-10, which moves the calorimetric
+# columns by up to 1.1e-11 relative. Past gamma_sigma*t = 1 the perturbative
+# rows leave their regime; they are pinned anyway, as numbers.
+FIG5A_UNITARY = [
+    (0, 0, 0, 0, 0.0399661200563),
+    (31.4159265359, 0.0246740110027, 0.0323978470814, 0.0149017417997, 0.0578001907027),
+    (62.8318530718, 0.0986960440109, 0.129591388325, 0.0578835697872, 0.106213201928),
+    (94.2477796077, 0.222066099025, 0.291580623732, 0.124099257135, 0.171944467744),
+    (125.663706144, 0.394784176044, 0.518365553302, 0.206470265335, 0.238566019622),
+    (157.079632679, 0.616850275068, 0.809946177034, 0.296923102909, 0.292060974379),
+    (188.495559215, 0.888264396098, 1.16632249493, 0.38768085895, 0.324574557658),
+    (219.911485751, 1.20902653913, 1.58749450699, 0.47232819876, 0.335201940987),
+    (251.327412287, 1.57913670417, 2.07346221321, 0.546457275975, 0.328255854142),
+    (282.743338823, 1.99859489122, 2.62422561359, 0.607832754216, 0.310415558515),
+    (314.159265359, 2.46740110027, 3.23978470814, 0.656142045591, 0.288164756419),
+]
+FIG5A_PERTURBATIVE = [
+    (0, 0, 0, -3.30854571579e-18, 0.0399661200563),
+    (31.4159265359, 0.023432012631, 0.0291843799113, 0.00656755650035, 0.0710107493233),
+    (62.8318530718, 0.0935809456494, 0.117674111568, 0.036865122023, 0.147127826835),
+    (94.2477796077, 0.329458482839, 0.448306647708, -0.0269561494187, 0.475839491466),
+    (125.663706144, 3.09786407166, -1.77473778754, -1.70091642965, 0.990884457874),
+    (157.079632679, 40.0063371865, -1469.53147234, -20.337874045, -374.618005377),
+    (188.495559215, 422.246317633, -176617.000959, -176.501353568, -30823.5611135),
+    (219.911485751, 3577.35100281, -12780849.0199, -1251.03962731, -1562794.4967),
+    (251.327412287, 24993.3478063, -624536018.108, -7513.34952295, -56436746.6141),
+    (282.743338823, 145583.030502, -21193574436.3, -38480.4984365, -1480679953.11),
+    (314.159265359, 707122.484228, -500017783495, -166776.422755, -27814084689.9),
+]
+
+
+def test_fig5a_analytic_csv_golden(tmp_path):
+    out = tmp_path / "ana.csv"
+    run_analytic(parse_config("preset=fig5a", {"grid": 11, "out": str(out)}))
+    rows = {"unitary": [], "perturbative": []}
+    for line in out.read_text().splitlines():
+        if not line.startswith(("#", "t,")):
+            *values, method = line.split(",")
+            rows[method].append([float(v) for v in values])
+    for method, golden in (("unitary", FIG5A_UNITARY), ("perturbative", FIG5A_PERTURBATIVE)):
+        got, want = np.array(rows[method]), np.array(golden)
+        assert got.shape == want.shape
+        small = np.abs(want) < 1e-12
+        assert np.all(np.abs(got - want)[small] <= 1e-15), method
+        np.testing.assert_allclose(got[~small], want[~small], rtol=1e-10, atol=0, err_msg=method)

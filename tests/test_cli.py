@@ -304,6 +304,15 @@ class TestMainEntry:
             thermal = np.exp(-2.0 * np.arange(10))
             np.testing.assert_allclose(rows[0][1:], thermal / thermal.sum(), rtol=0, atol=1e-12)
 
+    def test_analytic_rejects_three_jumps(self, tmp_path, capsys):
+        # the transfer table holds at most two jumps: refused before any file
+        config = tmp_path / "exp.cfg"
+        config.write_text("preset=fig4\njumps_max=3\n")
+        out = tmp_path / "ana.csv"
+        assert main(["analytic", "--config", str(config), "--grid", "3", "--out", str(out)]) == 2
+        assert "jumps_max" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_compare_missing_file_is_config_error(self, tmp_path):
         sim = tmp_path / "nope.csv"
         code = main(["compare", str(sim), str(sim)])

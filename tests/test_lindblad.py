@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import poisson
 
-from qho_cal.fock import displacement_matrix, quadratures
+from qho_cal.fock import displacement_matrix, matrix_exponential, quadratures
 from qho_cal.lindblad import (
     expectation,
     integrate,
@@ -121,6 +121,24 @@ class TestIntegrate:
         whole = integrate(rho0, p, r, [t])[0]
         cut = integrate(rho0, p, r, np.linspace(0.0, t, 17)[1:])[-1]
         assert np.abs(whole - cut).max() < 1e-12
+
+    def test_uniform_grid_costs_one_expm(self, monkeypatch):
+        # np.linspace spacings differ in the last bits (6 distinct lengths on
+        # this grid); the propagator cache treats them as one length
+        import qho_cal.lindblad as lindblad
+
+        calls = []
+
+        def counting(m):
+            calls.append(m.shape)
+            return matrix_exponential(m)
+
+        monkeypatch.setattr(lindblad, "matrix_exponential", counting)
+        p = PhysicalParams(gamma=0.01, beta=2.0, lambda0=0.01, dim=10)
+        grid = np.linspace(0.0, p.drive_time, 101)
+        assert len(set(np.diff(grid))) > 1
+        integrate(thermal_state(p.beta, p.dim), p, make_rates(p), grid)
+        assert len(calls) == 1
 
     def test_trace_and_hermiticity_preserved(self):
         p = fig4_params()

@@ -12,13 +12,12 @@ from qho_cal.work import (
     WorkSample,
     calorimetric_work,
     draw_guardian_outcome,
-    guardian_final_probs_level,
-    guardian_final_probs_state,
-    guardian_initial_probs,
+    guardian_probs,
     heat_up_to,
     measure_ensemble,
     projective_work,
     summarize,
+    work_moments,
 )
 
 pytestmark = pytest.mark.filterwarnings("ignore::qho_cal.errors.RegimeWarning")
@@ -119,77 +118,123 @@ class TestProjectiveWork:
 
 
 class TestGuardianProbs:
+    # guardian_probs returns (pi0, pf0, pf1): initial emission, final
+    # emission and final absorption; the initial absorption is 1 - pi0 and
+    # the no-photon remainder 1 - pf0 - pf1
+
     def test_initial_ground_state(self):
-        assert guardian_initial_probs(0, rates_for(2.0)) == (1.0, 0.0)
+        pi0, _, _ = guardian_probs([0], rates_for(2.0))
+        assert (pi0[0], 1.0 - pi0[0]) == (1.0, 0.0)
 
     def test_initial_level_one_beta_two(self):
-        p0, p1 = guardian_initial_probs(1, rates_for(2.0))
-        assert p0 == pytest.approx(0.21301, abs=5e-6)
-        assert p0 + p1 == pytest.approx(1.0, rel=1e-14)
+        pi0, _, _ = guardian_probs([0, 1], rates_for(2.0))
+        assert pi0[1] == pytest.approx(0.21301, abs=5e-6)
+        # absorption: n / (x(n+1) + n)
+        x = math.exp(-2.0)
+        assert 1.0 - pi0[1] == pytest.approx(1.0 / (2 * x + 1), rel=1e-14)
 
     def test_initial_degenerate_zero_temperature(self):
-        assert guardian_initial_probs(0, rates_for(800.0)) == (1.0, 0.0)
+        pi0, _, _ = guardian_probs([0], rates_for(800.0))
+        assert pi0[0] == 1.0
 
     def test_initial_high_temperature_half(self):
-        p0, p1 = guardian_initial_probs(400, rates_for(1e-3))
-        assert p0 == pytest.approx(0.5, abs=2e-3)
-        assert p1 == pytest.approx(0.5, abs=2e-3)
+        pi0, _, _ = guardian_probs(np.arange(401), rates_for(1e-3))
+        assert pi0[400] == pytest.approx(0.5, abs=2e-3)
+        assert 1.0 - pi0[400] == pytest.approx(0.5, abs=2e-3)
 
     def test_final_ground_state(self):
-        assert guardian_final_probs_level(0, rates_for(2.0)) == (0.0, 1.0)
+        _, pf0, pf1 = guardian_probs([0], rates_for(2.0))
+        assert (pf0[0], pf1[0]) == (0.0, 1.0)
 
     def test_final_level_one_beta_two(self):
-        p0, p1 = guardian_final_probs_level(1, rates_for(2.0))
-        assert p0 == pytest.approx(0.78699, abs=5e-6)
-        assert p0 + p1 == pytest.approx(1.0, rel=1e-14)
+        _, pf0, pf1 = guardian_probs([1], rates_for(2.0))
+        assert pf0[0] == pytest.approx(0.78699, abs=5e-6)
+        assert pf0[0] + pf1[0] == pytest.approx(1.0, rel=1e-14)
 
     def test_final_zero_temperature_emission_certain(self):
-        r = rates_for(800.0)
-        for m in (1, 2, 7):
-            assert guardian_final_probs_level(m, r) == (1.0, 0.0)
+        _, pf0, pf1 = guardian_probs([1, 2, 7], rates_for(800.0))
+        assert pf0.tolist() == [1.0] * 3
+        assert pf1.tolist() == [0.0] * 3
 
     def test_final_degenerate_no_photon(self):
-        assert guardian_final_probs_level(0, rates_for(800.0)) == (0.0, 0.0)
+        _, pf0, pf1 = guardian_probs([0], rates_for(800.0))
+        assert (pf0[0], pf1[0]) == (0.0, 0.0)
+        assert 1.0 - pf0[0] - pf1[0] == 1.0
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 60), st.floats(0.05, 20.0))
     def test_distributions_normalize(self, n, beta):
         r = rates_for(beta, gamma=0.3)
-        pi = guardian_initial_probs(n, r)
-        pf = guardian_final_probs_level(n, r)
-        for p in (*pi, *pf):
+        pi0, pf0, pf1 = (v[0] for v in guardian_probs([n], r))
+        for p in (pi0, pf0, pf1):
             assert -1e-12 <= p <= 1 + 1e-12
-        assert pi[0] + pi[1] == pytest.approx(1.0, abs=1e-12)
-        assert pf[0] + pf[1] == pytest.approx(1.0, abs=1e-12)
+        # the initial pair is (pi0, n / (x(n+1) + n))
+        x = r.boltzmann_ratio
+        assert pi0 + n / (x * (n + 1) + n) == pytest.approx(1.0, abs=1e-12)
+        assert pf0 + pf1 == pytest.approx(1.0, abs=1e-12)
+
+    def test_rejects_negative_levels(self):
+        with pytest.raises(ValueError):
+            guardian_probs([0, -1], rates_for(1.0))
 
     def test_state_mixture_reduces_to_level(self):
+        # a basis state picks out its own level's final probabilities
         r = rates_for(1.3)
+        _, pf0, pf1 = guardian_probs(np.arange(6), r)
         for m in range(4):
-            p0, p1, pno = guardian_final_probs_state(basis_state(m, 6), r)
-            lvl = guardian_final_probs_level(m, r)
-            assert (p0, p1) == pytest.approx(lvl, abs=1e-14)
-            assert pno == pytest.approx(0.0, abs=1e-14)
+            p = np.abs(basis_state(m, 6)) ** 2
+            assert (p @ pf0, p @ pf1) == pytest.approx((pf0[m], pf1[m]), abs=1e-14)
+            assert 1.0 - p @ pf0 - p @ pf1 == pytest.approx(0.0, abs=1e-14)
 
     def test_state_mixture_random_states_normalize(self):
         rng = np.random.default_rng(5)
-        r = rates_for(0.8)
+        _, pf0, pf1 = guardian_probs(np.arange(8), rates_for(0.8))
         for _ in range(100):
             psi = rng.normal(size=8) + 1j * rng.normal(size=8)
             psi /= np.linalg.norm(psi)
-            p0, p1, pno = guardian_final_probs_state(psi, r)
-            assert p0 + p1 + pno == pytest.approx(1.0, abs=1e-12)
+            p = np.abs(psi) ** 2
+            assert p @ pf0 + p @ pf1 == pytest.approx(1.0, abs=1e-12)
 
     def test_no_photon_weight_is_ground_population(self):
         # zero temperature: the no-photon branch carries the ground-state weight
         from qho_cal.fock import displacement_matrix
 
-        r = rates_for(800.0)
         alpha = 0.9
-        psi = np.asarray(displacement_matrix(alpha, 30))[:, 0]
-        p0, p1, pno = guardian_final_probs_state(psi, r)
-        assert pno == pytest.approx(math.exp(-alpha**2), rel=1e-10)
-        assert p1 == 0.0
-        assert p0 == pytest.approx(1.0 - math.exp(-alpha**2), rel=1e-10)
+        p = np.abs(np.asarray(displacement_matrix(alpha, 30))[:, 0]) ** 2
+        _, pf0, pf1 = guardian_probs(np.arange(30), rates_for(800.0))
+        assert 1.0 - p @ pf0 - p @ pf1 == pytest.approx(math.exp(-alpha**2), rel=1e-10)
+        assert p @ pf1 == 0.0
+        assert p @ pf0 == pytest.approx(1.0 - math.exp(-alpha**2), rel=1e-10)
+
+
+class TestWorkMoments:
+    def test_matches_enumeration(self):
+        # every (n, m, Q, ell_i, ell_f) branch written out, with
+        # W_c = (ell_f - ell_i) + Q + (-1)^ell_f and the no-photon branch
+        # folded into ell_f = 1 (both carry -ell_i + Q)
+        rng = np.random.default_rng(11)
+        table = rng.random((3, 6, 5))
+        weights = rng.random(3)
+        r = rates_for(0.9)
+        x = r.boltzmann_ratio
+        expected = np.zeros(4)
+        for n, m, j in np.ndindex(table.shape):
+            w = weights[n] * table[n, m, j]
+            q = j - 2
+            expected[:2] += w * np.array([m - n + q, (m - n + q) ** 2])
+            p_i = {0: x * (n + 1) / (x * (n + 1) + n), 1: n / (x * (n + 1) + n)}
+            p_f = {0: m / (m + x * (m + 1)), 1: x * (m + 1) / (m + x * (m + 1))}
+            for ell_i, ell_f in np.ndindex(2, 2):
+                v = ell_f - ell_i + q + (-1) ** ell_f
+                expected[2:] += w * p_i[ell_i] * p_f[ell_f] * np.array([v, v * v])
+        np.testing.assert_allclose(work_moments(table, weights, r), expected, rtol=1e-13)
+
+    def test_heat_axis_centred(self):
+        # one heat column is Q = 0: W_p = m - n exactly
+        r = rates_for(2.0)
+        table = np.zeros((1, 3, 1))
+        table[0, 2, 0] = 1.0
+        assert work_moments(table, [1.0], r)[:2].tolist() == [2.0, 4.0]
 
 
 class TestCalorimetricWork:
