@@ -65,7 +65,6 @@ _FILE_KEYS = {
     "ntraj": int,
     "seed": int,
     "grid": int,
-    "dt": float,
     "n_max": int,
     "m_max": int,
     "jumps_max": int,
@@ -88,8 +87,7 @@ class ExperimentConfig:
             f"preset={self.preset or ''}",
             f"lambda0={p.lambda0!r} gamma={p.gamma!r} beta={p.beta!r} "
             f"omega0={p.omega0!r} drive_time={p.drive_time!r} dim={p.dim}",
-            f"ntraj={e.n_traj} seed={e.master_seed} grid_points={len(e.checkpoint_grid)} "
-            f"dt={e.dt!r}",
+            f"ntraj={e.n_traj} seed={e.master_seed} grid_points={len(e.checkpoint_grid)}",
             f"policy n_max={self.policy.n_max} m_max={self.policy.m_max} "
             f"jumps_max={self.policy.jumps_max}",
         ]
@@ -171,7 +169,6 @@ def parse_config(text: str | None = None, overrides: dict | None = None) -> Expe
             checkpoint_grid=grid,
             n_traj=values.get("ntraj", 100_000),
             master_seed=values.get("seed", 0),
-            dt=values.get("dt"),
         )
         policy = TruncationPolicy(
             n_max=values.get("n_max", 1),

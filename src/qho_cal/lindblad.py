@@ -1,6 +1,6 @@
 """Deterministic density-matrix propagator: the brute-force cross-check.
 
-Propagates d(rho)/dt = -i[H, rho] + sum_i (C_i rho C_i^+ - {C_i^+ C_i, rho}/2)
+Propagates rho' = -i[H, rho] + sum_i (C_i rho C_i^+ - {C_i^+ C_i, rho}/2)
 with H = (lambda0/sqrt(2)) P in the same frame as the trajectory engine, so
 trajectory ensemble averages must reproduce these populations. The truncated
 generator is time independent, so each grid interval is bridged exactly by
@@ -68,8 +68,8 @@ def integrate(
     """Density matrices on ``grid`` (grid[0] may be > 0; evolution starts at 0).
 
     Builds the Liouvillian L on the row-major vectorised density matrix once
-    and steps between grid points with exp(L dt), one dense Pade ``expm`` per
-    distinct interval length. Lengths within four ulp of the largest grid
+    and bridges an interval of length s with exp(L s), one dense Pade
+    ``expm`` per distinct interval length. Lengths within four ulp of the largest grid
     time count as one, which absorbs the rounding of ``np.linspace``: a
     uniform grid costs a single ``expm``. The generator takes
     16 dim^4 bytes (160 kB at dim = 10, 41 MB at dim = 40) and each ``expm``

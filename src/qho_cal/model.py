@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RegimeWarning
-from .fock import ladder_operators, matrix_exponential, number_operator, quadratures
+from .fock import ladder_operators, matrix_exponential, quadratures
 
 __all__ = [
     "PhysicalParams",
@@ -129,14 +129,15 @@ def jump_operators(rates: Rates, dim: int) -> tuple[np.ndarray, np.ndarray]:
 def nh_generator(params: PhysicalParams, rates: Rates) -> np.ndarray:
     """Generator K of the conditional no-jump evolution U_nh(t) = exp(-i K t).
 
-    K = (lambda0/sqrt(2)) P - (i/2)(gamma_sigma n + gamma1). Its hermitian
-    part is the drive alone; the anti-hermitian part encodes the norm decay
-    whose squared magnitude is the no-jump probability.
+    K = (lambda0/sqrt(2)) P - (i/2) sum_i C_i^+ C_i with the truncated jump
+    operators: decay gamma0 n + gamma1 (n+1), and gamma0 (dim-1) on the top
+    level, where raising leaves the space. Its hermitian part is the drive
+    alone; the anti-hermitian part encodes the norm decay whose squared
+    magnitude is the no-jump probability.
     """
-    dim = params.dim
-    _, p = quadratures(dim)
-    decay = -0.5j * (rates.gamma_sigma * number_operator(dim) + rates.gamma1 * np.eye(dim))
-    k = params.lambda0 / np.sqrt(2) * p + decay
+    _, p = quadratures(params.dim)
+    decay = sum(c.conj().T @ c for c in jump_operators(rates, params.dim))
+    k = params.lambda0 / np.sqrt(2) * p - 0.5j * decay
     k.flags.writeable = False
     return k
 

@@ -1,19 +1,21 @@
 """Stochastic quantum-jump (Monte Carlo wave function) trajectory engine.
 
-A trajectory alternates conditional no-jump evolution under U_nh(dt) with
-instantaneous jumps: at each step one uniform draw decides between applying
-C0 (emission into the bath, heat +1), C1 (absorption, heat -1) or the
-no-jump propagator, with per-step probabilities dp_i = dt <C_i^+ C_i>. The
-state is renormalized every step. Checkpoints store the in-flight
-normalized state and the integer cumulative heat at each grid time, i.e.
-the trajectory "as if the driving had stopped there" with no extra
-relaxation applied.
+Exact waiting times (Dalibard, Castin & Molmer, PRL 68, 580 (1992)), no
+time step: ``||exp(-iKt) psi||^2``, with the constant rotating-frame
+generator ``K = model.nh_generator``, is the probability of no jump by t.
+Each trajectory holds a uniform threshold r and jumps when that norm falls
+to r, applying C0 (emission into the bath, heat +1) or C1 (absorption, heat
+-1) with probability proportional to ``||C_i psi||^2``; then it draws a new
+r. One eigendecomposition ``K = V diag(k) V^-1`` propagates a batch in
+closed form; jump instants are Newton roots of ``log ||psi||^2 = log r``
+inside a bisection bracket. Checkpoints store the normalized state and the
+integer cumulative heat, and rescale r by the norm lost (r <- r/||psi||^2),
+so trajectories do not depend on the checkpoint grid.
 
-Trajectories are embarrassingly parallel and bitwise reproducible: the
-per-trajectory random streams derive from SeedSequence(master_seed) children
-keyed by trajectory index, so results do not depend on worker count or on
-how trajectories are grouped into batches (batch size is a fixed constant of
-the configuration, not of the executor).
+Per-trajectory random streams derive from SeedSequence(master_seed)
+children keyed by trajectory index and are read only for the initial level,
+the first threshold and at jumps (jump type, then next threshold), so
+results are bitwise reproducible for every worker count and batching.
 """
 
 from __future__ import annotations
@@ -23,19 +25,18 @@ import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .errors import GridMismatchError, SimulationError, TruncationWarning
-from .fock import ladder_operators, matrix_exponential, quadratures
-from .model import PhysicalParams, Rates
+from .fock import matrix_exponential
+from .model import PhysicalParams, Rates, jump_operators, nh_generator
 
 __all__ = [
     "JumpEvent",
     "TrajectoryRecord",
     "EnsembleConfig",
-    "default_time_step",
     "sample_initial_level",
     "evolve_trajectory",
     "iter_ensemble",
@@ -43,13 +44,13 @@ __all__ = [
     "dump_events_csv",
 ]
 
-# Per-step probability budget: dt * max(gamma_sigma * dim, lambda0) <= this.
-_DT_BUDGET = 0.01
 _LEAK_WARN = 1e-3
 _LEAK_FAIL = 1e-1
-_NORM_FLOOR = 1e-300
-# Uniform draws are generated in slabs of at most this many steps to bound memory.
-_CHUNK_STEPS = 512
+# the eigen propagator must reproduce expm(-i K span) on every grid interval
+_EIG_TOL = 1e-8
+# a jump instant is accepted when log ||psi||^2 is this close to log r
+_ROOT_TOL = 1e-13
+_ROOT_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -105,15 +106,13 @@ class EnsembleConfig:
     """Ensemble controls.
 
     ``checkpoint_grid`` must be strictly increasing inside [0, drive_time].
-    ``dt`` of None picks the default step; an explicit value must satisfy
-    dt * max(gamma_sigma * dim, lambda0) <= 0.01. ``initial_level`` of None
-    samples levels from the truncated thermal distribution.
+    ``initial_level`` of None samples levels from the truncated thermal
+    distribution.
     """
 
     checkpoint_grid: tuple[float, ...]
     n_traj: int = 100_000
     master_seed: int = 0
-    dt: float | None = None
     initial_level: int | None = None
     batch_size: int = 8192
 
@@ -130,33 +129,6 @@ class EnsembleConfig:
             raise ValueError(f"n_traj must be positive, got {self.n_traj}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be positive, got {self.batch_size}")
-
-
-def default_time_step(
-    params: PhysicalParams, rates: Rates, grid: Sequence[float]
-) -> float:
-    """min(0.01/(gamma_sigma dim), 0.01/lambda0, smallest grid spacing / 10)."""
-    candidates = []
-    if rates.gamma_sigma > 0:
-        candidates.append(_DT_BUDGET / (rates.gamma_sigma * params.dim))
-    if params.lambda0 > 0:
-        candidates.append(_DT_BUDGET / params.lambda0)
-    pts = [0.0] + [float(t) for t in grid]
-    spacings = [b - a for a, b in zip(pts, pts[1:]) if b > a]
-    if spacings:
-        candidates.append(min(spacings) / 10.0)
-    if not candidates:
-        return 1.0  # free evolution of nothing; value is irrelevant
-    return min(candidates)
-
-
-def _validate_dt(dt: float, params: PhysicalParams, rates: Rates) -> None:
-    scale = max(rates.gamma_sigma * params.dim, params.lambda0)
-    if scale > 0 and dt * scale > _DT_BUDGET * (1 + 1e-9):
-        raise ValueError(
-            f"dt = {dt} too coarse: dt * max(gamma_sigma*dim, lambda0) = "
-            f"{dt * scale:.3e} exceeds {_DT_BUDGET}"
-        )
 
 
 def thermal_probabilities(beta: float, dim: int) -> np.ndarray:
@@ -179,15 +151,88 @@ def _trajectory_children(master_seed: int, start: int, count: int):
     return root.spawn(start + count)[start:]
 
 
+class _Propagator:
+    """Closed-form no-jump evolution, built once per ensemble.
+
+    ``K = V diag(k) V^-1`` once; every grid interval length gets its
+    propagator from that decomposition, checked against ``expm``.
+    """
+
+    def __init__(self, params: PhysicalParams, rates: Rates, grid) -> None:
+        k = nh_generator(params, rates)
+        self.eigvals, v = np.linalg.eig(k)
+        self._to_eig = np.ascontiguousarray(np.linalg.inv(v).T)
+        self._from_eig = np.ascontiguousarray(v.T)
+        c0, c1 = jump_operators(rates, params.dim)
+        self.jump_t = (np.ascontiguousarray(c0.T), np.ascontiguousarray(c1.T))
+        # C_i^+ C_i is diagonal, so ||C_i psi||^2 = |psi|^2 @ w_i
+        self.w0 = np.sum(np.abs(c0) ** 2, axis=0)
+        self.w1 = np.sum(np.abs(c1) ** 2, axis=0)
+        self.rate = self.w0 + self.w1
+        self.can_jump = bool(self.rate.any())
+        # a grid that starts at t = 0 opens with an empty interval
+        self.interval_t = {0.0: np.eye(params.dim, dtype=complex)}
+        for a, b in zip((0.0,) + grid[:-1], grid):
+            span = b - a
+            if span in self.interval_t:
+                continue
+            u_t = self.propagate(np.eye(params.dim, dtype=complex), np.full(params.dim, span))
+            gap = float(np.max(np.abs(u_t.T - matrix_exponential(-1j * span * k))))
+            if not gap <= _EIG_TOL:
+                raise SimulationError(
+                    f"no-jump eigen propagator is off by {gap:.2e} from expm over {span}"
+                )
+            self.interval_t[span] = u_t
+
+    def propagate(self, states: np.ndarray, tau: np.ndarray) -> np.ndarray:
+        """Rows of ``states`` evolved by their own times ``tau``."""
+        c = states @ self._to_eig
+        c *= np.exp(-1j * np.outer(tau, self.eigvals))
+        return c @ self._from_eig
+
+    def jump_states(self, states, log_r, span):
+        """Per row, the time tau in (0, span] at which the squared norm of the
+        normalized ``states`` has decayed to exp(log_r), and the state there.
+
+        Newton on g(tau) = log ||psi(tau)||^2 - log_r, whose derivative is
+        -<psi|sum C_i^+ C_i|psi>/||psi||^2; steps that leave the bracket
+        [lo, hi] with g(lo) > 0 > g(hi) are replaced by bisection.
+        """
+        c = states @ self._to_eig
+        lo = np.zeros(len(span))
+        hi = span.copy()
+        with np.errstate(divide="ignore"):
+            tau = np.fmin(-log_r / (np.abs(states) ** 2 @ self.rate), 0.5 * span)
+        out = np.empty_like(states)
+        act = np.arange(len(span))
+        for _ in range(_ROOT_MAX_ITER):
+            psi = (c[act] * np.exp(-1j * np.outer(tau[act], self.eigvals))) @ self._from_eig
+            p2 = psi.real**2 + psi.imag**2
+            norm2 = p2.sum(axis=1)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                g = np.log(norm2) - log_r[act]
+                t_new = tau[act] + g * norm2 / (p2 @ self.rate)
+            above = g > 0
+            lo[act[above]] = tau[act[above]]
+            hi[act[~above]] = tau[act[~above]]
+            done = (np.abs(g) <= _ROOT_TOL) | (hi[act] - lo[act] <= _ROOT_TOL * hi[act])
+            out[act[done]] = psi[done]
+            act, t_new = act[~done], t_new[~done]
+            if act.size == 0:
+                return tau, out
+            inside = (t_new > lo[act]) & (t_new < hi[act])
+            tau[act] = np.where(inside, t_new, 0.5 * (lo[act] + hi[act]))
+        raise SimulationError(f"jump-time root solve did not converge for {act.size} trajectories")
+
+
 class _Batch:
     """Work arrays for a batch of trajectories advanced in lockstep."""
 
-    def __init__(self, params, rates, grid, dt, children, initial_level, id_offset=0):
+    def __init__(self, prop, params, grid, children, initial_level, id_offset=0):
         self.n = len(children)
         dim = params.dim
-        self.dim = dim
         self.grid = grid
-        self.dt = dt
+        self.prop = prop
         self.id_offset = id_offset
         self.dyn = []
         self.meas_seeds = []
@@ -204,6 +249,12 @@ class _Batch:
             if not 0 <= initial_level < dim:
                 raise ValueError(f"initial_level {initial_level} outside [0, {dim})")
             self.levels = np.full(self.n, initial_level, dtype=np.int64)
+        # a threshold of 0 is never crossed: without any jump channel the
+        # norm is conserved and no draw is needed
+        if prop.can_jump:
+            self.thresholds = np.array([g.random() for g in self.dyn])
+        else:
+            self.thresholds = np.zeros(self.n)
 
         self.states = np.zeros((self.n, dim), dtype=complex)
         self.states[np.arange(self.n), self.levels] = 1.0
@@ -212,31 +263,6 @@ class _Batch:
         self.ck_states = np.zeros((len(grid), self.n, dim), dtype=complex)
         self.ck_heats = np.zeros((len(grid), self.n), dtype=np.int64)
         self.max_leak = 0.0
-
-        lowering, raising = ladder_operators(dim)
-        self._lower_t = np.ascontiguousarray(lowering.T)
-        self._raise_t = np.ascontiguousarray(raising.T)
-        # diagonals of C_i^+ C_i on the truncation; raising from the top
-        # level leaves the space, so its weight there is zero
-        self._w0 = rates.gamma0 * np.arange(dim, dtype=float)
-        self._w1 = rates.gamma1 * (np.arange(dim, dtype=float) + 1.0)
-        self._w1[-1] = 0.0
-        # no-jump generator with the decay built from the same truncated
-        # operator products, so norm loss and jump probabilities balance
-        # exactly and the unraveling reproduces the truncated master
-        # equation (nh_generator's closed form differs only in the top entry)
-        _, p_quad = quadratures(dim)
-        self._k = params.lambda0 / np.sqrt(2) * p_quad - 0.5j * np.diag(
-            self._w0 + self._w1
-        )
-        self._prop_cache: dict[float, np.ndarray] = {}
-
-    def _propagator_t(self, dt_step: float) -> np.ndarray:
-        key = round(dt_step, 15)
-        if key not in self._prop_cache:
-            u = matrix_exponential(-1j * dt_step * self._k)
-            self._prop_cache[key] = np.ascontiguousarray(u.T)
-        return self._prop_cache[key]
 
     def _checkpoint(self, k: int) -> None:
         self.ck_states[k] = self.states
@@ -251,69 +277,55 @@ class _Batch:
             )
 
     def run(self) -> None:
-        states = self.states
-        buf = np.empty_like(states)
-        p2 = states.real**2 + states.imag**2
-        k0 = 0
-        if self.grid[0] == 0.0:
-            self._checkpoint(0)
-            k0 = 1
         t_prev = 0.0
-        for k in range(k0, len(self.grid)):
-            t_next = self.grid[k]
-            seg = t_next - t_prev
-            n_steps = max(1, int(np.ceil(seg / self.dt - 1e-12)))
-            dt_step = seg / n_steps
-            u_t = self._propagator_t(dt_step)
-            done = 0
-            while done < n_steps:
-                chunk = min(_CHUNK_STEPS, n_steps - done)
-                uni = np.empty((self.n, chunk))
-                for i, g in enumerate(self.dyn):
-                    uni[i] = g.random(chunk)
-                for j in range(chunk):
-                    dp0 = dt_step * (p2 @ self._w0)
-                    dp1 = dt_step * (p2 @ self._w1)
-                    r = uni[:, j]
-                    jumping = r < dp0 + dp1
-                    if jumping.any():
-                        idx = np.nonzero(jumping)[0]
-                        pre = states[idx].copy()
-                        np.matmul(states, u_t, out=buf)
-                        states, buf = buf, states
-                        is0 = r[idx] < dp0[idx]
-                        t_jump = t_prev + (done + j + 1) * dt_step
-                        if is0.any():
-                            rows = idx[is0]
-                            states[rows] = pre[is0] @ self._lower_t
-                            self.heats[rows] += 1
-                            for row in rows:
-                                self.jumps[row].append(JumpEvent(t_jump, 0))
-                        if (~is0).any():
-                            rows = idx[~is0]
-                            states[rows] = pre[~is0] @ self._raise_t
-                            self.heats[rows] -= 1
-                            for row in rows:
-                                self.jumps[row].append(JumpEvent(t_jump, 1))
-                    else:
-                        np.matmul(states, u_t, out=buf)
-                        states, buf = buf, states
-                    np.multiply(states.real, states.real, out=p2)
-                    p2 += states.imag**2
-                    norm2 = p2.sum(axis=1)
-                    if norm2.min() < _NORM_FLOOR:
-                        bad = self.id_offset + int(np.argmin(norm2))
-                        raise SimulationError(
-                            f"state norm underflow in trajectory {bad}"
-                        )
-                    inv = 1.0 / np.sqrt(norm2)
-                    states *= inv[:, None]
-                    p2 *= (inv * inv)[:, None]
-                done += chunk
-            self.states = states
+        for k, t in enumerate(self.grid):
+            self._advance(t_prev, t)
             self._checkpoint(k)
-            t_prev = t_next
-        self.states = states
+            t_prev = t
+
+    def _advance(self, t0: float, t1: float) -> None:
+        """Evolve every trajectory from the checkpoint t0 to the next, t1."""
+        span = t1 - t0
+        rows = np.arange(self.n)
+        elapsed = np.zeros(self.n)
+        end = self.states @ self.prop.interval_t[span]
+        while True:
+            p = np.sum(end.real**2 + end.imag**2, axis=1)
+            r = self.thresholds[rows]
+            stay = p >= r
+            kept = rows[stay]
+            self.states[kept] = end[stay] / np.sqrt(p[stay])[:, None]
+            self.thresholds[kept] = r[stay] / p[stay]
+            rows, elapsed = rows[~stay], elapsed[~stay]
+            if rows.size == 0:
+                return
+            tau, psi = self.prop.jump_states(
+                self.states[rows], np.log(self.thresholds[rows]), span - elapsed
+            )
+            elapsed += tau
+            self._jump(rows, psi, t0 + elapsed)
+            end = self.prop.propagate(self.states[rows], span - elapsed)
+
+    def _jump(self, rows: np.ndarray, psi: np.ndarray, times: np.ndarray) -> None:
+        """Apply a jump to each row's pre-jump state ``psi`` and redraw its
+        threshold: two uniforms from the row's dynamics stream."""
+        p2 = psi.real**2 + psi.imag**2
+        w0 = p2 @ self.prop.w0
+        total = w0 + p2 @ self.prop.w1
+        if not np.all(total > 0):
+            bad = self.id_offset + int(rows[np.argmin(total)])
+            raise SimulationError(f"jump without a jump rate in trajectory {bad}")
+        draws = np.array([self.dyn[i].random(2) for i in rows])
+        kinds = (draws[:, 0] * total >= w0).astype(np.int64)
+        post = np.where(
+            (kinds == 0)[:, None], psi @ self.prop.jump_t[0], psi @ self.prop.jump_t[1]
+        )
+        post /= np.linalg.norm(post, axis=1)[:, None]
+        self.states[rows] = post
+        self.heats[rows] += 1 - 2 * kinds
+        self.thresholds[rows] = draws[:, 1]
+        for i, kind, t in zip(rows.tolist(), kinds.tolist(), times.tolist()):
+            self.jumps[i].append(JumpEvent(t, kind))
 
     def records(self, id_offset: int) -> list[TrajectoryRecord]:
         times = np.array(self.grid)
@@ -335,14 +347,14 @@ class _Batch:
         return out
 
 
-def _resolve_dt(params, rates, config) -> float:
-    dt = config.dt
-    if dt is None:
-        dt = default_time_step(params, rates, config.checkpoint_grid)
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    _validate_dt(dt, params, rates)
-    return dt
+def _warn_leak(max_leak: float) -> None:
+    if max_leak > _LEAK_WARN:
+        warnings.warn(
+            f"top-level population reached {max_leak:.2e}; moments may be "
+            "truncation-limited",
+            TruncationWarning,
+            stacklevel=3,
+        )
 
 
 def _validate_grid(params: PhysicalParams, config: EnsembleConfig) -> None:
@@ -361,17 +373,11 @@ def evolve_trajectory(
 ) -> TrajectoryRecord:
     """Generate a single trajectory from an explicit per-trajectory seed."""
     _validate_grid(params, config)
-    dt = _resolve_dt(params, rates, config)
+    prop = _Propagator(params, rates, config.checkpoint_grid)
     child = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    batch = _Batch(params, rates, config.checkpoint_grid, dt, [child], config.initial_level)
+    batch = _Batch(prop, params, config.checkpoint_grid, [child], config.initial_level)
     batch.run()
-    if batch.max_leak > _LEAK_WARN:
-        warnings.warn(
-            f"top-level population reached {batch.max_leak:.2e}; moments may "
-            "be truncation-limited",
-            TruncationWarning,
-            stacklevel=2,
-        )
+    _warn_leak(batch.max_leak)
     return batch.records(0)[0]
 
 
@@ -388,7 +394,7 @@ def iter_ensemble(
     sequence is identical for every worker count.
     """
     _validate_grid(params, config)
-    dt = _resolve_dt(params, rates, config)
+    prop = _Propagator(params, rates, config.checkpoint_grid)
     if n_workers is None:
         n_workers = int(os.environ.get("QHO_CAL_THREADS", "1"))
     n_workers = max(1, n_workers)
@@ -399,7 +405,7 @@ def iter_ensemble(
         count = min(config.batch_size, config.n_traj - start)
         children = _trajectory_children(config.master_seed, start, count)
         batch = _Batch(
-            params, rates, config.checkpoint_grid, dt, children,
+            prop, params, config.checkpoint_grid, children,
             config.initial_level, id_offset=start,
         )
         batch.run()
@@ -416,13 +422,7 @@ def iter_ensemble(
             for start, batch in zip(starts, pool.map(make_batch, starts)):
                 max_leak = max(max_leak, batch.max_leak)
                 yield from batch.records(start)
-    if max_leak > _LEAK_WARN:
-        warnings.warn(
-            f"top-level population reached {max_leak:.2e}; moments may be "
-            "truncation-limited",
-            TruncationWarning,
-            stacklevel=2,
-        )
+    _warn_leak(max_leak)
 
 
 def run_ensemble(

@@ -304,6 +304,42 @@ class TestMainEntry:
             thermal = np.exp(-2.0 * np.arange(10))
             np.testing.assert_allclose(rows[0][1:], thermal / thermal.sum(), rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "flags, config_text",
+        [
+            (["--preset", "fig4", "--grid", "1"], None),  # t = 0 only
+            # two levels hold the thermal state only at low temperature, and
+            # strong damping keeps the drive off the top level
+            (["--grid", "5", "--dim", "2"], "gamma=0.1\nbeta=5\nlambda0=0.01\n"),
+            (["--grid", "5"], "gamma=0\nbeta=2\nlambda0=0.01\n"),  # no jumps
+            # exceptional point of the two-level generator: cond(V) ~ 1e8
+            (["--grid", "5", "--dim", "2"], "gamma=0.02\nbeta=5\nlambda0=0.01\ndrive_time=20\n"),
+        ],
+        ids=["grid1", "dim2", "gamma0", "exceptional-point"],
+    )
+    def test_simulate_edge_cases(self, tmp_path, flags, config_text):
+        out = tmp_path / "sim.csv"
+        if config_text is not None:
+            config = tmp_path / "exp.cfg"
+            config.write_text(config_text)
+            flags = [*flags, "--config", str(config)]
+        assert main(["simulate", *flags, "--ntraj", "200", "--seed", "3", "--out", str(out)]) == 0
+        lines = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
+        assert lines[0].split(",")[0] == "t" and lines[0].split(",")[-1] == "n_traj"
+        rows = np.array([[float(x) for x in ln.split(",")] for ln in lines[1:]])
+        assert rows.shape == (int(flags[flags.index("--grid") + 1]), len(lines[0].split(",")))
+        assert np.all(np.isfinite(rows))
+        assert np.all(rows[:, -1] == 200)
+
+    def test_simulate_rejects_dt_key(self, tmp_path, capsys):
+        # the waiting-time engine has no time step to configure
+        config = tmp_path / "exp.cfg"
+        config.write_text("preset=fig4\ndt=0.1\n")
+        out = tmp_path / "sim.csv"
+        assert main(["simulate", "--config", str(config), "--ntraj", "10", "--out", str(out)]) == 2
+        assert "dt" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_analytic_rejects_three_jumps(self, tmp_path, capsys):
         # the transfer table holds at most two jumps: refused before any file
         config = tmp_path / "exp.cfg"

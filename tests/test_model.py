@@ -161,6 +161,8 @@ class TestNhGenerator:
 
     def test_no_jump_norm_decay_without_drive(self):
         # squared norm of |n> decays exactly as exp(-(gamma_sigma n + gamma1) t)
+        # below the top level and as exp(-gamma0 (dim-1) t) at it, where the
+        # truncated raising operator has no absorption channel
         p = params_for(gamma=0.3, beta=1.0, lambda0=0.0, drive_time=5.0)
         r = make_rates(p)
         t = 1.7
@@ -169,7 +171,10 @@ class TestNhGenerator:
             state = np.zeros(p.dim, dtype=complex)
             state[n] = 1.0
             norm2 = np.linalg.norm(u @ state) ** 2
-            expected = math.exp(-(r.gamma_sigma * n + r.gamma1) * t)
+            if n == p.dim - 1:
+                expected = math.exp(-r.gamma0 * n * t)
+            else:
+                expected = math.exp(-(r.gamma_sigma * n + r.gamma1) * t)
             assert norm2 == pytest.approx(expected, abs=1e-10)
 
     def test_norm_monotone_after_constant_shift(self):
