@@ -50,22 +50,15 @@ from .model import (
 )
 from .trajectories import (
     EnsembleConfig,
-    JumpEvent,
-    TrajectoryRecord,
-    evolve_trajectory,
+    TrajectoryBatch,
     iter_ensemble,
     run_ensemble,
-    sample_initial_level,
 )
 from .work import (
-    GuardianOutcome,
     MomentSummary,
     WorkSample,
-    calorimetric_work,
     guardian_probs,
-    heat_up_to,
     measure_ensemble,
-    projective_work,
     summarize,
     work_moments,
 )

@@ -8,7 +8,7 @@ to r, applying C0 (emission into the bath, heat +1) or C1 (absorption, heat
 -1) with probability proportional to ``||C_i psi||^2``; then it draws a new
 r. One eigendecomposition ``K = V diag(k) V^-1`` propagates a batch in
 closed form; jump instants are Newton roots of ``log ||psi||^2 = log r``
-inside a bisection bracket. Checkpoints store the normalized state and the
+inside a bisection bracket. Checkpoints store the level populations and the
 integer cumulative heat, and rescale r by the norm lost (r <- r/||psi||^2),
 so trajectories do not depend on the checkpoint grid.
 
@@ -16,32 +16,33 @@ Per-trajectory random streams derive from SeedSequence(master_seed)
 children keyed by trajectory index and are read only for the initial level,
 the first threshold and at jumps (jump type, then next threshold), so
 results are bitwise reproducible for every worker count and batching.
+
+Ensembles are columnar: a TrajectoryBatch holds n trajectories on K
+checkpoints as arrays (see its docstring), never one object per trajectory
+or per jump.
 """
 
 from __future__ import annotations
 
-import csv
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
-from .errors import GridMismatchError, SimulationError, TruncationWarning
+from .errors import SimulationError, TruncationWarning
 from .fock import matrix_exponential
 from .model import PhysicalParams, Rates, jump_operators, nh_generator
 
 __all__ = [
-    "JumpEvent",
-    "TrajectoryRecord",
     "EnsembleConfig",
-    "sample_initial_level",
-    "evolve_trajectory",
+    "TrajectoryBatch",
+    "inverse_cdf",
+    "thermal_probabilities",
     "iter_ensemble",
     "run_ensemble",
-    "dump_events_csv",
 ]
 
 _LEAK_WARN = 1e-3
@@ -52,53 +53,7 @@ _EIG_TOL = 1e-8
 _ROOT_TOL = 1e-13
 _ROOT_MAX_ITER = 200
 
-
-@dataclass(frozen=True)
-class JumpEvent:
-    """One detector click: index 0 = quantum emitted into the bath (C0),
-    index 1 = quantum absorbed from the bath (C1)."""
-
-    time: float
-    index: int
-
-    def __post_init__(self) -> None:
-        if self.index not in (0, 1):
-            raise ValueError(f"jump index must be 0 or 1, got {self.index}")
-        if self.time <= 0:
-            raise ValueError(f"jump time must be positive, got {self.time}")
-
-
-@dataclass
-class TrajectoryRecord:
-    """One stochastic realization.
-
-    ``states[k]`` is the normalized state at ``times[k]`` and ``heats[k]``
-    the cumulative heat up to that time as an exact integer in units of
-    hbar*omega0 (number of emissions minus absorptions).
-    """
-
-    initial_level: int
-    jumps: tuple[JumpEvent, ...]
-    times: np.ndarray
-    states: np.ndarray
-    heats: np.ndarray
-    traj_id: int = 0
-    measure_seed: np.random.SeedSequence | None = None
-
-    @property
-    def checkpoints(self) -> list[tuple[float, np.ndarray, int]]:
-        return [
-            (float(t), self.states[k], int(self.heats[k]))
-            for k, t in enumerate(self.times)
-        ]
-
-    def checkpoint_index(self, tau: float) -> int:
-        hits = np.nonzero(np.isclose(self.times, tau, rtol=0.0, atol=1e-9))[0]
-        if hits.size == 0:
-            raise GridMismatchError(
-                f"time {tau} is not on the checkpoint grid {self.times}"
-            )
-        return int(hits[0])
+JUMP_DTYPE = np.dtype([("time", float), ("kind", np.int8)])
 
 
 @dataclass(frozen=True)
@@ -127,8 +82,35 @@ class EnsembleConfig:
             raise ValueError("checkpoint grid must start at or after t = 0")
         if self.n_traj < 1:
             raise ValueError(f"n_traj must be positive, got {self.n_traj}")
+        if self.master_seed < 0:
+            raise ValueError(f"master seed must be non-negative, got {self.master_seed}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be positive, got {self.batch_size}")
+
+
+@dataclass(frozen=True)
+class TrajectoryBatch:
+    """n trajectories with ids ``first_id .. first_id + n - 1`` on the K
+    checkpoint ``times``.
+
+    ``levels[i]`` is trajectory i's initial level, ``heats[k, i]`` its
+    cumulative heat up to ``times[k]`` as an exact integer (emissions minus
+    absorptions, in units of hbar*omega0), ``populations[k, i, m]`` the
+    population of level m in its normalized state at ``times[k]`` and
+    ``states[i]`` its final normalized state. Its jumps, in time order, are
+    ``jumps[jump_offsets[i]:jump_offsets[i + 1]]`` with fields ``time`` and
+    ``kind`` (0: emission into the bath by C0, 1: absorption by C1).
+    """
+
+    times: np.ndarray
+    first_id: int
+    levels: np.ndarray
+    heats: np.ndarray
+    populations: np.ndarray
+    states: np.ndarray
+    jumps: np.ndarray
+    jump_offsets: np.ndarray
+    meas_seeds: list
 
 
 def thermal_probabilities(beta: float, dim: int) -> np.ndarray:
@@ -140,10 +122,25 @@ def thermal_probabilities(beta: float, dim: int) -> np.ndarray:
     return p / p.sum()
 
 
-def sample_initial_level(beta: float, dim: int, rng: np.random.Generator) -> int:
-    """Draw a level from the thermal distribution over the ``dim`` kept levels."""
-    p = thermal_probabilities(beta, dim)
-    return int(np.searchsorted(np.cumsum(p), rng.random(), side="right"))
+def inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per uniform ``u[i]``, the level m with ``cdf[m-1] <= u[i] < cdf[m]``.
+
+    ``cdf`` is one cumulative distribution (dim,) for every draw or one per
+    draw (n, dim); the result is capped at the last level, where round-off
+    can leave ``cdf[-1]`` just below 1.
+    """
+    return np.minimum(np.sum(cdf <= u[:, None], axis=-1), cdf.shape[-1] - 1)
+
+
+def _rows_times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for a stack of row vectors, rounded the same way for any
+    number of rows, so that a trajectory does not depend on its batch. BLAS
+    gemm rounds each row alike, but numpy hands a single row to gemv, which
+    rounds differently; a single row therefore goes through gemm doubled.
+    Real row sums use einsum, since gemv also rounds by row position."""
+    if len(a) == 1:
+        return (np.concatenate([a, a]) @ b)[:1]
+    return a @ b
 
 
 def _trajectory_children(master_seed: int, start: int, count: int):
@@ -165,7 +162,7 @@ class _Propagator:
         self._from_eig = np.ascontiguousarray(v.T)
         c0, c1 = jump_operators(rates, params.dim)
         self.jump_t = (np.ascontiguousarray(c0.T), np.ascontiguousarray(c1.T))
-        # C_i^+ C_i is diagonal, so ||C_i psi||^2 = |psi|^2 @ w_i
+        # C_i^+ C_i is diagonal, so ||C_i psi||^2 = |psi|^2 . w_i
         self.w0 = np.sum(np.abs(c0) ** 2, axis=0)
         self.w1 = np.sum(np.abs(c1) ** 2, axis=0)
         self.rate = self.w0 + self.w1
@@ -186,9 +183,9 @@ class _Propagator:
 
     def propagate(self, states: np.ndarray, tau: np.ndarray) -> np.ndarray:
         """Rows of ``states`` evolved by their own times ``tau``."""
-        c = states @ self._to_eig
+        c = _rows_times(states, self._to_eig)
         c *= np.exp(-1j * np.outer(tau, self.eigvals))
-        return c @ self._from_eig
+        return _rows_times(c, self._from_eig)
 
     def jump_states(self, states, log_r, span):
         """Per row, the time tau in (0, span] at which the squared norm of the
@@ -198,20 +195,20 @@ class _Propagator:
         -<psi|sum C_i^+ C_i|psi>/||psi||^2; steps that leave the bracket
         [lo, hi] with g(lo) > 0 > g(hi) are replaced by bisection.
         """
-        c = states @ self._to_eig
+        c = _rows_times(states, self._to_eig)
         lo = np.zeros(len(span))
         hi = span.copy()
         with np.errstate(divide="ignore"):
-            tau = np.fmin(-log_r / (np.abs(states) ** 2 @ self.rate), 0.5 * span)
+            tau = np.fmin(-log_r / np.einsum("ij,j->i", np.abs(states) ** 2, self.rate), 0.5 * span)
         out = np.empty_like(states)
         act = np.arange(len(span))
         for _ in range(_ROOT_MAX_ITER):
-            psi = (c[act] * np.exp(-1j * np.outer(tau[act], self.eigvals))) @ self._from_eig
+            psi = _rows_times(c[act] * np.exp(-1j * np.outer(tau[act], self.eigvals)), self._from_eig)
             p2 = psi.real**2 + psi.imag**2
             norm2 = p2.sum(axis=1)
             with np.errstate(divide="ignore", invalid="ignore"):
                 g = np.log(norm2) - log_r[act]
-                t_new = tau[act] + g * norm2 / (p2 @ self.rate)
+                t_new = tau[act] + g * norm2 / np.einsum("ij,j->i", p2, self.rate)
             above = g > 0
             lo[act[above]] = tau[act[above]]
             hi[act[~above]] = tau[act[~above]]
@@ -225,26 +222,25 @@ class _Propagator:
         raise SimulationError(f"jump-time root solve did not converge for {act.size} trajectories")
 
 
-class _Batch:
+class _Evolution:
     """Work arrays for a batch of trajectories advanced in lockstep."""
 
-    def __init__(self, prop, params, grid, children, initial_level, id_offset=0):
-        self.n = len(children)
+    def __init__(self, prop, params, grid, first_id, count, initial_level):
+        self.n = count
         dim = params.dim
         self.grid = grid
         self.prop = prop
-        self.id_offset = id_offset
+        self.first_id = first_id
         self.dyn = []
         self.meas_seeds = []
-        for child in children:
+        for child in _trajectory_children(0 if prop.seed is None else prop.seed, first_id, count):
             dyn_seed, meas_seed = child.spawn(2)
             self.dyn.append(np.random.Generator(np.random.PCG64(dyn_seed)))
             self.meas_seeds.append(meas_seed)
 
         if initial_level is None:
             cdf = np.cumsum(thermal_probabilities(params.beta, dim))
-            u0 = np.array([g.random() for g in self.dyn])
-            self.levels = np.searchsorted(cdf, u0, side="right").astype(np.int64)
+            self.levels = inverse_cdf(cdf, np.array([g.random() for g in self.dyn]))
         else:
             if not 0 <= initial_level < dim:
                 raise ValueError(f"initial_level {initial_level} outside [0, {dim})")
@@ -259,36 +255,43 @@ class _Batch:
         self.states = np.zeros((self.n, dim), dtype=complex)
         self.states[np.arange(self.n), self.levels] = 1.0
         self.heats = np.zeros(self.n, dtype=np.int64)
-        self.jumps: list[list[JumpEvent]] = [[] for _ in range(self.n)]
-        self.ck_states = np.zeros((len(grid), self.n, dim), dtype=complex)
+        self.n_jumps = np.zeros(self.n, dtype=np.int64)
+        self.log: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         self.ck_heats = np.zeros((len(grid), self.n), dtype=np.int64)
-        self.max_leak = 0.0
+        self.populations = np.zeros((len(grid), self.n, dim))
 
-    def _checkpoint(self, k: int) -> None:
-        self.ck_states[k] = self.states
-        self.ck_heats[k] = self.heats
-        # ensemble-mean top-level population is what biases the moments
-        leak = float(np.mean(self.states[:, -1].real ** 2 + self.states[:, -1].imag ** 2))
-        self.max_leak = max(self.max_leak, leak)
-        if leak > _LEAK_FAIL:
-            raise SimulationError(
-                f"mean top-level population {leak:.3e} exceeds {_LEAK_FAIL} at "
-                f"t = {self.grid[k]}; increase dim"
-            )
-
-    def run(self) -> None:
+    def run(self) -> TrajectoryBatch:
         t_prev = 0.0
         for k, t in enumerate(self.grid):
             self._advance(t_prev, t)
-            self._checkpoint(k)
+            np.add(self.states.real**2, self.states.imag**2, out=self.populations[k])
+            self.ck_heats[k] = self.heats
             t_prev = t
+        jumps = np.empty(int(self.n_jumps.sum()), dtype=JUMP_DTYPE)
+        if self.log:
+            rows, times, kinds = (np.concatenate(col) for col in zip(*self.log))
+            # rounds run forward in time, so a stable sort keeps each row's jumps in order
+            order = np.argsort(rows, kind="stable")
+            jumps["time"] = times[order]
+            jumps["kind"] = kinds[order]
+        return TrajectoryBatch(
+            times=np.array(self.grid),
+            first_id=self.first_id,
+            levels=self.levels,
+            heats=self.ck_heats,
+            populations=self.populations,
+            states=self.states,
+            jumps=jumps,
+            jump_offsets=np.concatenate([[0], np.cumsum(self.n_jumps)]),
+            meas_seeds=self.meas_seeds,
+        )
 
     def _advance(self, t0: float, t1: float) -> None:
         """Evolve every trajectory from the checkpoint t0 to the next, t1."""
         span = t1 - t0
         rows = np.arange(self.n)
         elapsed = np.zeros(self.n)
-        end = self.states @ self.prop.interval_t[span]
+        end = _rows_times(self.states, self.prop.interval_t[span])
         while True:
             p = np.sum(end.real**2 + end.imag**2, axis=1)
             r = self.thresholds[rows]
@@ -310,51 +313,24 @@ class _Batch:
         """Apply a jump to each row's pre-jump state ``psi`` and redraw its
         threshold: two uniforms from the row's dynamics stream."""
         p2 = psi.real**2 + psi.imag**2
-        w0 = p2 @ self.prop.w0
-        total = w0 + p2 @ self.prop.w1
+        w0 = np.einsum("ij,j->i", p2, self.prop.w0)
+        total = w0 + np.einsum("ij,j->i", p2, self.prop.w1)
         if not np.all(total > 0):
-            bad = self.id_offset + int(rows[np.argmin(total)])
+            bad = self.first_id + int(rows[np.argmin(total)])
             raise SimulationError(f"jump without a jump rate in trajectory {bad}")
         draws = np.array([self.dyn[i].random(2) for i in rows])
         kinds = (draws[:, 0] * total >= w0).astype(np.int64)
         post = np.where(
-            (kinds == 0)[:, None], psi @ self.prop.jump_t[0], psi @ self.prop.jump_t[1]
+            (kinds == 0)[:, None],
+            _rows_times(psi, self.prop.jump_t[0]),
+            _rows_times(psi, self.prop.jump_t[1]),
         )
         post /= np.linalg.norm(post, axis=1)[:, None]
         self.states[rows] = post
         self.heats[rows] += 1 - 2 * kinds
         self.thresholds[rows] = draws[:, 1]
-        for i, kind, t in zip(rows.tolist(), kinds.tolist(), times.tolist()):
-            self.jumps[i].append(JumpEvent(t, kind))
-
-    def records(self, id_offset: int) -> list[TrajectoryRecord]:
-        times = np.array(self.grid)
-        out = []
-        for i in range(self.n):
-            states = self.ck_states[:, i, :].copy()
-            states.flags.writeable = False
-            out.append(
-                TrajectoryRecord(
-                    initial_level=int(self.levels[i]),
-                    jumps=tuple(self.jumps[i]),
-                    times=times,
-                    states=states,
-                    heats=self.ck_heats[:, i].copy(),
-                    traj_id=id_offset + i,
-                    measure_seed=self.meas_seeds[i],
-                )
-            )
-        return out
-
-
-def _warn_leak(max_leak: float) -> None:
-    if max_leak > _LEAK_WARN:
-        warnings.warn(
-            f"top-level population reached {max_leak:.2e}; moments may be "
-            "truncation-limited",
-            TruncationWarning,
-            stacklevel=3,
-        )
+        self.n_jumps[rows] += 1
+        self.log.append((rows, times, kinds))
 
 
 def _validate_grid(params: PhysicalParams, config: EnsembleConfig) -> None:
@@ -365,64 +341,54 @@ def _validate_grid(params: PhysicalParams, config: EnsembleConfig) -> None:
         )
 
 
-def evolve_trajectory(
-    params: PhysicalParams,
-    rates: Rates,
-    config: EnsembleConfig,
-    seed: int | np.random.SeedSequence,
-) -> TrajectoryRecord:
-    """Generate a single trajectory from an explicit per-trajectory seed."""
-    _validate_grid(params, config)
-    prop = _Propagator(params, rates, config.checkpoint_grid)
-    child = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    batch = _Batch(prop, params, config.checkpoint_grid, [child], config.initial_level)
-    batch.run()
-    _warn_leak(batch.max_leak)
-    return batch.records(0)[0]
-
-
 def iter_ensemble(
     params: PhysicalParams,
     rates: Rates,
     config: EnsembleConfig,
     n_workers: int | None = None,
-) -> Iterator[TrajectoryRecord]:
-    """Yield exactly ``config.n_traj`` records in trajectory-id order.
+) -> Iterator[TrajectoryBatch]:
+    """Yield the ensemble as consecutive batches of at most
+    ``config.batch_size`` trajectories, in trajectory-id order.
 
     Batches may be evolved concurrently by up to ``n_workers`` threads
-    (default: the QHO_CAL_THREADS environment variable, else 1); the yielded
-    sequence is identical for every worker count.
+    (default: the QHO_CAL_THREADS environment variable, else 1); every
+    trajectory is identical for every worker count and batch size.
     """
     _validate_grid(params, config)
     prop = _Propagator(params, rates, config.checkpoint_grid)
+    prop.seed = config.master_seed
     if n_workers is None:
         n_workers = int(os.environ.get("QHO_CAL_THREADS", "1"))
     n_workers = max(1, n_workers)
 
-    starts = list(range(0, config.n_traj, config.batch_size))
+    starts = range(0, config.n_traj, config.batch_size)
 
-    def make_batch(start: int) -> _Batch:
+    def make_batch(start: int) -> TrajectoryBatch:
         count = min(config.batch_size, config.n_traj - start)
-        children = _trajectory_children(config.master_seed, start, count)
-        batch = _Batch(
-            prop, params, config.checkpoint_grid, children,
-            config.initial_level, id_offset=start,
-        )
-        batch.run()
-        return batch
+        return _Evolution(
+            prop, params, config.checkpoint_grid, start, count, config.initial_level
+        ).run()
 
-    max_leak = 0.0
-    if n_workers == 1:
-        for start in starts:
-            batch = make_batch(start)
-            max_leak = max(max_leak, batch.max_leak)
-            yield from batch.records(start)
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            for start, batch in zip(starts, pool.map(make_batch, starts)):
-                max_leak = max(max_leak, batch.max_leak)
-                yield from batch.records(start)
-    _warn_leak(max_leak)
+    top = np.zeros(len(config.checkpoint_grid))
+    with ThreadPoolExecutor(max_workers=n_workers) as pool:
+        for batch in map(make_batch, starts) if n_workers == 1 else pool.map(make_batch, starts):
+            top += batch.populations[:, :, -1].sum(axis=1)
+            yield batch
+    # the ensemble-mean top-level population is what biases the moments
+    leak = top / config.n_traj
+    k = int(np.argmax(leak))
+    if leak[k] > _LEAK_FAIL:
+        raise SimulationError(
+            f"mean top-level population {leak[k]:.3e} exceeds {_LEAK_FAIL} at "
+            f"t = {config.checkpoint_grid[k]}; increase dim"
+        )
+    if leak[k] > _LEAK_WARN:
+        warnings.warn(
+            f"top-level population reached {leak[k]:.2e}; moments may be "
+            "truncation-limited",
+            TruncationWarning,
+            stacklevel=2,
+        )
 
 
 def run_ensemble(
@@ -430,16 +396,24 @@ def run_ensemble(
     rates: Rates,
     config: EnsembleConfig,
     n_workers: int | None = None,
-) -> list[TrajectoryRecord]:
-    """Materialized ensemble; see iter_ensemble for the streaming variant."""
-    return list(iter_ensemble(params, rates, config, n_workers=n_workers))
+) -> TrajectoryBatch:
+    """The whole ensemble as one batch: iter_ensemble's batches joined."""
+    batches = list(iter_ensemble(params, rates, config, n_workers=n_workers))
+    if len(batches) == 1:
+        return batches[0]
 
+    def join(name, axis=0):
+        return np.concatenate([getattr(b, name) for b in batches], axis=axis)
 
-def dump_events_csv(records: Iterable[TrajectoryRecord], path) -> None:
-    """Raw jump log for debugging: one row per event."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["traj_id", "event_time", "event_index"])
-        for record in records:
-            for event in record.jumps:
-                writer.writerow([record.traj_id, f"{event.time:.12g}", event.index])
+    counts = np.concatenate([np.diff(b.jump_offsets) for b in batches])
+    return TrajectoryBatch(
+        times=batches[0].times,
+        first_id=batches[0].first_id,
+        levels=join("levels"),
+        heats=join("heats", axis=1),
+        populations=join("populations", axis=1),
+        states=join("states"),
+        jumps=join("jumps"),
+        jump_offsets=np.concatenate([[0], np.cumsum(counts)]),
+        meas_seeds=[s for b in batches for s in b.meas_seeds],
+    )

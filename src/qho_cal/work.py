@@ -25,40 +25,27 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InsufficientDataError
+from .errors import GridMismatchError, InsufficientDataError
 from .model import Rates
 from .quadrature import csv_float
-from .trajectories import TrajectoryRecord
+from .trajectories import TrajectoryBatch, inverse_cdf
 
 __all__ = [
-    "GuardianOutcome",
     "WorkSample",
     "MomentSummary",
     "PopulationSummary",
     "EnsembleWorkResult",
-    "heat_up_to",
-    "projective_work",
     "guardian_probs",
     "work_moments",
-    "draw_guardian_outcome",
-    "calorimetric_work",
     "summarize",
+    "sample_work",
     "measure_ensemble",
     "write_moments_csv",
 ]
-
-
-@dataclass(frozen=True)
-class GuardianOutcome:
-    """Guardian photon pair; ell_f is None when no final photon can ever be
-    observed (zero temperature with the system left in the ground state)."""
-
-    ell_i: int
-    ell_f: int | None
 
 
 @dataclass(frozen=True)
@@ -71,27 +58,6 @@ class WorkSample:
     delta_u: int
     heat: int
     value: int
-
-
-def heat_up_to(record: TrajectoryRecord, tau: float) -> int:
-    """Integer heat count up to tau: emissions minus absorptions."""
-    horizon = record.times[-1]
-    if tau < 0 or tau > horizon * (1 + 1e-12) + 1e-12:
-        raise ValueError(f"tau = {tau} outside the record horizon [0, {horizon}]")
-    return sum(1 if j.index == 0 else -1 for j in record.jumps if j.time <= tau)
-
-
-def projective_work(
-    record: TrajectoryRecord, tau: float, rng: np.random.Generator
-) -> WorkSample:
-    """Two-measurement work: draw the final level from the checkpoint state."""
-    k = record.checkpoint_index(tau)
-    state = record.states[k]
-    p = state.real**2 + state.imag**2
-    m = int(min(np.searchsorted(np.cumsum(p), rng.random(), side="right"), p.size - 1))
-    heat = int(record.heats[k])
-    delta_u = m - record.initial_level
-    return WorkSample("projective", float(tau), delta_u, heat, delta_u + heat)
 
 
 def guardian_probs(
@@ -151,52 +117,6 @@ def work_moments(table: np.ndarray, weights: np.ndarray, rates: Rates) -> np.nda
             out[2] += np.sum(branch * wc)
             out[3] += np.sum(branch * wc**2)
     return out
-
-
-def draw_guardian_outcome(
-    record: TrajectoryRecord,
-    tau: float,
-    rates: Rates,
-    rng: np.random.Generator,
-    ell_i: int | None = None,
-) -> GuardianOutcome:
-    """Sample the guardian pair for one trajectory at checkpoint tau."""
-    state = record.states[record.checkpoint_index(tau)]
-    pi0, pf0, pf1 = guardian_probs(np.arange(state.size), rates)
-    if ell_i is None:
-        ell_i = 0 if rng.random() < pi0[record.initial_level] else 1
-    p = state.real**2 + state.imag**2
-    p0 = float(p @ pf0)
-    r = rng.random()
-    if r < p0:
-        ell_f: int | None = 0
-    elif r < p0 + float(p @ pf1):
-        ell_f = 1
-    else:
-        ell_f = None
-    return GuardianOutcome(ell_i=ell_i, ell_f=ell_f)
-
-
-def calorimetric_work(
-    record: TrajectoryRecord,
-    tau: float,
-    rates: Rates,
-    rng: np.random.Generator,
-    ell_i: int | None = None,
-) -> WorkSample:
-    """Calorimetric work at tau. Pass ell_i to reuse one pre-drive photon
-    draw across several checkpoints of the same trajectory (it is a single
-    physical event)."""
-    outcome = draw_guardian_outcome(record, tau, rates, rng, ell_i=ell_i)
-    k = record.checkpoint_index(tau)
-    jump_heat = int(record.heats[k])
-    if outcome.ell_f is None:
-        delta_u = -outcome.ell_i
-        heat = jump_heat
-    else:
-        delta_u = outcome.ell_f - outcome.ell_i
-        heat = jump_heat + (1 - 2 * outcome.ell_f)
-    return WorkSample("calorimetric", float(tau), delta_u, heat, delta_u + heat)
 
 
 # ---------------------------------------------------------------------------
@@ -334,90 +254,78 @@ class EnsembleWorkResult:
     populations: PopulationSummary
 
 
-def _record_chunks(
-    records: Iterable[TrajectoryRecord], size: int
-) -> Iterator[list[TrajectoryRecord]]:
-    chunk: list[TrajectoryRecord] = []
-    for record in records:
-        chunk.append(record)
-        if len(chunk) == size:
-            yield chunk
-            chunk = []
-    if chunk:
-        yield chunk
+def sample_work(batch: TrajectoryBatch, rates: Rates) -> tuple[np.ndarray, np.ndarray]:
+    """Projective and calorimetric work of every trajectory of the batch at
+    every checkpoint, as two (K, n) integer arrays.
+
+    Per checkpoint row: one inverse-CDF draw of the final level m over the
+    row's populations (W_p = m - n + Q) and one comparison with the
+    final-guardian emission probability (W_c as in _calorimetric_value).
+    The pre-drive guardian photon is drawn once per trajectory. Uniforms
+    come from each trajectory's measurement stream, so the values do not
+    depend on batching.
+    """
+    k_n, n, dim = batch.populations.shape
+    pi0, pf0, _ = guardian_probs(np.arange(dim), rates)
+    u = np.array(
+        [np.random.Generator(np.random.PCG64(s)).random(1 + 2 * k_n) for s in batch.meas_seeds]
+    )
+    ell_i = (u[:, 0] >= pi0[batch.levels]).astype(np.int64)
+    wp = np.empty((k_n, n), dtype=np.int64)
+    wc = np.empty((k_n, n), dtype=np.int64)
+    for k, pops in enumerate(batch.populations):
+        m = inverse_cdf(np.cumsum(pops, axis=1), u[:, 1 + 2 * k])
+        wp[k] = m - batch.levels + batch.heats[k]
+        # einsum, not gemv: a row's rounding must not depend on its batch
+        final_emission = (u[:, 2 + 2 * k] < np.einsum("ij,j->i", pops, pf0)).astype(np.int64)
+        wc[k] = _calorimetric_value(final_emission, ell_i, batch.heats[k])
+    return wp, wc
+
+
+def _add_counts(hist: dict[int, int], values: np.ndarray) -> None:
+    lo = int(values.min())
+    counts = np.bincount(values - lo)
+    for v in np.flatnonzero(counts):
+        hist[lo + int(v)] = hist.get(lo + int(v), 0) + int(counts[v])
 
 
 def measure_ensemble(
-    records: Iterable[TrajectoryRecord],
+    batches: Iterable[TrajectoryBatch],
     rates: Rates,
     variance_se: str = "moments",
 ) -> EnsembleWorkResult:
-    """Draw both work values for every (trajectory, checkpoint) pair and
-    accumulate exact histograms plus population statistics.
-
-    Measurement randomness comes from each record's own measurement stream,
-    so the result is reproducible and independent of iteration chunking. The
-    pre-drive guardian photon is drawn once per trajectory; the final
-    guardian and the projective level are drawn per checkpoint.
+    """Both work values for every (trajectory, checkpoint) pair (sample_work),
+    reduced per checkpoint to exact histograms, plus population statistics.
+    The result does not depend on how the ensemble is cut into batches.
     """
     times: np.ndarray | None = None
-    counts_p: list[Counter] | None = None
-    counts_c: list[Counter] | None = None
-    pop_sum = pop_sumsq = nbar_sum = nbar_sumsq = None
-    narr = pi0 = pf0 = None
     n_total = 0
-
-    for chunk in _record_chunks(records, 2048):
+    for batch in batches:
         if times is None:
-            times = chunk[0].times.copy()
-            k_n = times.size
-            dim = chunk[0].states.shape[1]
-            counts_p = [Counter() for _ in range(k_n)]
-            counts_c = [Counter() for _ in range(k_n)]
+            times = batch.times
+            k_n, _, dim = batch.populations.shape
+            counts_p: list[dict[int, int]] = [{} for _ in range(k_n)]
+            counts_c: list[dict[int, int]] = [{} for _ in range(k_n)]
             pop_sum = np.zeros((k_n, dim))
             pop_sumsq = np.zeros((k_n, dim))
             nbar_sum = np.zeros(k_n)
             nbar_sumsq = np.zeros(k_n)
-            narr = np.arange(dim, dtype=float)
-            pi0, pf0, _ = guardian_probs(narr, rates)
-        k_n = times.size
-        vp_chunk = np.empty((len(chunk), k_n), dtype=np.int64)
-        vc_chunk = np.empty((len(chunk), k_n), dtype=np.int64)
-        for row, record in enumerate(chunk):
-            if not np.array_equal(record.times, times):
-                raise ValueError("records carry inconsistent checkpoint grids")
-            if record.measure_seed is None:
-                raise ValueError(
-                    f"record {record.traj_id} has no measurement seed attached"
-                )
-            gen = np.random.Generator(np.random.PCG64(record.measure_seed))
-            u = gen.random(1 + 2 * k_n)
-            p2 = record.states.real**2 + record.states.imag**2  # (K, dim)
-
-            n0 = record.initial_level
-            ell_i = 0 if u[0] < pi0[n0] else 1
-
-            cum = np.cumsum(p2, axis=1)
-            m_draw = (cum < u[1::2, None]).sum(axis=1)
-            np.minimum(m_draw, p2.shape[1] - 1, out=m_draw)
-            heats = record.heats
-            vp_chunk[row] = m_draw - n0 + heats
-
-            final_emission = (u[2::2] < p2 @ pf0).astype(np.int64)
-            vc_chunk[row] = _calorimetric_value(final_emission, ell_i, heats)
-
-            pop_sum += p2
-            pop_sumsq += p2**2
-            nbar = p2 @ narr
-            nbar_sum += nbar
-            nbar_sumsq += nbar**2
-        n_total += len(chunk)
+        elif not np.array_equal(batch.times, times):
+            raise GridMismatchError("batches carry different checkpoint grids")
+        wp, wc = sample_work(batch, rates)
         for k in range(k_n):
-            counts_p[k].update(vp_chunk[:, k].tolist())
-            counts_c[k].update(vc_chunk[:, k].tolist())
+            _add_counts(counts_p[k], wp[k])
+            _add_counts(counts_c[k], wc[k])
+        pops = batch.populations
+        pop_sum += pops.sum(axis=1)
+        pop_sumsq += np.einsum("kij,kij->kj", pops, pops)
+        nbar = pops @ np.arange(dim, dtype=float)
+        nbar_sum += nbar.sum(axis=1)
+        nbar_sumsq += np.einsum("ki,ki->k", nbar, nbar)
+        n_total += len(batch.levels)
 
     if times is None:
-        raise InsufficientDataError("no records given")
+        raise InsufficientDataError("no trajectories given")
 
     def _se(total: np.ndarray, total_sq: np.ndarray, n: int) -> np.ndarray:
         mean = total / n
@@ -433,12 +341,8 @@ def measure_ensemble(
         n_traj=n_total,
     )
     return EnsembleWorkResult(
-        projective=MomentSummary.from_counts(
-            times, [dict(c) for c in counts_p], variance_se=variance_se
-        ),
-        calorimetric=MomentSummary.from_counts(
-            times, [dict(c) for c in counts_c], variance_se=variance_se
-        ),
+        projective=MomentSummary.from_counts(times, counts_p, variance_se=variance_se),
+        calorimetric=MomentSummary.from_counts(times, counts_c, variance_se=variance_se),
         populations=populations,
     )
 

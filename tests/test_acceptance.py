@@ -24,16 +24,12 @@ from qho_cal.lindblad import integrate
 from qho_cal.model import PhysicalParams, make_rates
 from qho_cal.trajectories import (
     EnsembleConfig,
+    inverse_cdf,
     iter_ensemble,
     run_ensemble,
     thermal_probabilities,
 )
-from qho_cal.work import (
-    calorimetric_work,
-    guardian_probs,
-    measure_ensemble,
-    projective_work,
-)
+from qho_cal.work import guardian_probs, measure_ensemble, sample_work
 
 pytestmark = [
     pytest.mark.filterwarnings("ignore::qho_cal.errors.TruncationWarning"),
@@ -107,23 +103,23 @@ def fig4_bundle():
     nbar_sumsqs: dict = {}
     narr = np.arange(p.dim, dtype=float)
 
-    def tap(records):
-        for rec in records:
-            n0 = rec.initial_level
-            p2 = rec.states.real**2 + rec.states.imag**2
-            nbar = p2 @ narr
-            if n0 not in counts:
-                counts[n0] = 0
-                sums[n0] = np.zeros_like(p2)
-                sumsqs[n0] = np.zeros_like(p2)
-                nbar_sums[n0] = np.zeros_like(nbar)
-                nbar_sumsqs[n0] = np.zeros_like(nbar)
-            counts[n0] += 1
-            sums[n0] += p2
-            sumsqs[n0] += p2**2
-            nbar_sums[n0] += nbar
-            nbar_sumsqs[n0] += nbar**2
-            yield rec
+    def tap(batches):
+        for batch in batches:
+            for n0 in np.unique(batch.levels).tolist():
+                p2 = batch.populations[:, batch.levels == n0]  # (K, count, dim)
+                nbar = p2 @ narr
+                if n0 not in counts:
+                    counts[n0] = 0
+                    sums[n0] = np.zeros((len(grid), p.dim))
+                    sumsqs[n0] = np.zeros((len(grid), p.dim))
+                    nbar_sums[n0] = np.zeros(len(grid))
+                    nbar_sumsqs[n0] = np.zeros(len(grid))
+                counts[n0] += p2.shape[1]
+                sums[n0] += p2.sum(axis=1)
+                sumsqs[n0] += (p2**2).sum(axis=1)
+                nbar_sums[n0] += nbar.sum(axis=1)
+                nbar_sumsqs[n0] += (nbar**2).sum(axis=1)
+            yield batch
 
     result = measure_ensemble(tap(iter_ensemble(p, r, cfg)), r)
     oracle = {}
@@ -452,23 +448,25 @@ def test_criterion_8_property_suites(tmp_path):
     assert np.abs(pf0 + pf1 - 1.0).max() < 1e-12
     details.append("guardian normalization exact")
 
-    # first law and integer heat on a real ensemble
+    # first law and integer heat on a real ensemble: W_p - Q = m - n with m
+    # a populated level, W_c - Q = [l_f = 0] - l_i, and Q the signed count
+    # of the logged jumps up to each checkpoint
     ps = PhysicalParams(gamma=0.05, beta=0.8, lambda0=0.01, dim=12)
     rs = make_rates(ps)
     grid = tuple(np.linspace(0.0, ps.drive_time, 5))
     cfg = EnsembleConfig(checkpoint_grid=grid, n_traj=50, master_seed=606)
-    rng = np.random.default_rng(0)
-    for rec in run_ensemble(ps, rs, cfg):
-        for tau in grid:
-            sp = projective_work(rec, tau, rng)
-            sc = calorimetric_work(rec, tau, rs, rng)
-            assert sp.value == sp.delta_u + sp.heat
-            assert sc.value == sc.delta_u + sc.heat
+    batch = run_ensemble(ps, rs, cfg)
+    wp, wc = sample_work(batch, rs)
+    final_level = wp - batch.heats + batch.levels
+    drawn = np.take_along_axis(batch.populations, final_level[:, :, None], axis=2)
+    assert np.all(drawn > 0)
+    assert set(np.unique(wc - batch.heats).tolist()) <= {-1, 0, 1}
+    assert len(batch.jumps) > 0
+    for i in range(cfg.n_traj):
+        jumps = batch.jumps[batch.jump_offsets[i]:batch.jump_offsets[i + 1]]
         for k, tau in enumerate(grid):
-            expected = sum(
-                1 if j.index == 0 else -1 for j in rec.jumps if j.time <= tau
-            )
-            assert int(rec.heats[k]) == expected
+            early = jumps["kind"][jumps["time"] <= tau].astype(np.int64)
+            assert batch.heats[k, i] == np.sum(1 - 2 * early)
     details.append("first law + integer heat exact")
 
     # detailed balance at machine precision
@@ -490,9 +488,7 @@ def test_criterion_8_property_suites(tmp_path):
     # thermal sampling: empirical frequencies within 4 sigma over 10^6 draws
     beta, dim = 2.0, 10
     peq = thermal_probabilities(beta, dim)
-    draws = np.searchsorted(
-        np.cumsum(peq), np.random.default_rng(7).random(1_000_000), side="right"
-    )
+    draws = inverse_cdf(np.cumsum(peq), np.random.default_rng(7).random(1_000_000))
     counts = np.bincount(draws, minlength=dim)
     for level in range(dim):
         se = math.sqrt(1_000_000 * peq[level] * (1 - peq[level]))

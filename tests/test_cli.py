@@ -340,6 +340,14 @@ class TestMainEntry:
         assert "dt" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_seed_is_config_error(self, tmp_path, capsys):
+        # the seed keys the random streams and must be non-negative
+        out = tmp_path / "sim.csv"
+        argv = ["simulate", "--preset", "fig4", "--seed", "-1", "--ntraj", "10", "--grid", "2"]
+        assert main([*argv, "--out", str(out)]) == 2
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_analytic_rejects_three_jumps(self, tmp_path, capsys):
         # the transfer table holds at most two jumps: refused before any file
         config = tmp_path / "exp.cfg"

@@ -7,15 +7,13 @@ from hypothesis import strategies as st
 
 from qho_cal.errors import InsufficientDataError
 from qho_cal.model import PhysicalParams, make_rates
-from qho_cal.trajectories import EnsembleConfig, JumpEvent, TrajectoryRecord, run_ensemble
+from qho_cal.trajectories import JUMP_DTYPE, EnsembleConfig, TrajectoryBatch, run_ensemble
 from qho_cal.work import (
+    MomentSummary,
     WorkSample,
-    calorimetric_work,
-    draw_guardian_outcome,
     guardian_probs,
-    heat_up_to,
     measure_ensemble,
-    projective_work,
+    sample_work,
     summarize,
     work_moments,
 )
@@ -27,24 +25,27 @@ def rates_for(beta, gamma=1.0):
     return make_rates(PhysicalParams(gamma=gamma, beta=beta, lambda0=0.01))
 
 
-def make_record(initial_level, jumps, times, states, measure_seed=0):
-    times = np.asarray(times, dtype=float)
+def make_batch(levels, heats, states, times=None, seed=0):
+    """A hand-made batch with an empty jump log: initial ``levels`` (n,),
+    cumulative ``heats`` (K,) or (K, n), and checkpoint ``states`` (K, dim)
+    shared by all trajectories or (K, n, dim)."""
+    levels = np.asarray(levels, dtype=np.int64)
+    n = len(levels)
     states = np.asarray(states, dtype=complex)
-    heats = np.array(
-        [
-            sum(1 if j.index == 0 else -1 for j in jumps if j.time <= t)
-            for t in times
-        ],
-        dtype=np.int64,
-    )
-    return TrajectoryRecord(
-        initial_level=initial_level,
-        jumps=tuple(jumps),
-        times=times,
-        states=states,
+    if states.ndim == 2:
+        states = np.repeat(states[:, None, :], n, axis=1)
+    k_n = len(states)
+    heats = np.asarray(heats, dtype=np.int64).reshape(k_n, -1) + np.zeros((k_n, n), np.int64)
+    return TrajectoryBatch(
+        times=np.arange(float(k_n)) if times is None else np.asarray(times, dtype=float),
+        first_id=0,
+        levels=levels,
         heats=heats,
-        traj_id=0,
-        measure_seed=np.random.SeedSequence(measure_seed),
+        populations=np.abs(states) ** 2,
+        states=states[-1],
+        jumps=np.empty(0, dtype=JUMP_DTYPE),
+        jump_offsets=np.zeros(n + 1, dtype=np.int64),
+        meas_seeds=list(np.random.SeedSequence(seed).spawn(n)),
     )
 
 
@@ -55,66 +56,74 @@ def basis_state(n, dim):
 
 
 class TestHeat:
+    # the cumulative heat of each checkpoint row enters both work values
+    # additively; the heat counts themselves are checked against the jump
+    # log in test_trajectories
+
     def test_partial_sums(self):
-        jumps = [JumpEvent(1.0, 0), JumpEvent(2.0, 0), JumpEvent(3.0, 1)]
-        rec = make_record(0, jumps, [0.0, 1.5, 2.5, 4.0], [basis_state(0, 4)] * 4)
-        assert heat_up_to(rec, 4.0) == 1  # 1 + 1 - 1
-        assert heat_up_to(rec, 0.0) == 0
-        assert heat_up_to(rec, 2.5) == 2
-        assert heat_up_to(rec, 1.5) == 1
+        # emissions at 1 and 2, an absorption at 3: heats 0, 1, 2, 1 at the
+        # checkpoints 0, 1.5, 2.5, 4, with the state parked in |0>
+        batch = make_batch(
+            [0] * 5, [0, 1, 2, 1], [basis_state(0, 4)] * 4, times=[0.0, 1.5, 2.5, 4.0]
+        )
+        result = measure_ensemble([batch], rates_for(2.0))
+        assert result.projective.histograms == [{0: 5}, {1: 5}, {2: 5}, {1: 5}]
 
     def test_outside_horizon(self):
-        rec = make_record(0, [], [0.0, 1.0], [basis_state(0, 3)] * 2)
-        with pytest.raises(ValueError):
-            heat_up_to(rec, 2.0)
+        # no jump beyond the last checkpoint is logged or counted, and the
+        # last heat row is the signed count of the whole log
+        p = PhysicalParams(gamma=0.1, beta=0.8, lambda0=0.01, dim=12)
+        horizon = 0.5 * p.drive_time
+        cfg = EnsembleConfig(checkpoint_grid=(0.0, 0.25 * horizon, horizon), n_traj=6)
+        batch = run_ensemble(p, make_rates(p), cfg)
+        assert len(batch.jumps) > 0
+        assert batch.jumps["time"].max() <= horizon
+        kinds = batch.jumps["kind"].astype(np.int64)
+        assert batch.heats[-1].sum() == np.sum(1 - 2 * kinds)
 
-    @settings(max_examples=40, deadline=None)
-    @given(st.lists(st.sampled_from([0, 1]), max_size=12))
-    def test_matches_signed_count(self, indices):
-        jumps = [JumpEvent(0.5 * (i + 1), ix) for i, ix in enumerate(indices)]
-        horizon = 0.5 * (len(indices) + 1)
-        rec = make_record(
-            0, jumps, [0.0, horizon], [basis_state(0, 3)] * 2
-        )
-        expected = sum(1 if ix == 0 else -1 for ix in indices)
-        assert heat_up_to(rec, horizon) == expected
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_matches_signed_count(self, seed):
+        p = PhysicalParams(gamma=0.2, beta=0.5, lambda0=0.01, drive_time=60.0, dim=14)
+        cfg = EnsembleConfig(checkpoint_grid=(20.0, 60.0), n_traj=3, master_seed=seed)
+        batch = run_ensemble(p, make_rates(p), cfg)
+        signed = 1 - 2 * batch.jumps["kind"].astype(np.int64)
+        for i in range(3):
+            lo, hi = batch.jump_offsets[i], batch.jump_offsets[i + 1]
+            early = batch.jumps["time"][lo:hi] <= 20.0
+            assert batch.heats[0, i] == signed[lo:hi][early].sum()
+            assert batch.heats[1, i] == signed[lo:hi].sum()
 
 
 class TestProjectiveWork:
     def test_tau_zero_is_exactly_zero(self):
-        rng = np.random.default_rng(0)
-        for n in range(4):
-            rec = make_record(n, [], [0.0], [basis_state(n, 6)])
-            s = projective_work(rec, 0.0, rng)
-            assert s.value == 0 and s.delta_u == 0 and s.heat == 0
+        levels = [0, 1, 2, 3]
+        batch = make_batch(levels, [0], [[basis_state(n, 6) for n in levels]])
+        wp, _ = sample_work(batch, rates_for(2.0))
+        assert wp.tolist() == [[0, 0, 0, 0]]
 
     def test_known_outcome(self):
         # deterministic state |2>, one absorbed quantum: W = (2-0) - 1 = 1
-        rec = make_record(
-            0, [JumpEvent(0.5, 1)], [0.0, 1.0], [basis_state(0, 5), basis_state(2, 5)]
-        )
-        s = projective_work(rec, 1.0, np.random.default_rng(1))
-        assert (s.delta_u, s.heat, s.value) == (2, -1, 1)
+        batch = make_batch([0] * 3, [0, -1], [basis_state(0, 5), basis_state(2, 5)])
+        wp, _ = sample_work(batch, rates_for(2.0))
+        assert wp.tolist() == [[0, 0, 0], [1, 1, 1]]
 
     def test_sampling_distribution(self):
         state = np.array([np.sqrt(0.25), np.sqrt(0.75), 0.0], dtype=complex)
-        rec = make_record(0, [], [0.0, 1.0], [basis_state(0, 3), state])
-        rng = np.random.default_rng(2)
-        vals = [projective_work(rec, 1.0, rng).value for _ in range(20000)]
-        frac1 = np.mean([v == 1 for v in vals])
-        assert abs(frac1 - 0.75) <= 3.0 * math.sqrt(0.75 * 0.25 / 20000)
+        n = 20000
+        batch = make_batch([0] * n, [0, 0], [basis_state(0, 3), state], seed=2)
+        wp, _ = sample_work(batch, rates_for(2.0))
+        assert set(wp[1].tolist()) == {0, 1}
+        frac1 = np.mean(wp[1] == 1)
+        assert abs(frac1 - 0.75) <= 3.0 * math.sqrt(0.75 * 0.25 / n)
 
     def test_first_law_identity(self):
-        rng = np.random.default_rng(3)
-        rec = make_record(
-            1,
-            [JumpEvent(0.2, 0), JumpEvent(0.7, 1), JumpEvent(0.9, 1)],
-            [0.0, 1.0],
-            [basis_state(1, 6), (basis_state(0, 6) + basis_state(3, 6)) / np.sqrt(2)],
-        )
-        for _ in range(50):
-            s = projective_work(rec, 1.0, rng)
-            assert s.value == s.delta_u + s.heat
+        # W_p - Q = m - n with m a populated level: from |1>, one emission
+        # and two absorptions (Q = -1), ending in (|0> + |3>)/sqrt 2
+        final = (basis_state(0, 6) + basis_state(3, 6)) / np.sqrt(2)
+        batch = make_batch([1] * 200, [0, -1], [basis_state(1, 6), final], seed=3)
+        wp, _ = sample_work(batch, rates_for(1.0))
+        assert set((wp[1] + 1 + 1).tolist()) == {0, 3}
 
 
 class TestGuardianProbs:
@@ -239,57 +248,37 @@ class TestWorkMoments:
 
 class TestCalorimetricWork:
     def test_unitary_bracket_values(self):
-        # no jumps: W_c = l_f - l_i + (-1)^l_f
-        r = rates_for(2.0)
-        rec_excited = make_record(0, [], [0.0], [basis_state(1, 5)])
-        rng = np.random.default_rng(0)
+        # no jumps, ell_i = 0 from the ground state: W_c = l_f - l_i + (-1)^l_f
         # final state |1> at beta=2: l_f = 0 with p 0.787, else 1
-        seen = set()
-        for _ in range(200):
-            s = calorimetric_work(rec_excited, 0.0, r, rng, ell_i=0)
-            seen.add((s.delta_u, s.heat, s.value))
+        batch = make_batch([0] * 200, [0], [basis_state(1, 5)])
+        _, wc = sample_work(batch, rates_for(2.0))
         # l_f=0: inferred drop 0, guardian heat +1 -> W_c = +1
         # l_f=1: inferred rise 1, guardian heat -1 -> W_c = 0
-        assert seen == {(0, 1, 1), (1, -1, 0)}
+        assert set(wc[0].tolist()) == {0, 1}
 
     def test_ground_final_state_forces_absorption(self):
-        r = rates_for(2.0)
-        rec = make_record(0, [], [0.0], [basis_state(0, 5)])
-        rng = np.random.default_rng(1)
-        for _ in range(50):
-            s = calorimetric_work(rec, 0.0, r, rng, ell_i=0)
-            assert (s.delta_u, s.heat, s.value) == (1, -1, 0)
+        batch = make_batch([0] * 50, [0], [basis_state(0, 5)], seed=1)
+        _, wc = sample_work(batch, rates_for(2.0))
+        assert not wc.any()  # inferred rise 1, guardian heat -1
 
     def test_no_photon_branch_zero_temperature(self):
-        r = rates_for(800.0)
-        rec = make_record(0, [], [0.0], [basis_state(0, 5)])
-        rng = np.random.default_rng(2)
-        s = calorimetric_work(rec, 0.0, r, rng)
-        assert (s.delta_u, s.heat, s.value) == (0, 0, 0)
-        out = draw_guardian_outcome(rec, 0.0, r, rng)
-        assert out.ell_i == 0 and out.ell_f is None
+        batch = make_batch([0] * 50, [0], [basis_state(0, 5)], seed=2)
+        _, wc = sample_work(batch, rates_for(800.0))
+        assert not wc.any()  # no final photon: no rise, no guardian heat
 
     def test_no_photon_with_excited_inference(self):
-        # l_i = 1 and no final photon: inferred delta_u = -1, no guardian heat
-        r = rates_for(800.0)
-        rec = make_record(1, [], [0.0], [basis_state(0, 5)])
-        rng = np.random.default_rng(3)
-        s = calorimetric_work(rec, 0.0, r, rng, ell_i=1)
-        assert (s.delta_u, s.heat, s.value) == (-1, 0, -1)
+        # l_i = 1 (level 1 at zero temperature was entered from above) and no
+        # final photon: inferred delta_u = -1, no guardian heat
+        batch = make_batch([1] * 50, [0], [basis_state(0, 5)], seed=3)
+        _, wc = sample_work(batch, rates_for(800.0))
+        assert wc.tolist() == [[-1] * 50]
 
     def test_first_law_with_jumps(self):
-        r = rates_for(1.0)
-        rec = make_record(
-            2,
-            [JumpEvent(0.3, 0), JumpEvent(0.8, 0)],
-            [0.0, 1.0],
-            [basis_state(2, 6), (basis_state(0, 6) - basis_state(1, 6)) / np.sqrt(2)],
-        )
-        rng = np.random.default_rng(4)
-        for _ in range(100):
-            s = calorimetric_work(rec, 1.0, r, rng)
-            assert s.value == s.delta_u + s.heat
-            assert s.heat in (1, 3)  # two emissions +- final guardian photon
+        # two emissions (Q = 2) from |2>: W_c - Q = [l_f = 0] - l_i
+        final = (basis_state(0, 6) - basis_state(1, 6)) / np.sqrt(2)
+        batch = make_batch([2] * 400, [0, 2], [basis_state(2, 6), final], seed=4)
+        _, wc = sample_work(batch, rates_for(1.0))
+        assert set((wc[1] - 2).tolist()) == {-1, 0, 1}
 
 
 class TestSummarize:
@@ -369,8 +358,8 @@ class TestMeasureEnsemble:
     def test_projective_zero_at_t0_calorimetric_artifact(self):
         # two-measurement work vanishes identically at tau = 0, while the
         # two-level inference scatters as soon as level 1 is populated
-        p, r, records = self._small_run(beta=0.5)
-        result = measure_ensemble(records, r)
+        p, r, batch = self._small_run(beta=0.5)
+        result = measure_ensemble([batch], r)
         assert result.projective.variance[0] == 0.0
         assert result.projective.mean[0] == 0.0
         assert result.calorimetric.variance[0] > 0.1
@@ -382,8 +371,7 @@ class TestMeasureEnsemble:
         p = PhysicalParams(gamma=0.05, beta=beta, lambda0=0.01, dim=dim)
         r = make_rates(p)
         cfg = EnsembleConfig(checkpoint_grid=(0.0,), n_traj=20_000, master_seed=77)
-        records = run_ensemble(p, r, cfg)
-        result = measure_ensemble(records, r)
+        result = measure_ensemble([run_ensemble(p, r, cfg)], r)
         x = math.exp(-beta)
         ns = np.arange(dim)
         peq = (1 - x) * x**ns
@@ -395,23 +383,18 @@ class TestMeasureEnsemble:
         assert abs(c.variance[0] - exact_second) <= 3.0 * c.stderr_variance[0]
 
     def test_deterministic_given_seeds(self):
-        p, r, records = self._small_run()
-        a = measure_ensemble(records, r)
-        b = measure_ensemble(records, r)
+        p, r, batch = self._small_run()
+        a = measure_ensemble([batch], r)
+        b = measure_ensemble([batch], r)
         assert a.projective.histograms == b.projective.histograms
         assert a.calorimetric.histograms == b.calorimetric.histograms
 
     def test_population_summary_shapes(self):
-        p, r, records = self._small_run(n_traj=100)
-        result = measure_ensemble(records, r)
+        p, r, batch = self._small_run(n_traj=100)
+        result = measure_ensemble([batch], r)
         pop = result.populations
         assert pop.mean.shape == (3, p.dim)
         assert pop.nbar_mean.shape == (3,)
         assert pop.n_traj == 100
         np.testing.assert_allclose(pop.mean.sum(axis=1), 1.0, atol=1e-10)
-
-    def test_missing_measure_seed_rejected(self):
-        p, r, records = self._small_run(n_traj=4)
-        records[0].measure_seed = None
-        with pytest.raises(ValueError):
-            measure_ensemble(records, r)
+        np.testing.assert_allclose(pop.mean, batch.populations.mean(axis=1), rtol=1e-12)
