@@ -56,10 +56,9 @@ from .trajectories import (
 )
 from .work import (
     MomentSummary,
-    WorkSample,
     guardian_probs,
     measure_ensemble,
-    summarize,
+    sample_work,
     work_moments,
 )
 

@@ -12,10 +12,15 @@ inside a bisection bracket. Checkpoints store the level populations and the
 integer cumulative heat, and rescale r by the norm lost (r <- r/||psi||^2),
 so trajectories do not depend on the checkpoint grid.
 
-Per-trajectory random streams derive from SeedSequence(master_seed)
-children keyed by trajectory index and are read only for the initial level,
-the first threshold and at jumps (jump type, then next threshold), so
-results are bitwise reproducible for every worker count and batching.
+Random numbers are counter based (Philox4x32-10; Salmon, Moraes, Dror &
+Shaw, SC11): each uniform is a pure function of the ensemble key, two words
+of SeedSequence(master_seed).generate_state, and the counter (event index,
+stream, trajectory id low word, high word). The DYNAMICS stream spends event
+0 on the initial level and the first threshold and event j on jump j's type
+and the next threshold; the MEASUREMENT stream, read by
+work.sample_work, spends event 0 on the pre-drive guardian photon and event
+k + 1 on checkpoint k. No generator object exists per trajectory, and
+results are bitwise identical for every worker count and batch size.
 
 Ensembles are columnar: a TrajectoryBatch holds n trajectories on K
 checkpoints as arrays (see its docstring), never one object per trajectory
@@ -37,8 +42,13 @@ from .fock import matrix_exponential
 from .model import PhysicalParams, Rates, jump_operators, nh_generator
 
 __all__ = [
+    "DYNAMICS",
+    "MEASUREMENT",
+    "JUMP_DTYPE",
     "EnsembleConfig",
     "TrajectoryBatch",
+    "philox4x32",
+    "uniforms",
     "inverse_cdf",
     "thermal_probabilities",
     "iter_ensemble",
@@ -54,6 +64,16 @@ _ROOT_TOL = 1e-13
 _ROOT_MAX_ITER = 200
 
 JUMP_DTYPE = np.dtype([("time", float), ("kind", np.int8)])
+
+# the two counter streams
+DYNAMICS = 0
+MEASUREMENT = 1
+
+_PHILOX_M0 = np.uint64(0xD2511F53)
+_PHILOX_M1 = np.uint64(0xCD9E8D57)
+_PHILOX_W = (0x9E3779B9, 0xBB67AE85)
+_LOW32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
 
 
 @dataclass(frozen=True)
@@ -100,17 +120,59 @@ class TrajectoryBatch:
     ``states[i]`` its final normalized state. Its jumps, in time order, are
     ``jumps[jump_offsets[i]:jump_offsets[i + 1]]`` with fields ``time`` and
     ``kind`` (0: emission into the bath by C0, 1: absorption by C1).
+    ``key`` is the ensemble's Philox key, which the measurement stream reads.
     """
 
     times: np.ndarray
     first_id: int
+    key: np.ndarray
     levels: np.ndarray
     heats: np.ndarray
     populations: np.ndarray
     states: np.ndarray
     jumps: np.ndarray
     jump_offsets: np.ndarray
-    meas_seeds: list
+
+    @property
+    def traj_ids(self) -> np.ndarray:
+        return self.first_id + np.arange(len(self.levels))
+
+
+def philox4x32(counter, key) -> np.ndarray:
+    """Philox4x32-10 block function on 32-bit words held in uint64.
+
+    ``counter`` is four words, each a scalar or an array (broadcast together),
+    ``key`` two words; returns the four output words stacked, shape (4, ...).
+    """
+    words = np.array(np.broadcast_arrays(*counter), dtype=np.uint64)
+    c0, c1, c2, c3 = words.reshape(4, -1)
+    p0, p1 = np.empty_like(c0), np.empty_like(c0)
+    k0, k1 = int(key[0]), int(key[1])
+    for _ in range(10):
+        np.multiply(c0, _PHILOX_M0, out=p0)
+        np.multiply(c2, _PHILOX_M1, out=p1)
+        np.right_shift(p1, _SHIFT32, out=c0)
+        c0 ^= c1
+        c0 ^= np.uint64(k0)
+        np.bitwise_and(p1, _LOW32, out=c1)
+        np.right_shift(p0, _SHIFT32, out=c2)
+        c2 ^= c3
+        c2 ^= np.uint64(k1)
+        np.bitwise_and(p0, _LOW32, out=c3)
+        k0, k1 = (k0 + _PHILOX_W[0]) & 0xFFFFFFFF, (k1 + _PHILOX_W[1]) & 0xFFFFFFFF
+    return words
+
+
+def uniforms(key, event, stream: int, traj_ids) -> np.ndarray:
+    """Two uniforms in [0, 1) with 53 random bits per trajectory id, shape
+    (n, 2): one Philox block at counter (event, stream, id low, id high).
+    ``event`` is one index for all ids or one per id."""
+    ids = np.asarray(traj_ids, dtype=np.uint64)
+    x = philox4x32((event, stream, ids & _LOW32, ids >> _SHIFT32), key)
+    x >>= np.uint64(5)
+    x[1::2] >>= np.uint64(1)
+    bits = np.stack([x[0] << np.uint64(26) | x[1], x[2] << np.uint64(26) | x[3]], axis=-1)
+    return bits * 2.0**-53
 
 
 def thermal_probabilities(beta: float, dim: int) -> np.ndarray:
@@ -143,9 +205,10 @@ def _rows_times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b
 
 
-def _trajectory_children(master_seed: int, start: int, count: int):
-    root = np.random.SeedSequence(master_seed)
-    return root.spawn(start + count)[start:]
+def _norm2(states: np.ndarray) -> np.ndarray:
+    """Squared norm of each row of a C-contiguous complex array."""
+    flat = states.view(np.float64)
+    return np.einsum("ij,ij->i", flat, flat)
 
 
 class _Propagator:
@@ -225,32 +288,25 @@ class _Propagator:
 class _Evolution:
     """Work arrays for a batch of trajectories advanced in lockstep."""
 
-    def __init__(self, prop, params, grid, first_id, count, initial_level):
+    def __init__(self, prop, key, params, grid, first_id, count, initial_level):
         self.n = count
         dim = params.dim
         self.grid = grid
         self.prop = prop
+        self.key = key
         self.first_id = first_id
-        self.dyn = []
-        self.meas_seeds = []
-        for child in _trajectory_children(0 if prop.seed is None else prop.seed, first_id, count):
-            dyn_seed, meas_seed = child.spawn(2)
-            self.dyn.append(np.random.Generator(np.random.PCG64(dyn_seed)))
-            self.meas_seeds.append(meas_seed)
-
+        self.ids = first_id + np.arange(count)
+        u = uniforms(key, 0, DYNAMICS, self.ids)
         if initial_level is None:
             cdf = np.cumsum(thermal_probabilities(params.beta, dim))
-            self.levels = inverse_cdf(cdf, np.array([g.random() for g in self.dyn]))
+            self.levels = inverse_cdf(cdf, u[:, 0])
         else:
             if not 0 <= initial_level < dim:
                 raise ValueError(f"initial_level {initial_level} outside [0, {dim})")
             self.levels = np.full(self.n, initial_level, dtype=np.int64)
         # a threshold of 0 is never crossed: without any jump channel the
         # norm is conserved and no draw is needed
-        if prop.can_jump:
-            self.thresholds = np.array([g.random() for g in self.dyn])
-        else:
-            self.thresholds = np.zeros(self.n)
+        self.thresholds = u[:, 1] if prop.can_jump else np.zeros(self.n)
 
         self.states = np.zeros((self.n, dim), dtype=complex)
         self.states[np.arange(self.n), self.levels] = 1.0
@@ -277,48 +333,59 @@ class _Evolution:
         return TrajectoryBatch(
             times=np.array(self.grid),
             first_id=self.first_id,
+            key=self.key,
             levels=self.levels,
             heats=self.ck_heats,
             populations=self.populations,
             states=self.states,
             jumps=jumps,
             jump_offsets=np.concatenate([[0], np.cumsum(self.n_jumps)]),
-            meas_seeds=self.meas_seeds,
         )
 
     def _advance(self, t0: float, t1: float) -> None:
-        """Evolve every trajectory from the checkpoint t0 to the next, t1."""
+        """Evolve every trajectory from the checkpoint t0 to the next, t1.
+
+        Rows whose norm stays above their threshold over the whole interval
+        are renormalized and have the threshold rescaled in place; only the
+        rows that jump loop through root solves, jumps and re-propagation.
+        """
         span = t1 - t0
-        rows = np.arange(self.n)
-        elapsed = np.zeros(self.n)
         end = _rows_times(self.states, self.prop.interval_t[span])
-        while True:
-            p = np.sum(end.real**2 + end.imag**2, axis=1)
-            r = self.thresholds[rows]
-            stay = p >= r
-            kept = rows[stay]
-            self.states[kept] = end[stay] / np.sqrt(p[stay])[:, None]
-            self.thresholds[kept] = r[stay] / p[stay]
-            rows, elapsed = rows[~stay], elapsed[~stay]
-            if rows.size == 0:
-                return
-            tau, psi = self.prop.jump_states(
-                self.states[rows], np.log(self.thresholds[rows]), span - elapsed
-            )
+        p = _norm2(end)
+        rows = np.flatnonzero(p < self.thresholds)
+        start = self.states[rows]
+        r = self.thresholds[rows]
+        # the rows that jump get their states and thresholds back below,
+        # whatever these divisions leave in them (a norm can underflow to 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            end /= np.sqrt(p)[:, None]
+            self.thresholds /= p
+        self.states = end
+        self.thresholds[rows] = r
+        elapsed = np.zeros(rows.size)
+        while rows.size:
+            tau, psi = self.prop.jump_states(start, np.log(self.thresholds[rows]), span - elapsed)
             elapsed += tau
             self._jump(rows, psi, t0 + elapsed)
-            end = self.prop.propagate(self.states[rows], span - elapsed)
+            start = self.states[rows]
+            end = self.prop.propagate(start, span - elapsed)
+            p = _norm2(end)
+            r = self.thresholds[rows]
+            stay = p >= r
+            self.states[rows[stay]] = end[stay] / np.sqrt(p[stay])[:, None]
+            self.thresholds[rows[stay]] = r[stay] / p[stay]
+            rows, elapsed, start = rows[~stay], elapsed[~stay], start[~stay]
 
     def _jump(self, rows: np.ndarray, psi: np.ndarray, times: np.ndarray) -> None:
         """Apply a jump to each row's pre-jump state ``psi`` and redraw its
-        threshold: two uniforms from the row's dynamics stream."""
+        threshold: the two uniforms of the row's next dynamics event."""
         p2 = psi.real**2 + psi.imag**2
         w0 = np.einsum("ij,j->i", p2, self.prop.w0)
         total = w0 + np.einsum("ij,j->i", p2, self.prop.w1)
         if not np.all(total > 0):
             bad = self.first_id + int(rows[np.argmin(total)])
             raise SimulationError(f"jump without a jump rate in trajectory {bad}")
-        draws = np.array([self.dyn[i].random(2) for i in rows])
+        draws = uniforms(self.key, self.n_jumps[rows] + 1, DYNAMICS, self.ids[rows])
         kinds = (draws[:, 0] * total >= w0).astype(np.int64)
         post = np.where(
             (kinds == 0)[:, None],
@@ -356,7 +423,7 @@ def iter_ensemble(
     """
     _validate_grid(params, config)
     prop = _Propagator(params, rates, config.checkpoint_grid)
-    prop.seed = config.master_seed
+    key = np.random.SeedSequence(config.master_seed).generate_state(2)
     if n_workers is None:
         n_workers = int(os.environ.get("QHO_CAL_THREADS", "1"))
     n_workers = max(1, n_workers)
@@ -366,7 +433,7 @@ def iter_ensemble(
     def make_batch(start: int) -> TrajectoryBatch:
         count = min(config.batch_size, config.n_traj - start)
         return _Evolution(
-            prop, params, config.checkpoint_grid, start, count, config.initial_level
+            prop, key, params, config.checkpoint_grid, start, count, config.initial_level
         ).run()
 
     top = np.zeros(len(config.checkpoint_grid))
@@ -409,11 +476,11 @@ def run_ensemble(
     return TrajectoryBatch(
         times=batches[0].times,
         first_id=batches[0].first_id,
+        key=batches[0].key,
         levels=join("levels"),
         heats=join("heats", axis=1),
         populations=join("populations", axis=1),
         states=join("states"),
         jumps=join("jumps"),
         jump_offsets=np.concatenate([[0], np.cumsum(counts)]),
-        meas_seeds=[s for b in batches for s in b.meas_seeds],
     )

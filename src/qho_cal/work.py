@@ -1,4 +1,4 @@
-"""Per-trajectory thermodynamic bookkeeping and ensemble moment statistics.
+"""Work estimators sampled from trajectory batches, and moment statistics.
 
 Two work values are attached to each trajectory at a checkpoint time tau:
 
@@ -16,6 +16,13 @@ One set of guardian probabilities (guardian_probs) and one W_c rule serve
 both the sampled measurement and the exact moment kernel work_moments, which
 the analytics apply to their transfer tables.
 
+Sampling is one vectorized pass over a TrajectoryBatch's arrays
+(sample_work): per checkpoint row k, one inverse-CDF draw over the
+populations (K, n, dim) and one comparison with the final-guardian emission
+probability, reading the trajectory's measurement stream at event k + 1
+(event 0 is the pre-drive guardian photon). measure_ensemble counts the
+(K, n) work arrays into histograms with bincount.
+
 All work values are exact integers in units of hbar*omega0, so moment
 accumulation is a value -> count histogram and merging ensembles is exact,
 associative and commutative.
@@ -32,32 +39,18 @@ import numpy as np
 from .errors import GridMismatchError, InsufficientDataError
 from .model import Rates
 from .quadrature import csv_float
-from .trajectories import TrajectoryBatch, inverse_cdf
+from .trajectories import MEASUREMENT, TrajectoryBatch, inverse_cdf, uniforms
 
 __all__ = [
-    "WorkSample",
     "MomentSummary",
     "PopulationSummary",
     "EnsembleWorkResult",
     "guardian_probs",
     "work_moments",
-    "summarize",
     "sample_work",
     "measure_ensemble",
     "write_moments_csv",
 ]
-
-
-@dataclass(frozen=True)
-class WorkSample:
-    """One work draw, in integer units of hbar*omega0. value = delta_u + heat
-    holds exactly by construction."""
-
-    kind: str
-    tau: float
-    delta_u: int
-    heat: int
-    value: int
 
 
 def guardian_probs(
@@ -159,7 +152,8 @@ def _variance_se_jackknife(counts: dict[int, int]) -> float:
 @dataclass
 class MomentSummary:
     """Ensemble mean/variance with standard errors and the exact value
-    histogram per checkpoint time. Merging is exact (histogram addition)."""
+    histogram per checkpoint time. Merging is exact (histogram addition)
+    and keeps the variance standard-error method."""
 
     times: np.ndarray
     mean: np.ndarray
@@ -168,6 +162,7 @@ class MomentSummary:
     stderr_variance: np.ndarray
     histograms: list[dict[int, int]]
     n_traj: int
+    variance_se: str = "moments"
 
     @classmethod
     def from_counts(
@@ -203,32 +198,21 @@ class MomentSummary:
                 se_v[k] = _variance_se_moments(n, m2, m4)
             else:
                 se_v[k] = _variance_se_jackknife(counts)
-        return cls(times, mean, var, se_m, se_v, [dict(h) for h in histograms], n_ref)
+        return cls(
+            times, mean, var, se_m, se_v, [dict(h) for h in histograms], n_ref, variance_se
+        )
 
     def merge(self, other: "MomentSummary") -> "MomentSummary":
         if not np.array_equal(self.times, other.times):
             raise ValueError("cannot merge summaries on different grids")
+        if self.variance_se != other.variance_se:
+            raise ValueError("cannot merge summaries with different variance SE methods")
         merged = []
         for a, b in zip(self.histograms, other.histograms):
             c = Counter(a)
             c.update(b)
             merged.append(dict(c))
-        return MomentSummary.from_counts(self.times, merged)
-
-
-def summarize(
-    samples: Iterable[WorkSample], variance_se: str = "moments"
-) -> MomentSummary:
-    """Group samples by checkpoint time and reduce to a MomentSummary."""
-    by_time: dict[float, Counter] = {}
-    for s in samples:
-        by_time.setdefault(s.tau, Counter())[s.value] += 1
-    if not by_time:
-        raise InsufficientDataError("no samples given")
-    times = sorted(by_time)
-    return MomentSummary.from_counts(
-        times, [dict(by_time[t]) for t in times], variance_se=variance_se
-    )
+        return MomentSummary.from_counts(self.times, merged, self.variance_se)
 
 
 # ---------------------------------------------------------------------------
@@ -267,17 +251,16 @@ def sample_work(batch: TrajectoryBatch, rates: Rates) -> tuple[np.ndarray, np.nd
     """
     k_n, n, dim = batch.populations.shape
     pi0, pf0, _ = guardian_probs(np.arange(dim), rates)
-    u = np.array(
-        [np.random.Generator(np.random.PCG64(s)).random(1 + 2 * k_n) for s in batch.meas_seeds]
-    )
-    ell_i = (u[:, 0] >= pi0[batch.levels]).astype(np.int64)
+    ids = batch.traj_ids
+    ell_i = (uniforms(batch.key, 0, MEASUREMENT, ids)[:, 0] >= pi0[batch.levels]).astype(np.int64)
     wp = np.empty((k_n, n), dtype=np.int64)
     wc = np.empty((k_n, n), dtype=np.int64)
     for k, pops in enumerate(batch.populations):
-        m = inverse_cdf(np.cumsum(pops, axis=1), u[:, 1 + 2 * k])
+        u = uniforms(batch.key, k + 1, MEASUREMENT, ids)
+        m = inverse_cdf(np.cumsum(pops, axis=1), u[:, 0])
         wp[k] = m - batch.levels + batch.heats[k]
         # einsum, not gemv: a row's rounding must not depend on its batch
-        final_emission = (u[:, 2 + 2 * k] < np.einsum("ij,j->i", pops, pf0)).astype(np.int64)
+        final_emission = (u[:, 1] < np.einsum("ij,j->i", pops, pf0)).astype(np.int64)
         wc[k] = _calorimetric_value(final_emission, ell_i, batch.heats[k])
     return wp, wc
 

@@ -8,11 +8,15 @@ from qho_cal.errors import GridMismatchError, SimulationError, TruncationWarning
 from qho_cal.lindblad import integrate
 from qho_cal.model import PhysicalParams, make_rates, no_jump_propagator
 from qho_cal.trajectories import (
+    DYNAMICS,
+    MEASUREMENT,
     EnsembleConfig,
     inverse_cdf,
     iter_ensemble,
+    philox4x32,
     run_ensemble,
     thermal_probabilities,
+    uniforms,
 )
 from qho_cal.work import measure_ensemble
 
@@ -39,6 +43,36 @@ def first_jump_times(batch):
 def signed_heat(jumps):
     """Emissions minus absorptions."""
     return int(np.sum(1 - 2 * jumps["kind"].astype(np.int64)))
+
+
+class TestPhilox:
+    def test_known_answers_and_uniforms(self):
+        # the Random123 known-answer vectors of Philox4x32-10
+        cases = [
+            ([0, 0, 0, 0], [0, 0], [0x6627E8D5, 0xE169C58D, 0xBC57AC4C, 0x9B00DBD8]),
+            ([0xFFFFFFFF] * 4, [0xFFFFFFFF] * 2, [0x408F276D, 0x41C83B0E, 0xA20BC7C6, 0x6D5451FD]),
+            (
+                [0x243F6A88, 0x85A308D3, 0x13198A2E, 0x03707344],
+                [0xA4093822, 0x299F31D0],
+                [0xD16CFE09, 0x94FDCCEB, 0x5001E420, 0x24126EA1],
+            ),
+        ]
+        for counter, key, expected in cases:
+            assert philox4x32(counter, key).tolist() == expected
+        # one block per id and event; the two streams differ at equal
+        # (trajectory, event); ids beyond 32 bits use the high word
+        key = np.random.SeedSequence(5).generate_state(2)
+        ids = np.concatenate([np.arange(4096), [2**32, 2**32 + 1]])
+        dyn = uniforms(key, 3, DYNAMICS, ids)
+        meas = uniforms(key, 3, MEASUREMENT, ids)
+        assert dyn.shape == (len(ids), 2)
+        assert np.all((dyn >= 0) & (dyn < 1)) and np.all((meas >= 0) & (meas < 1))
+        assert not np.any(dyn == meas)
+        assert not np.any(dyn[:2] == dyn[-2:])
+        assert abs(dyn.mean() - 0.5) < 0.01
+        # per-id events give the same block as a shared event
+        events = np.full(len(ids), 3)
+        assert np.array_equal(uniforms(key, events, DYNAMICS, ids), dyn)
 
 
 class TestSampleInitialLevel:
@@ -172,7 +206,8 @@ class TestEvolveTrajectory:
                 assert batch.heats[k, i] == signed_heat(jumps[jumps["time"] <= tau])
 
     def test_jump_times_strictly_increasing(self):
-        p = PhysicalParams(gamma=0.08, beta=0.5, lambda0=0.01, dim=14)
+        # dim 20 keeps eight hot trajectories clear of the leak guard
+        p = PhysicalParams(gamma=0.08, beta=0.5, lambda0=0.01, dim=20)
         r = make_rates(p)
         cfg = EnsembleConfig(checkpoint_grid=grid_to(p.drive_time, 5), n_traj=8, master_seed=11)
         batch = run_ensemble(p, r, cfg)
@@ -335,10 +370,11 @@ class TestEnsemble:
         p = PhysicalParams(gamma=0.001, beta=2.0, lambda0=0.01, dim=10)
         r = make_rates(p)
         grid = tuple(np.linspace(0.0, p.drive_time, 5))
-        # seeds 17 and 18 give max|z| = 3.84 and 4.35 at levels 8 and 9, where
-        # a few high initial levels carry the tail; 19 is the next seed of
-        # the declared list 17, 18, ...
-        cfg = EnsembleConfig(checkpoint_grid=grid, n_traj=4000, master_seed=19)
+        # seeds 17-24 give max|z| = 1.75, 2.42, 3.07, 3.33, 1.95, 3.73, 2.70,
+        # 1.92, the large ones where a few trajectories carry a cell; pooled
+        # over those 32000 trajectories the largest |z| of the 40 cells is
+        # 2.69. 17 is the first seed of the declared list 17, 18, ...
+        cfg = EnsembleConfig(checkpoint_grid=grid, n_traj=4000, master_seed=17)
         batch = run_ensemble(p, r, cfg)
         oracle = np.zeros((p.dim, len(grid) - 1, p.dim))
         for n in np.unique(batch.levels):

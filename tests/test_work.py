@@ -10,11 +10,9 @@ from qho_cal.model import PhysicalParams, make_rates
 from qho_cal.trajectories import JUMP_DTYPE, EnsembleConfig, TrajectoryBatch, run_ensemble
 from qho_cal.work import (
     MomentSummary,
-    WorkSample,
     guardian_probs,
     measure_ensemble,
     sample_work,
-    summarize,
     work_moments,
 )
 
@@ -39,13 +37,13 @@ def make_batch(levels, heats, states, times=None, seed=0):
     return TrajectoryBatch(
         times=np.arange(float(k_n)) if times is None else np.asarray(times, dtype=float),
         first_id=0,
+        key=np.random.SeedSequence(seed).generate_state(2),
         levels=levels,
         heats=heats,
         populations=np.abs(states) ** 2,
         states=states[-1],
         jumps=np.empty(0, dtype=JUMP_DTYPE),
         jump_offsets=np.zeros(n + 1, dtype=np.int64),
-        meas_seeds=list(np.random.SeedSequence(seed).spawn(n)),
     )
 
 
@@ -281,10 +279,16 @@ class TestCalorimetricWork:
         assert set((wc[1] - 2).tolist()) == {-1, 0, 1}
 
 
+def summary_of(*columns, variance_se="moments"):
+    """MomentSummary of integer work values, one column per checkpoint."""
+    hists = [dict(zip(*np.unique(np.asarray(c, dtype=np.int64), return_counts=True)))
+             for c in columns]
+    return MomentSummary.from_counts(np.arange(float(len(columns))), hists, variance_se)
+
+
 class TestSummarize:
     def test_constant_samples(self):
-        samples = [WorkSample("projective", 1.0, 2, 0, 2) for _ in range(50)]
-        s = summarize(samples)
+        s = summary_of([2] * 50)
         assert s.mean[0] == 2.0
         assert s.variance[0] == 0.0
         assert s.stderr_mean[0] == 0.0
@@ -292,59 +296,58 @@ class TestSummarize:
 
     def test_symmetric_pair(self):
         n = 40
-        samples = [
-            WorkSample("projective", 0.5, v, 0, v)
-            for v in [1] * (n // 2) + [-1] * (n // 2)
-        ]
-        s = summarize(samples)
+        s = summary_of([1] * (n // 2) + [-1] * (n // 2))
         assert s.mean[0] == 0.0
         assert s.variance[0] == pytest.approx(n / (n - 1))
 
     def test_insufficient_data(self):
         with pytest.raises(InsufficientDataError):
-            summarize([WorkSample("projective", 0.0, 0, 0, 0)])
+            summary_of([0])
         with pytest.raises(InsufficientDataError):
-            summarize([])
+            measure_ensemble([], rates_for(1.0))
 
     def test_groups_by_time(self):
-        samples = [
-            WorkSample("projective", t, v, 0, v)
-            for t in (0.0, 1.0)
-            for v in (0, 1, 0, 1)
-        ]
-        s = summarize(samples)
+        s = summary_of([0, 1, 0, 1], [1, 1, 2, 2])
         assert list(s.times) == [0.0, 1.0]
-        assert s.mean[0] == 0.5 and s.mean[1] == 0.5
+        assert s.mean[0] == 0.5 and s.mean[1] == 1.5
 
     def test_variance_se_against_jackknife(self):
         rng = np.random.default_rng(9)
         vals = rng.integers(-3, 4, size=5000)
-        samples = [WorkSample("projective", 0.0, int(v), 0, int(v)) for v in vals]
-        moments = summarize(samples, variance_se="moments")
-        jack = summarize(samples, variance_se="jackknife")
+        moments = summary_of(vals, variance_se="moments")
+        jack = summary_of(vals, variance_se="jackknife")
         assert moments.stderr_variance[0] == pytest.approx(
             jack.stderr_variance[0], rel=0.05
         )
 
     def test_merge_is_exact_and_commutative(self):
-        rng = np.random.default_rng(10)
-
         def block(seed):
-            r = np.random.default_rng(seed)
-            return [
-                WorkSample("projective", 0.0, int(v), 0, int(v))
-                for v in r.integers(-2, 3, size=300)
-            ]
+            return np.random.default_rng(seed).integers(-2, 3, size=300)
 
-        a, b = summarize(block(1)), summarize(block(2))
+        a, b = summary_of(block(1)), summary_of(block(2))
         ab = a.merge(b)
         ba = b.merge(a)
         assert ab.histograms == ba.histograms
         assert ab.n_traj == 600
-        combined = summarize(block(1) + block(2))
+        combined = summary_of(np.concatenate([block(1), block(2)]))
         assert ab.histograms == combined.histograms
         np.testing.assert_allclose(ab.mean, combined.mean, rtol=1e-14)
         np.testing.assert_allclose(ab.variance, combined.variance, rtol=1e-14)
+
+    def test_merge_keeps_variance_se_method(self):
+        # merging two jackknife summaries is the jackknife of the pooled
+        # histogram, not the moments estimate
+        r = np.random.default_rng(12)
+        blocks = [r.integers(-3, 4, size=400) for _ in range(2)]
+        a, b = (summary_of(v, variance_se="jackknife") for v in blocks)
+        pooled = summary_of(np.concatenate(blocks), variance_se="jackknife")
+        merged = a.merge(b)
+        assert merged.variance_se == "jackknife"
+        np.testing.assert_allclose(merged.stderr_variance, pooled.stderr_variance, rtol=1e-14)
+        moments = summary_of(np.concatenate(blocks))
+        assert moments.stderr_variance[0] != pooled.stderr_variance[0]
+        with pytest.raises(ValueError):
+            a.merge(summary_of(blocks[1]))
 
 
 class TestMeasureEnsemble:
