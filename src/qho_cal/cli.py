@@ -200,8 +200,8 @@ def run_simulate(cfg: ExperimentConfig, n_workers: int | None = None) -> str:
     out = _require_out(cfg)
     rates = make_rates(cfg.params)
     started = time.monotonic()
-    records = iter_ensemble(cfg.params, rates, cfg.ensemble, n_workers=n_workers)
-    result = measure_ensemble(records, rates)
+    batches = iter_ensemble(cfg.params, rates, cfg.ensemble, n_workers=n_workers)
+    result = measure_ensemble(batches, rates)
     elapsed = time.monotonic() - started
     write_moments_csv(out, result, header_lines=cfg.provenance())
     print(
