@@ -30,9 +30,13 @@ tests verify against full matrix exponentials.
 
 The table truncates at n_max initial levels (thermal weights renormalized),
 m_max final levels and jumps_max <= 2 jumps, so Q runs over -2..2. The
-one- and two-jump time integrals use Gauss-Legendre rules evaluated on all
-nodes at once, and node doubling checks the four moments once per time
-point.
+jump-time integrals reduce to scalar weight sums: the commuted factors
+a_k A_k + b_k of L jumps expand into 2^L branches with fixed vectors
+V_p = A^{p_L}...A^{p_1}|n> and scalar weights C_p (products of a_k and
+b_k), so a density integrates to rate Re sum G[p, p'] (u V_p)(u V_p')^*
+with the Gram weights G[p, p'] = int C_p C_p' (2x2 for one jump, 4x4 for
+two) summed over Gauss-Legendre rules. Node doubling checks the four
+moments once per time point.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import RegimeWarning, SimulationError
-from .fock import displacement_element, displacement_matrix, quadratures
+from .fock import displacement_element, displacement_elements, displacement_matrix, quadratures
 from .model import PhysicalParams, Rates, bath_occupation
 from .quadrature import csv_float, gauss_legendre
 from .work import work_moments
@@ -133,8 +137,9 @@ def unitary_table(t: float, lambda0: float, n_max: int = 1) -> np.ndarray:
         raise ValueError(f"n_max must be non-negative, got {n_max}")
     mu_t = mu(t, lambda0)
     m_top = int(math.ceil(mu_t + 12.0 * math.sqrt(mu_t) + 25.0)) + n_max
-    rows = [[unitary_T0(m, n, t, lambda0) for m in range(m_top + 1)] for n in range(n_max + 1)]
-    return np.array(rows)[:, :, None]
+    alpha = drive_displacement(t, lambda0)
+    amp = displacement_elements(np.arange(m_top + 1), np.arange(n_max + 1)[:, None], alpha)
+    return (np.abs(amp) ** 2)[:, :, None]
 
 
 def _thermal_weights(beta: float, n_max: int) -> np.ndarray:
@@ -199,6 +204,19 @@ def _pert_matrix_raw(
     return u0 @ core.astype(complex)
 
 
+def _check_regime(t: float, rates: Rates) -> None:
+    """Reject negative times; warn, on behalf of the caller, where the
+    second-order expansion leaves its regime."""
+    if t < 0:
+        raise ValueError(f"time must be non-negative, got {t}")
+    if rates.gamma_sigma * t > 1.0:
+        warnings.warn(
+            "second-order dissipative expansion pushed beyond gamma_sigma*t = 1",
+            RegimeWarning,
+            stacklevel=3,
+        )
+
+
 def perturbative_matrix(
     t: float,
     params: PhysicalParams,
@@ -212,16 +230,9 @@ def perturbative_matrix(
     beyond 1e-8 raises, since the expansion integrals must be converged for
     the moment sums built on top of them to mean anything.
     """
-    if t < 0:
-        raise ValueError(f"time must be non-negative, got {t}")
+    _check_regime(t, rates)
     if dim is None:
         dim = params.dim
-    if rates.gamma_sigma * t > 1.0:
-        warnings.warn(
-            "second-order dissipative expansion pushed beyond gamma_sigma*t = 1",
-            RegimeWarning,
-            stacklevel=2,
-        )
     coarse = _pert_matrix_raw(t, params, rates, dim, nodes)
     fine = _pert_matrix_raw(t, params, rates, dim, 2 * nodes)
     if np.abs(fine - coarse).max() > _QUAD_TOL:
@@ -236,48 +247,37 @@ def perturbative_matrix(
 # transfer coefficients with jumps
 
 
-def _jump_coeffs(i: int, s, params: PhysicalParams, rates: Rates):
-    """Exact commutation of one jump operator through the no-jump propagator:
-    C_i U_nh(s) = U_nh(s) sqrt(gamma_i) [a_i(s) A_i + b_i(s)], with A_0 = a,
-    A_1 = a^+. The jump time s may be an array. Returns (rate, a_i, b_i,
-    level shift)."""
-    if i not in (0, 1):
-        raise ValueError(f"jump index must be 0 or 1, got {i}")
-    gs = rates.gamma_sigma
-    sign = -1.0 if i == 0 else 1.0
-    a = np.exp(sign * gs * np.asarray(s, dtype=float) / 2.0)
-    b = params.lambda0 * (1.0 - a) / gs if i == 0 else params.lambda0 * (a - 1.0) / gs
-    rate = rates.gamma0 if i == 0 else rates.gamma1
-    shift = -1 if i == 0 else 1
-    return rate, a, b, shift
-
-
-def _commuted_jump_vector(
-    n: int,
-    indices: Sequence[int],
-    times: Sequence,
-    params: PhysicalParams,
-    rates: Rates,
-    dim: int,
+def _branch_coeffs(
+    indices: Sequence[int], times: Sequence, params: PhysicalParams, rates: Rates
 ) -> tuple[float, np.ndarray]:
-    """Apply the commuted jump factors (earliest first) to |n>, returning the
-    total rate prefactor and the resulting vector. Jump times may be arrays
-    that broadcast against each other; the vectors then stack along leading
-    axes, one per combination of times."""
-    vec = np.zeros(dim)
-    vec[n] = 1.0
-    rate_product = 1.0
-    root = np.sqrt(np.arange(1.0, dim))
+    """Commute each jump operator through the no-jump propagator exactly,
+    C_i U_nh(s) = U_nh(s) sqrt(gamma_i) [a_i(s) A_i + b_i(s)] with A_0 = a,
+    A_1 = a^+, and expand the factors (earliest first) into 2^L branches p,
+    one per choice of A_k (p_k = 1) or 1 (p_k = 0) at each jump. Returns the
+    rate product and the scalar weights C_p = prod_k (a_k or b_k) on the last
+    axis, first jump most significant; jump times may be arrays that
+    broadcast against each other."""
+    rate_product, coeff = 1.0, np.ones(1)
     for i, s in zip(indices, times):
-        rate, a, b, shift = _jump_coeffs(i, s, params, rates)
-        rate_product *= rate
-        moved = np.zeros(vec.shape)
-        if shift == -1:  # lowering: |l> -> sqrt(l)|l-1>
-            moved[..., :-1] = root * vec[..., 1:]
-        else:  # raising: |l> -> sqrt(l+1)|l+1>
-            moved[..., 1:] = root * vec[..., :-1]
-        vec = a[..., None] * moved + b[..., None] * vec
-    return rate_product, vec
+        if i not in (0, 1):
+            raise ValueError(f"jump index must be 0 or 1, got {i}")
+        sign = -1.0 if i == 0 else 1.0
+        a = np.exp(sign * rates.gamma_sigma * np.asarray(s, dtype=float) / 2.0)
+        b = sign * params.lambda0 * (a - 1.0) / rates.gamma_sigma
+        rate_product *= rates.gamma0 if i == 0 else rates.gamma1
+        coeff = coeff[..., :, None] * np.stack([b, a], axis=-1)[..., None, :]
+        coeff = coeff.reshape(coeff.shape[:-2] + (-1,))
+    return rate_product, coeff
+
+
+def _branch_vectors(levels: Sequence[int], indices: Sequence[int], dim: int) -> np.ndarray:
+    """Branch vectors A^{p_L} ... A^{p_1}|n>, shape (len(levels), 2^L, dim),
+    in the branch order of _branch_coeffs (A_0 = a, A_1 = a^+)."""
+    vecs = np.eye(dim)[list(levels)]
+    lowering = np.diag(np.sqrt(np.arange(1.0, dim)), 1)
+    for i in indices:
+        vecs = np.stack([vecs, vecs @ (lowering.T if i == 0 else lowering)], axis=-2)
+    return vecs.reshape(len(levels), -1, dim)
 
 
 def transmission_TN(
@@ -306,9 +306,9 @@ def transmission_TN(
     if m < 0 or n < 0:
         raise ValueError(f"levels must be non-negative, got m={m}, n={n}")
     dim = max(m, n + len(indices)) + 5
-    rate_product, vec = _commuted_jump_vector(n, indices, times, params, rates, dim)
+    rate_product, coeff = _branch_coeffs(indices, times, params, rates)
     u = perturbative_matrix(t, params, rates, dim=dim, nodes=nodes)
-    return rate_product * float(abs(u[m] @ vec) ** 2)
+    return rate_product * float(abs(coeff @ _branch_vectors([n], indices, dim)[0] @ u[m]) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +326,8 @@ def transfer_table(
     and jump heat Q in -2..2: the no-jump |u(m,t|n)|^2 plus the one- and
     two-jump densities integrated over ordered jump times, with one
     ``nodes``-point Gauss-Legendre rule per time axis (the inner rule of the
-    two-jump integral spans [0, t2] for each outer node t2)."""
+    two-jump integral spans [0, t2] for each outer node t2), reduced to the
+    Gram weights G[p, p'] = sum_nodes w C_p C_p' of the branch expansion."""
     dim = policy.m_max + 7
     u = _pert_matrix_raw(t, params, rates, dim, nodes)[: policy.m_max + 1]
     jumps_max = policy.jumps_max if rates.gamma_sigma > 0 else 0
@@ -338,12 +339,12 @@ def transfer_table(
         if len(seq) > jumps_max:
             continue
         times, weights = rules[len(seq)]
-        heat = seq.count(0) - seq.count(1)
-        for n in range(policy.n_max + 1):
-            rate, vec = _commuted_jump_vector(n, seq, times, params, rates, dim)
-            amp = vec @ u.T
-            density = rate * (amp.real**2 + amp.imag**2)
-            table[n, :, heat + _MAX_JUMPS] += np.tensordot(weights, density, np.ndim(weights))
+        rate, coeff = _branch_coeffs(seq, times, params, rates)
+        coeff = coeff.reshape(-1, coeff.shape[-1])
+        gram = coeff.T @ (np.ravel(weights)[:, None] * coeff)
+        amp = _branch_vectors(range(policy.n_max + 1), seq, dim) @ u.T
+        density = sum(np.einsum("pq,kpm,kqm->km", gram, x, x) for x in (amp.real, amp.imag))
+        table[:, :, seq.count(0) - seq.count(1) + _MAX_JUMPS] += rate * density
     return table
 
 
@@ -360,14 +361,7 @@ def perturbative_moments(
     The table is built at ``nodes`` and 2*``nodes`` Gauss-Legendre points; a
     moment that moves by more than 1e-8 max(1, |moment|) raises.
     """
-    if t < 0:
-        raise ValueError(f"time must be non-negative, got {t}")
-    if rates.gamma_sigma * t > 1.0:
-        warnings.warn(
-            "second-order dissipative expansion pushed beyond gamma_sigma*t = 1",
-            RegimeWarning,
-            stacklevel=2,
-        )
+    _check_regime(t, rates)
     weights = _thermal_weights(params.beta, policy.n_max)
     coarse, fine = (
         work_moments(transfer_table(t, params, rates, policy, q), weights, rates)

@@ -214,15 +214,12 @@ def run_simulate(cfg: ExperimentConfig, n_workers: int | None = None) -> str:
 def run_analytic(cfg: ExperimentConfig) -> str:
     out = _require_out(cfg)
     rates = make_rates(cfg.params)
+    grid = cfg.ensemble.checkpoint_grid
+    started = time.monotonic()
     write_analytic_csv(
-        out,
-        cfg.ensemble.checkpoint_grid,
-        cfg.params,
-        rates,
-        policy=cfg.policy,
-        header_lines=cfg.provenance(),
+        out, grid, cfg.params, rates, policy=cfg.policy, header_lines=cfg.provenance()
     )
-    print(f"analytic: {len(cfg.ensemble.checkpoint_grid)} grid points -> {out}")
+    print(f"analytic: {len(grid)} grid points, {time.monotonic() - started:.2f} s -> {out}")
     return out
 
 
@@ -230,10 +227,11 @@ def run_oracle(cfg: ExperimentConfig) -> str:
     out = _require_out(cfg)
     rates = make_rates(cfg.params)
     grid = cfg.ensemble.checkpoint_grid
+    started = time.monotonic()
     rho0 = thermal_state(cfg.params.beta, cfg.params.dim)
     rhos = integrate(rho0, cfg.params, rates, grid)
     write_populations_csv(out, grid, rhos, header_lines=cfg.provenance())
-    print(f"oracle: {len(grid)} grid points -> {out}")
+    print(f"oracle: {len(grid)} grid points, {time.monotonic() - started:.2f} s -> {out}")
     return out
 
 

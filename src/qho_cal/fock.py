@@ -22,6 +22,7 @@ __all__ = [
     "number_operator",
     "quadratures",
     "matrix_exponential",
+    "displacement_elements",
     "displacement_element",
     "displacement_matrix",
 ]
@@ -83,46 +84,49 @@ def matrix_exponential(m: np.ndarray) -> np.ndarray:
     return scipy.linalg.expm(m)
 
 
-def displacement_element(m: int, n: int, alpha: complex) -> complex:
-    """Exact matrix element <m|exp(alpha a^+ - alpha* a)|n> of the
-    displacement operator on the untruncated Fock basis.
+def displacement_elements(m, n, alpha: complex) -> np.ndarray:
+    """Exact matrix elements <m|exp(alpha a^+ - alpha* a)|n> of the
+    displacement operator on the untruncated Fock basis, for integer level
+    arrays ``m`` and ``n`` that broadcast against each other.
 
     Closed form for m >= n:
         sqrt(n!/m!) alpha^(m-n) exp(-|alpha|^2/2) L_n^(m-n)(|alpha|^2),
     with the m < n case obtained from the adjoint relation. Factorial
     ratios are evaluated in the log domain, so the only practical limit
-    is Laguerre-polynomial precision at extreme quantum numbers.
+    is Laguerre-polynomial precision at extreme quantum numbers; one
+    PrecisionLossWarning per call flags any m + n beyond it.
     """
-    if m < 0 or n < 0:
+    m, n = np.asarray(m), np.asarray(n)
+    if (m < 0).any() or (n < 0).any():
         raise ValueError(f"Fock labels must be non-negative, got m={m}, n={n}")
     alpha = complex(alpha)
     if not np.isfinite(abs(alpha) ** 2):
         raise ValueError("displacement amplitude must be finite")
-    if m + n > _PRECISION_LEVEL_LIMIT:
+    if (m + n).max(initial=0) > _PRECISION_LEVEL_LIMIT:
         warnings.warn(
-            f"displacement element at m+n={m + n} > {_PRECISION_LEVEL_LIMIT}: "
+            f"displacement element at m+n={(m + n).max()} > {_PRECISION_LEVEL_LIMIT}: "
             "possible loss of precision",
             PrecisionLossWarning,
             stacklevel=2,
         )
     if alpha == 0:
-        return 1.0 + 0j if m == n else 0j
-    if n > m:
-        m, n = n, m
-        alpha = -alpha.conjugate()
+        return (m == n).astype(complex)
+    lo, hi = np.minimum(m, n), np.maximum(m, n)
     x = abs(alpha) ** 2
-    log_pref = 0.5 * (gammaln(n + 1) - gammaln(m + 1)) - x / 2
-    return complex(np.exp(log_pref) * alpha ** (m - n) * eval_genlaguerre(n, m - n, x))
+    log_pref = 0.5 * (gammaln(lo + 1) - gammaln(hi + 1)) - x / 2
+    base = np.where(m >= n, alpha, -alpha.conjugate())
+    return np.exp(log_pref) * base ** (hi - lo) * eval_genlaguerre(lo, hi - lo, x)
+
+
+def displacement_element(m: int, n: int, alpha: complex) -> complex:
+    """Scalar view of displacement_elements: one element <m|D(alpha)|n>."""
+    return complex(displacement_elements(m, n, alpha))
 
 
 def displacement_matrix(alpha: complex, dim: int) -> np.ndarray:
-    """Displacement operator assembled element by element from the closed
-    form, so every entry is free of truncation error (the matrix as a whole
-    is still the top-left block of the infinite operator)."""
+    """Top-left ``dim x dim`` block of the displacement operator, every entry
+    evaluated from the closed form over the index grid in one call, so each
+    is free of truncation error (the block as a whole is not unitary)."""
     if dim < 2:
         raise ValueError(f"Fock truncation needs dim >= 2, got {dim}")
-    out = np.empty((dim, dim), dtype=complex)
-    for mm in range(dim):
-        for nn in range(dim):
-            out[mm, nn] = displacement_element(mm, nn, alpha)
-    return _readonly(out)
+    return _readonly(displacement_elements(np.arange(dim)[:, None], np.arange(dim), alpha))

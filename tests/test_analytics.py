@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,8 +7,10 @@ from scipy.stats import poisson
 
 from qho_cal.analytics import (
     TruncationPolicy,
+    _pert_matrix_raw,
     mu,
     perturbative_matrix,
+    perturbative_moments,
     transfer_table,
     transmission_TN,
     truncated_calorimetric_moment,
@@ -18,7 +21,7 @@ from qho_cal.analytics import (
     unitary_table,
 )
 from qho_cal.cli import parse_config, run_analytic
-from qho_cal.errors import RegimeWarning
+from qho_cal.errors import RegimeWarning, SimulationError
 from qho_cal.fock import (
     displacement_matrix,
     ladder_operators,
@@ -478,6 +481,91 @@ class TestTransmissionTN:
             transmission_TN(0, 0, (0,), (), 3.0, p, r)
 
 
+def per_node_transfer_table(t, params, rates, policy, nodes):
+    """The transfer table summed node by node: every jump sequence's vector
+    C_iL ... C_i1 |n> (commuted jump factors a_i(s) A_i + b_i(s)) is built at
+    each Gauss-Legendre node (pair), then its squared amplitude is weighted
+    and summed. A reference for the Gram-weight reduction."""
+    dim = policy.m_max + 7
+    u = _pert_matrix_raw(t, params, rates, dim, nodes)[: policy.m_max + 1]
+    gs, lam = rates.gamma_sigma, params.lambda0
+    jumps_max = policy.jumps_max if gs > 0 else 0
+    s2, w2 = gauss_legendre(nodes, 0.0, t)
+    s1, w1 = gauss_legendre(nodes, 0.0, s2[:, None])
+    rules = {0: ((), 1.0), 1: ((s2,), w2), 2: ((s1, s2[:, None]), w2[:, None] * w1)}
+    root = np.sqrt(np.arange(1.0, dim))
+    table = np.zeros((policy.n_max + 1, policy.m_max + 1, 5))
+    for seq in ((), (0,), (1,), (0, 0), (0, 1), (1, 0), (1, 1)):
+        if len(seq) > jumps_max:
+            continue
+        times, weights = rules[len(seq)]
+        for n in range(policy.n_max + 1):
+            vec = np.eye(dim)[n]
+            rate = 1.0
+            for i, s in zip(seq, times):
+                if i == 0:  # emission: a
+                    a = np.exp(-gs * s / 2.0)
+                    b = lam * (1.0 - a) / gs
+                    rate *= rates.gamma0
+                    moved = np.zeros(vec.shape)
+                    moved[..., :-1] = root * vec[..., 1:]
+                else:  # absorption: a^+
+                    a = np.exp(gs * s / 2.0)
+                    b = lam * (a - 1.0) / gs
+                    rate *= rates.gamma1
+                    moved = np.zeros(vec.shape)
+                    moved[..., 1:] = root * vec[..., :-1]
+                vec = a[..., None] * moved + b[..., None] * vec
+            amp = vec @ u.T
+            density = rate * (amp.real**2 + amp.imag**2)
+            heat = seq.count(0) - seq.count(1)
+            table[n, :, heat + 2] += np.tensordot(weights, density, np.ndim(weights))
+    return table
+
+
+class TestTransferTableGramWeights:
+    @pytest.mark.parametrize("preset", ["fig4", "fig5a", "fig5c"])
+    def test_matches_per_node_reference(self, preset):
+        # entrywise to 1e-13 relative, with an absolute floor of 1e-13 times
+        # the largest entry: far out of regime (fig5a at T) single entries
+        # sit 3e3 below the table's scale and carry its rounding
+        p = parse_config(f"preset={preset}", {}).params
+        r = make_rates(p)
+        T = p.drive_time
+        for t, n_max, jumps_max in itertools.product(
+            (0.0, T / 20, T / 2, T), (0, 1, 3), (0, 1, 2)
+        ):
+            policy = TruncationPolicy(n_max=n_max, m_max=10, jumps_max=jumps_max)
+            for nodes in (32, 64):
+                got = transfer_table(t, p, r, policy, nodes)
+                want = per_node_transfer_table(t, p, r, policy, nodes)
+                np.testing.assert_array_equal(got == 0, want == 0)
+                np.testing.assert_allclose(
+                    got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max(),
+                    err_msg=f"t={t} n_max={n_max} jumps_max={jumps_max} nodes={nodes}",
+                )
+
+    def test_node_doubling_check_still_raises(self):
+        # fig4 at T: 4 against 8 nodes moves a moment beyond 1e-8, 6 against
+        # 12 does not (the same split as the per-node table)
+        p, r = fig4()
+        with pytest.raises(SimulationError, match="not converged at 4 nodes"):
+            perturbative_moments(p.drive_time, p, r, nodes=4)
+        assert np.isfinite(perturbative_moments(p.drive_time, p, r, nodes=6)).all()
+
+    def test_no_coupling_fills_only_zero_heat(self):
+        p = PhysicalParams(gamma=0.0, beta=2.0, lambda0=0.01, dim=10)
+        r = make_rates(p)
+        policy = TruncationPolicy(n_max=3, m_max=10, jumps_max=2)
+        for t in (0.0, 0.5 * p.drive_time, p.drive_time):
+            got = transfer_table(t, p, r, policy)
+            np.testing.assert_allclose(
+                got, per_node_transfer_table(t, p, r, policy, 32), rtol=1e-13, atol=0
+            )
+            assert not got[:, :, [0, 1, 3, 4]].any()
+            assert got[:, :, 2].any()
+
+
 class TestTruncatedMoments:
     def test_no_jump_no_coupling_matches_unitary(self):
         p = PhysicalParams(gamma=0.0, beta=2.0, lambda0=0.01)
@@ -571,17 +659,67 @@ FIG5A_PERTURBATIVE = [
 ]
 
 
-def test_fig5a_analytic_csv_golden(tmp_path):
+# `qho-cal analytic --preset fig5c --grid 11` as written by the per-node
+# transfer table, frozen before the Gram-weight reduction to pin the
+# perturbative rows at a second damping strength. At gamma = 0.1 they leave
+# their regime after the first grid time; they are pinned anyway.
+FIG5C_UNITARY = [
+    (0, 0, 0, -3.46944695195e-18, 0.0399661200563),
+    (31.4159265359, 0.0246740110027, 0.0323978470814, 0.0149017417997, 0.0578001907027),
+    (62.8318530718, 0.0986960440109, 0.129591388325, 0.0578835697872, 0.106213201928),
+    (94.2477796077, 0.222066099025, 0.291580623732, 0.124099257135, 0.171944467744),
+    (125.663706144, 0.394784176044, 0.518365553302, 0.206470265335, 0.238566019622),
+    (157.079632679, 0.616850275068, 0.809946177034, 0.296923102912, 0.29206097438),
+    (188.495559215, 0.888264396098, 1.16632249493, 0.387680858951, 0.324574557658),
+    (219.911485751, 1.20902653913, 1.58749450699, 0.472328198764, 0.335201940987),
+    (251.327412287, 1.57913670417, 2.07346221321, 0.546457275976, 0.328255854142),
+    (282.743338823, 1.99859489122, 2.62422561359, 0.607832754222, 0.310415558513),
+    (314.159265359, 2.46740110027, 3.23978470814, 0.656142045593, 0.288164756419),
+]
+FIG5C_PERTURBATIVE = [
+    (0, 0, 0, -3.46944695195e-18, 0.0399661200563),
+    (31.4159265359, 1165.5298045, -1356910.17872, -11401.6107056, -129974773.424),
+    (62.8318530718, 407119137.157, -1.65745991164e+17, -1149001943.37, -1.32020546367e+18),
+    (94.2477796077, 2.16231921859e+13, -4.67562440308e+26, -3.0431005048e+13, -9.26046068231e+26),
+    (125.663706144, 5.58431729901e+17, -3.1184599696e+35, -4.9247634019e+17, -2.42532945647e+35),
+    (157.079632679, 9.84283826992e+21, -9.68814652078e+43, -6.14378625054e+21, -3.77461094924e+43),
+    (188.495559215, 1.3636688265e+26, -1.85959266836e+52, -6.49110198443e+25, -4.21344049723e+51),
+    (219.911485751, 1.58122194694e+30, -2.5002628455e+60, -6.04983372193e+29, -3.6600488063e+59),
+    (251.327412287, 1.56526388255e+34, -2.45005102202e+68, -5.01711158056e+33, -2.51714086118e+67),
+    (282.743338823, 1.31705322421e+38, -1.7346291954e+76, -3.65131277323e+37, -1.33320849679e+75),
+    (314.159265359, 9.29271027316e+41, -8.63544642209e+83, -2.27644312843e+41, -5.18219331695e+82),
+]
+
+
+def read_analytic_rows(preset, grid, tmp_path):
     out = tmp_path / "ana.csv"
-    run_analytic(parse_config("preset=fig5a", {"grid": 11, "out": str(out)}))
+    run_analytic(parse_config(f"preset={preset}", {"grid": grid, "out": str(out)}))
     rows = {"unitary": [], "perturbative": []}
     for line in out.read_text().splitlines():
         if not line.startswith(("#", "t,")):
             *values, method = line.split(",")
             rows[method].append([float(v) for v in values])
-    for method, golden in (("unitary", FIG5A_UNITARY), ("perturbative", FIG5A_PERTURBATIVE)):
+    return rows
+
+
+def assert_matches_golden(rows, goldens):
+    for method, golden in goldens.items():
         got, want = np.array(rows[method]), np.array(golden)
         assert got.shape == want.shape
         small = np.abs(want) < 1e-12
         assert np.all(np.abs(got - want)[small] <= 1e-15), method
         np.testing.assert_allclose(got[~small], want[~small], rtol=1e-10, atol=0, err_msg=method)
+
+
+def test_fig5a_analytic_csv_golden(tmp_path):
+    assert_matches_golden(
+        read_analytic_rows("fig5a", 11, tmp_path),
+        {"unitary": FIG5A_UNITARY, "perturbative": FIG5A_PERTURBATIVE},
+    )
+
+
+def test_fig5c_analytic_csv_golden(tmp_path):
+    assert_matches_golden(
+        read_analytic_rows("fig5c", 11, tmp_path),
+        {"unitary": FIG5C_UNITARY, "perturbative": FIG5C_PERTURBATIVE},
+    )

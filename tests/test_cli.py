@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -275,6 +276,17 @@ class TestMainEntry:
             == 0
         )
         assert out.exists()
+
+    def test_analytic_and_oracle_print_elapsed_time(self, tmp_path, capsys):
+        # the summary line carries the time; the CSV does not
+        for command in ("analytic", "oracle"):
+            out = tmp_path / f"{command}.csv"
+            flags = ["--preset", "fig4", "--grid", "3", "--dim", "6", "--out", str(out)]
+            assert main([command, *flags]) == 0
+            summary = capsys.readouterr().out.strip()
+            pattern = rf"{command}: 3 grid points, \d+\.\d\d s -> {re.escape(str(out))}"
+            assert re.fullmatch(pattern, summary)
+            assert " s ->" not in out.read_text()
 
     @pytest.mark.parametrize(
         "flags, config_text",

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -167,6 +169,24 @@ class TestDisplacementElement:
     def test_precision_warning_far_out(self):
         with pytest.warns(PrecisionLossWarning):
             displacement_element(100, 80, 0.5)
+
+    @pytest.mark.parametrize(
+        "alpha, dim", [(0.0, 9), (1.3, 9), (0.9 - 1.1j, 9), (0.4 + 0.2j, 2)]
+    )
+    def test_matrix_matches_elements(self, alpha, dim):
+        # the matrix and the scalar view read one closed-form kernel
+        closed = displacement_matrix(alpha, dim)
+        for m in range(dim):
+            for n in range(dim):
+                assert abs(closed[m, n] - displacement_element(m, n, alpha)) <= 1e-15
+
+    def test_matrix_warns_once_per_call(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            displacement_matrix(0.5, 86)  # m + n <= 170
+            assert not caught
+            displacement_matrix(0.5, 90)  # m + n up to 178 on 20 entries
+        assert [w.category for w in caught] == [PrecisionLossWarning]
 
     def test_rejects_negative_levels(self):
         with pytest.raises(ValueError):
