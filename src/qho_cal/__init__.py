@@ -14,9 +14,6 @@ from .analytics import (
     perturbative_moments,
     transfer_table,
     transmission_TN,
-    truncated_calorimetric_moment,
-    unitary_T0,
-    unitary_calorimetric_moment,
     unitary_projective_moments,
     unitary_table,
 )

@@ -20,6 +20,7 @@ import argparse
 import sys
 import time
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -235,8 +236,13 @@ def run_oracle(cfg: ExperimentConfig) -> str:
     return out
 
 
-def _read_csv(path: str) -> tuple[list[str], np.ndarray, list[str]]:
-    """Returns (column names, float matrix, trailing string column or [])."""
+def _read_csv(
+    path: str, columns: Sequence[str]
+) -> tuple[dict[str, int], np.ndarray, list[str]]:
+    """Returns (column index by name, float matrix, trailing string column
+    or []). A file without the named columns, a row whose field count
+    differs from the header or a field that is not a number is a
+    configuration error."""
     rows = []
     methods = []
     header: list[str] | None = None
@@ -253,13 +259,20 @@ def _read_csv(path: str) -> tuple[list[str], np.ndarray, list[str]]:
                 header = line.split(",")
                 continue
             parts = line.split(",")
+            if len(parts) != len(header):
+                raise ConfigError(f"{path}: {len(parts)} fields, header has {len(header)}")
             if header[-1] == "method":
-                methods.append(parts[-1])
-                parts = parts[:-1]
-            rows.append([float(x) for x in parts])
-    if header is None:
-        raise ConfigError(f"{path}: no header row found")
-    return header, np.array(rows), methods
+                methods.append(parts.pop())
+            try:
+                rows.append([float(x) for x in parts])
+            except ValueError as exc:
+                raise ConfigError(f"{path}: non-numeric field in {line!r}") from exc
+    if header is None or not rows:
+        raise ConfigError(f"{path}: needs a header row and at least one data row")
+    missing = [name for name in columns if name not in header]
+    if missing:
+        raise ConfigError(f"{path}: missing columns {', '.join(missing)}")
+    return {name: i for i, name in enumerate(header)}, np.array(rows), methods
 
 
 _COMPARED = (("mean_Wp", "se_mean_Wp"), ("var_Wp", "se_var_Wp"),
@@ -274,12 +287,8 @@ def run_compare(sim_path: str, analytic_path: str, z_max: float = 3.0) -> int:
     perturbative ones (beyond that, discarded higher jump numbers bite).
     Returns 0 on pass, 4 on failure.
     """
-    sim_header, sim, _ = _read_csv(sim_path)
-    ana_header, ana, methods = _read_csv(analytic_path)
-    if "method" not in ana_header:
-        raise ConfigError(f"{analytic_path}: not an analytic CSV (no method column)")
-    sim_cols = {name: i for i, name in enumerate(sim_header)}
-    ana_cols = {name: i for i, name in enumerate(ana_header)}
+    sim_cols, sim, _ = _read_csv(sim_path, ["t", *(c for pair in _COMPARED for c in pair)])
+    ana_cols, ana, methods = _read_csv(analytic_path, ["t", *(v for v, _ in _COMPARED), "method"])
 
     failures = 0
     report_rows = []

@@ -15,10 +15,10 @@ from typing import Sequence
 import numpy as np
 
 from .errors import SimulationError
-from .model import PhysicalParams, Rates, jump_operators
+from .model import PhysicalParams, Rates, jump_operators, nh_generator
 from .quadrature import csv_float
 from .trajectories import thermal_probabilities
-from .fock import matrix_exponential, number_operator, quadratures
+from .fock import matrix_exponential, number_operator
 
 __all__ = [
     "thermal_state",
@@ -67,9 +67,11 @@ def integrate(
 ) -> list[np.ndarray]:
     """Density matrices on ``grid`` (grid[0] may be > 0; evolution starts at 0).
 
-    Builds the Liouvillian L on the row-major vectorised density matrix once
-    and bridges an interval of length s with exp(L s), one dense Pade
-    ``expm`` per distinct interval length. Lengths within four ulp of the largest grid
+    Builds the Liouvillian L = -i(K x 1 - 1 x K^*) + sum_i C_i x C_i^* on the
+    row-major vectorised density matrix once, from the trajectories' no-jump
+    generator K = model.nh_generator and the jump operators C_i, and bridges
+    an interval of length s with exp(L s), one dense Pade ``expm`` per
+    distinct interval length. Lengths within four ulp of the largest grid
     time count as one, which absorbs the rounding of ``np.linspace``: a
     uniform grid costs a single ``expm``. The generator takes
     16 dim^4 bytes (160 kB at dim = 10, 41 MB at dim = 40) and each ``expm``
@@ -83,14 +85,11 @@ def integrate(
     if any(b <= a for a, b in zip(grid, grid[1:])) or (grid and grid[0] < 0):
         raise ValueError("grid must be strictly increasing and non-negative")
 
-    _, p = quadratures(dim)
-    h = params.lambda0 / np.sqrt(2) * p
-    eye = np.eye(dim)
+    k, eye = nh_generator(params, rates), np.eye(dim)
     # row-major vec: vec(A rho B) = (A kron B^T) vec(rho)
-    generator = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    generator = -1j * (np.kron(k, eye) - np.kron(eye, k.conj()))
     for c in jump_operators(rates, dim):
-        cdc = c.conj().T @ c
-        generator += np.kron(c, c.conj()) - 0.5 * (np.kron(cdc, eye) + np.kron(eye, cdc.T))
+        generator += np.kron(c, c.conj())
     propagators: dict[float, np.ndarray] = {}
     same_length = 4.0 * np.spacing(grid[-1]) if grid else 0.0
 

@@ -24,13 +24,11 @@ probability, reading the trajectory's measurement stream at event k + 1
 (K, n) work arrays into histograms with bincount.
 
 All work values are exact integers in units of hbar*omega0, so moment
-accumulation is a value -> count histogram and merging ensembles is exact,
-associative and commutative.
+accumulation is an exact value -> count histogram.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -43,7 +41,6 @@ from .trajectories import MEASUREMENT, TrajectoryBatch, inverse_cdf, uniforms
 
 __all__ = [
     "MomentSummary",
-    "PopulationSummary",
     "EnsembleWorkResult",
     "guardian_probs",
     "work_moments",
@@ -128,32 +125,17 @@ def _central_moments(counts: dict[int, int]) -> tuple[int, float, float, float]:
 
 
 def _variance_se_moments(n: int, m2: float, m4: float) -> float:
-    if n < 2:
-        return float("nan")
     s2 = m2 * n / (n - 1)
     var_of_var = (m4 - s2 * s2 * (n - 3) / (n - 1)) / n
     return float(np.sqrt(max(var_of_var, 0.0)))
 
 
-def _variance_se_jackknife(counts: dict[int, int]) -> float:
-    n = sum(counts.values())
-    if n < 3:
-        return float("nan")
-    vals = np.array(sorted(counts), dtype=float)
-    cs = np.array([counts[int(v)] for v in vals], dtype=float)
-    s1 = float((vals * cs).sum())
-    s2 = float((vals**2 * cs).sum())
-    loo = ((s2 - vals**2) - (s1 - vals) ** 2 / (n - 1)) / (n - 2)
-    loo_mean = float((cs * loo).sum() / n)
-    ss = float((cs * (loo - loo_mean) ** 2).sum())
-    return float(np.sqrt((n - 1) / n * ss))
-
-
 @dataclass
 class MomentSummary:
     """Ensemble mean/variance with standard errors and the exact value
-    histogram per checkpoint time. Merging is exact (histogram addition)
-    and keeps the variance standard-error method."""
+    histogram per checkpoint time. The variance standard error is the
+    moment estimate sqrt((m4 - s^4 (n-3)/(n-1)) / n) from the fourth central
+    moment m4 and the sample variance s^2."""
 
     times: np.ndarray
     mean: np.ndarray
@@ -162,17 +144,11 @@ class MomentSummary:
     stderr_variance: np.ndarray
     histograms: list[dict[int, int]]
     n_traj: int
-    variance_se: str = "moments"
 
     @classmethod
     def from_counts(
-        cls,
-        times: Sequence[float],
-        histograms: list[dict[int, int]],
-        variance_se: str = "moments",
+        cls, times: Sequence[float], histograms: list[dict[int, int]]
     ) -> "MomentSummary":
-        if variance_se not in ("moments", "jackknife"):
-            raise ValueError(f"unknown variance_se method {variance_se!r}")
         times = np.asarray([float(t) for t in times])
         if len(histograms) != times.size:
             raise ValueError("one histogram per time required")
@@ -194,25 +170,8 @@ class MomentSummary:
             mean[k] = mu_k
             var[k] = m2 * n / (n - 1)
             se_m[k] = np.sqrt(var[k] / n)
-            if variance_se == "moments":
-                se_v[k] = _variance_se_moments(n, m2, m4)
-            else:
-                se_v[k] = _variance_se_jackknife(counts)
-        return cls(
-            times, mean, var, se_m, se_v, [dict(h) for h in histograms], n_ref, variance_se
-        )
-
-    def merge(self, other: "MomentSummary") -> "MomentSummary":
-        if not np.array_equal(self.times, other.times):
-            raise ValueError("cannot merge summaries on different grids")
-        if self.variance_se != other.variance_se:
-            raise ValueError("cannot merge summaries with different variance SE methods")
-        merged = []
-        for a, b in zip(self.histograms, other.histograms):
-            c = Counter(a)
-            c.update(b)
-            merged.append(dict(c))
-        return MomentSummary.from_counts(self.times, merged, self.variance_se)
+            se_v[k] = _variance_se_moments(n, m2, m4)
+        return cls(times, mean, var, se_m, se_v, [dict(h) for h in histograms], n_ref)
 
 
 # ---------------------------------------------------------------------------
@@ -220,22 +179,9 @@ class MomentSummary:
 
 
 @dataclass
-class PopulationSummary:
-    """Ensemble-averaged level populations and mean occupation per checkpoint."""
-
-    times: np.ndarray
-    mean: np.ndarray          # (K, dim)
-    stderr: np.ndarray        # (K, dim)
-    nbar_mean: np.ndarray     # (K,)
-    nbar_stderr: np.ndarray   # (K,)
-    n_traj: int
-
-
-@dataclass
 class EnsembleWorkResult:
     projective: MomentSummary
     calorimetric: MomentSummary
-    populations: PopulationSummary
 
 
 def sample_work(batch: TrajectoryBatch, rates: Rates) -> tuple[np.ndarray, np.ndarray]:
@@ -272,61 +218,30 @@ def _add_counts(hist: dict[int, int], values: np.ndarray) -> None:
         hist[lo + int(v)] = hist.get(lo + int(v), 0) + int(counts[v])
 
 
-def measure_ensemble(
-    batches: Iterable[TrajectoryBatch],
-    rates: Rates,
-    variance_se: str = "moments",
-) -> EnsembleWorkResult:
+def measure_ensemble(batches: Iterable[TrajectoryBatch], rates: Rates) -> EnsembleWorkResult:
     """Both work values for every (trajectory, checkpoint) pair (sample_work),
-    reduced per checkpoint to exact histograms, plus population statistics.
-    The result does not depend on how the ensemble is cut into batches.
+    reduced per checkpoint to exact histograms. The result does not depend
+    on how the ensemble is cut into batches.
     """
     times: np.ndarray | None = None
-    n_total = 0
     for batch in batches:
         if times is None:
             times = batch.times
-            k_n, _, dim = batch.populations.shape
+            k_n = len(times)
             counts_p: list[dict[int, int]] = [{} for _ in range(k_n)]
             counts_c: list[dict[int, int]] = [{} for _ in range(k_n)]
-            pop_sum = np.zeros((k_n, dim))
-            pop_sumsq = np.zeros((k_n, dim))
-            nbar_sum = np.zeros(k_n)
-            nbar_sumsq = np.zeros(k_n)
         elif not np.array_equal(batch.times, times):
             raise GridMismatchError("batches carry different checkpoint grids")
         wp, wc = sample_work(batch, rates)
         for k in range(k_n):
             _add_counts(counts_p[k], wp[k])
             _add_counts(counts_c[k], wc[k])
-        pops = batch.populations
-        pop_sum += pops.sum(axis=1)
-        pop_sumsq += np.einsum("kij,kij->kj", pops, pops)
-        nbar = pops @ np.arange(dim, dtype=float)
-        nbar_sum += nbar.sum(axis=1)
-        nbar_sumsq += np.einsum("ki,ki->k", nbar, nbar)
-        n_total += len(batch.levels)
 
     if times is None:
         raise InsufficientDataError("no trajectories given")
-
-    def _se(total: np.ndarray, total_sq: np.ndarray, n: int) -> np.ndarray:
-        mean = total / n
-        var = np.maximum(total_sq / n - mean**2, 0.0) * n / max(n - 1, 1)
-        return np.sqrt(var / n)
-
-    populations = PopulationSummary(
-        times=times,
-        mean=pop_sum / n_total,
-        stderr=_se(pop_sum, pop_sumsq, n_total),
-        nbar_mean=nbar_sum / n_total,
-        nbar_stderr=_se(nbar_sum, nbar_sumsq, n_total),
-        n_traj=n_total,
-    )
     return EnsembleWorkResult(
-        projective=MomentSummary.from_counts(times, counts_p, variance_se=variance_se),
-        calorimetric=MomentSummary.from_counts(times, counts_c, variance_se=variance_se),
-        populations=populations,
+        projective=MomentSummary.from_counts(times, counts_p),
+        calorimetric=MomentSummary.from_counts(times, counts_c),
     )
 
 

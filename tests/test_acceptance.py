@@ -15,9 +15,9 @@ import pytest
 from qho_cal.analytics import (
     TruncationPolicy,
     mu,
-    truncated_calorimetric_moment,
-    unitary_calorimetric_moment,
+    perturbative_moments,
     unitary_projective_moments,
+    unitary_table,
 )
 from qho_cal.fock import displacement_matrix, ladder_operators, matrix_exponential
 from qho_cal.lindblad import integrate
@@ -29,7 +29,7 @@ from qho_cal.trajectories import (
     run_ensemble,
     thermal_probabilities,
 )
-from qho_cal.work import guardian_probs, measure_ensemble, sample_work
+from qho_cal.work import guardian_probs, measure_ensemble, sample_work, work_moments
 
 pytestmark = [
     pytest.mark.filterwarnings("ignore::qho_cal.errors.TruncationWarning"),
@@ -223,8 +223,8 @@ def test_criterion_3_zero_temperature_calorimetric(zero_temperature_run):
     )
     analytic_err = 0.0
     for t, m_ref, v_ref in zip(s.times, mean_exact, var_exact):
-        m1 = unitary_calorimetric_moment(1, t, p, r)
-        m2 = unitary_calorimetric_moment(2, t, p, r)
+        table = unitary_table(t, p.lambda0, n_max=1)
+        _, _, m1, m2 = work_moments(table, thermal_probabilities(p.beta, 2), r)
         analytic_err = max(analytic_err, abs(m1 - m_ref), abs(m2 - m1 * m1 - v_ref))
     ok = z_mean.max() <= 3.0 and z_var.max() <= 3.0 and analytic_err < 1e-6
     report(
@@ -396,8 +396,7 @@ def test_criterion_6_perturbative_corrections(fig4_small_run):
     for k, t in enumerate(grid):
         if not window[k]:
             continue
-        m1 = truncated_calorimetric_moment(1, t, p, r, policy)
-        m2 = truncated_calorimetric_moment(2, t, p, r, policy)
+        _, _, m1, m2 = perturbative_moments(t, p, r, policy)
         if t == 0.0:
             z1 = abs(c.mean[k] - m1)
             z2 = abs(c.variance[k] - (m2 - m1 * m1))

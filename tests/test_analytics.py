@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from qho_cal.analytics import (
     transmission_TN,
     truncated_calorimetric_moment,
     truncated_projective_moment,
-    unitary_T0,
     unitary_calorimetric_moment,
     unitary_projective_moments,
     unitary_table,
@@ -30,6 +30,7 @@ from qho_cal.fock import (
 )
 from qho_cal.model import PhysicalParams, bath_occupation, make_rates, nh_generator
 from qho_cal.quadrature import gauss_legendre
+from qho_cal.trajectories import thermal_probabilities
 from qho_cal.work import work_moments
 
 pytestmark = pytest.mark.filterwarnings("ignore::qho_cal.errors.RegimeWarning")
@@ -40,6 +41,18 @@ PI2_4 = np.pi**2 / 4.0
 def fig4():
     p = PhysicalParams(gamma=0.001, beta=2.0, lambda0=0.01, dim=10)
     return p, make_rates(p)
+
+
+def unitary_column(n, t, lam):
+    """|<m|D(alpha(t))|n>|^2 over the final levels m of the unitary table."""
+    return unitary_table(t, lam, n_max=n)[n, :, 0]
+
+
+def unitary_wc(t, p, r, n_max=1):
+    """(<W_c>, <W_c^2>) from the unitary table, thermally weighted over the
+    initial levels n <= n_max, as the analytic CSV's unitary rows."""
+    table = unitary_table(t, p.lambda0, n_max)
+    return work_moments(table, thermal_probabilities(p.beta, n_max + 1), r)[2:]
 
 
 def w_nk(n, k, t, p, r):
@@ -91,27 +104,26 @@ class TestUnitaryProjectiveMoments:
 class TestUnitaryT0:
     def test_vacuum_survival(self):
         t, lam = 120.0, 0.01
-        assert unitary_T0(0, 0, t, lam) == pytest.approx(
+        assert unitary_column(0, t, lam)[0] == pytest.approx(
             math.exp(-mu(t, lam)), rel=1e-12
         )
 
     def test_t_zero_identity(self):
+        table = unitary_table(0.0, 0.01, n_max=3)
         for m in range(4):
             for n in range(4):
-                assert unitary_T0(m, n, 0.0, 0.01) == (1.0 if m == n else 0.0)
+                assert table[n, m, 0] == (1.0 if m == n else 0.0)
 
     def test_vacuum_column_is_poisson(self):
         t, lam = 200.0, 0.01
         lam_mu = mu(t, lam)
+        column = unitary_column(0, t, lam)
         for m in range(8):
-            assert unitary_T0(m, 0, t, lam) == pytest.approx(
-                poisson.pmf(m, lam_mu), rel=1e-9
-            )
+            assert column[m] == pytest.approx(poisson.pmf(m, lam_mu), rel=1e-9)
 
     def test_column_normalization(self):
         t, lam = 150.0, 0.01
-        total = sum(unitary_T0(m, 2, t, lam) for m in range(40))
-        assert total == pytest.approx(1.0, abs=1e-12)
+        assert unitary_column(2, t, lam).sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestWnk:
@@ -148,7 +160,7 @@ class TestWnk:
         r = make_rates(p)
         t = 0.7 * p.drive_time
         full = work_moments(unitary_table(t, p.lambda0, n_max=0), [1.0], r)
-        capped = np.array([unitary_T0(m, 0, t, p.lambda0) for m in range(31)])[None, :, None]
+        capped = unitary_column(0, t, p.lambda0)[:31][None, :, None]
         assert work_moments(capped, [1.0], r) == pytest.approx(full, abs=1e-10)
 
     def test_invalid_arguments(self):
@@ -165,8 +177,7 @@ class TestUnitaryCalorimetricMoment:
         p = PhysicalParams(gamma=1e-6, beta=50.0, lambda0=0.01)
         r = make_rates(p)
         t = p.drive_time  # mu = pi^2/4
-        m1 = unitary_calorimetric_moment(1, t, p, r)
-        m2 = unitary_calorimetric_moment(2, t, p, r)
+        m1, m2 = unitary_wc(t, p, r)
         assert m1 == pytest.approx(1.0 - math.exp(-PI2_4), rel=1e-9)
         assert m1 == pytest.approx(0.9152, abs=1e-4)
         var = m2 - m1 * m1
@@ -179,8 +190,7 @@ class TestUnitaryCalorimetricMoment:
         for frac in (0.1, 0.5, 1.0):
             t = frac * p.drive_time
             mu_t = mu(t, p.lambda0)
-            m1 = unitary_calorimetric_moment(1, t, p, r)
-            m2 = unitary_calorimetric_moment(2, t, p, r)
+            m1, m2 = unitary_wc(t, p, r)
             assert abs(m1 - (1 - math.exp(-mu_t))) < 1e-6
             assert abs((m2 - m1 * m1) - math.exp(-2 * mu_t) * (math.exp(mu_t) - 1)) < 1e-6
 
@@ -189,17 +199,39 @@ class TestUnitaryCalorimetricMoment:
         for beta in (0.1, 0.7, 3.0):
             p = PhysicalParams(gamma=0.05, beta=beta, lambda0=0.01)
             r = make_rates(p)
-            assert abs(unitary_calorimetric_moment(1, 0.0, p, r, n_max=60)) < 1e-14
+            assert abs(unitary_wc(0.0, p, r, n_max=60)[0]) < 1e-14
 
     def test_long_drive_asymptotics_zero_temperature(self):
         # mean -> 1 and variance -> 0 as mu grows
         p = PhysicalParams(gamma=1e-6, beta=50.0, lambda0=0.01, drive_time=2000.0)
         r = make_rates(p)
         t = 2.0 * math.sqrt(20.0) / p.lambda0  # mu = 20
-        m1 = unitary_calorimetric_moment(1, t, p, r)
-        m2 = unitary_calorimetric_moment(2, t, p, r)
+        m1, m2 = unitary_wc(t, p, r)
         assert m1 == pytest.approx(1.0, abs=1e-8)
         assert m2 - m1 * m1 == pytest.approx(0.0, abs=1e-8)
+
+
+def nested_loop_matrix(t, p, r, dim, nodes):
+    """The expansion integrals summed node by node with the generator
+    D(s) = n + gamma1/gamma_sigma + mu(s) + (lambda0 s/sqrt2) X built at
+    every node of ``nodes``-point nested Gauss-Legendre rules, as a
+    reference for the scalar weight sums."""
+    nmat = np.diag(np.arange(dim, dtype=float))
+    xmat = np.asarray(quadratures(dim)[0]).real
+
+    def gen(s):
+        return nmat + (r.gamma1 / r.gamma_sigma + mu(s, p.lambda0)) * np.eye(dim) + (
+            p.lambda0 * s / np.sqrt(2)
+        ) * xmat
+
+    t1s, w1s = gauss_legendre(nodes, 0.0, t)
+    s1 = sum(w * gen(s) for s, w in zip(t1s, w1s))
+    s2 = np.zeros((dim, dim))
+    for s_outer, w_outer in zip(t1s, w1s):
+        t2s, w2s = gauss_legendre(nodes, 0.0, s_outer)
+        s2 += w_outer * (gen(s_outer) @ sum(w * gen(s) for s, w in zip(t2s, w2s)))
+    core = np.eye(dim) - (r.gamma_sigma / 2.0) * s1 + (r.gamma_sigma**2 / 4.0) * s2
+    return np.asarray(displacement_matrix(p.lambda0 * t / 2.0, dim)) @ core
 
 
 class TestPerturbativeU:
@@ -215,31 +247,31 @@ class TestPerturbativeU:
         )
 
     def test_matches_nested_loop_reference(self):
-        # the expansion integrals summed node by node with the generator
-        # D(s) = n + gamma1/gamma_sigma + mu(s) + (lambda0 s/sqrt2) X built at
-        # every node, as a reference for the scalar weight sums
         p = PhysicalParams(gamma=0.01, beta=2.0, lambda0=0.01, dim=10)
         r = make_rates(p)
-        t, dim, nodes = 0.3 * p.drive_time, 12, 64
-        nmat = np.diag(np.arange(dim, dtype=float))
-        xmat = np.asarray(quadratures(dim)[0]).real
-
-        def gen(s):
-            return nmat + (r.gamma1 / r.gamma_sigma + mu(s, p.lambda0)) * np.eye(dim) + (
-                p.lambda0 * s / np.sqrt(2)
-            ) * xmat
-
-        t1s, w1s = gauss_legendre(nodes, 0.0, t)
-        s1 = sum(w * gen(s) for s, w in zip(t1s, w1s))
-        s2 = np.zeros((dim, dim))
-        for s_outer, w_outer in zip(t1s, w1s):
-            t2s, w2s = gauss_legendre(nodes, 0.0, s_outer)
-            s2 += w_outer * (gen(s_outer) @ sum(w * gen(s) for s, w in zip(t2s, w2s)))
-        core = np.eye(dim) - (r.gamma_sigma / 2.0) * s1 + (r.gamma_sigma**2 / 4.0) * s2
-        reference = np.asarray(displacement_matrix(p.lambda0 * t / 2.0, dim)) @ core
+        t, dim = 0.3 * p.drive_time, 12
         np.testing.assert_allclose(
-            perturbative_matrix(t, p, r, dim=dim), reference, rtol=0, atol=1e-13
+            perturbative_matrix(t, p, r, dim=dim),
+            nested_loop_matrix(t, p, r, dim, 64),
+            rtol=0,
+            atol=1e-13,
         )
+
+    @pytest.mark.parametrize("preset", ["fig4", "fig5a", "fig5c"])
+    def test_three_node_rule_is_exact(self, preset):
+        # the expansion integrands are polynomials of degree <= 5, so the
+        # fixed 3-node rule agrees with 32 and 64 nested nodes to rounding,
+        # in and far out of the expansion's regime
+        p = parse_config(f"preset={preset}", {}).params
+        r = make_rates(p)
+        for t in (p.drive_time / 20, p.drive_time / 2, p.drive_time):
+            got = perturbative_matrix(t, p, r, dim=12)
+            for nodes in (32, 64):
+                want = nested_loop_matrix(t, p, r, 12, nodes)
+                np.testing.assert_allclose(
+                    got, want, rtol=0, atol=1e-13 * np.abs(want).max(),
+                    err_msg=f"t={t} nodes={nodes}",
+                )
 
     def test_identity_at_t_zero(self):
         p, r = fig4()
@@ -300,7 +332,7 @@ class TestTransmissionT0:
         t = 0.6 * p.drive_time
         for m, n in [(0, 0), (3, 0), (2, 1)]:
             assert transmission_TN(m, n, (), (), t, p, r) == pytest.approx(
-                unitary_T0(m, n, t, p.lambda0), rel=1e-12
+                unitary_column(n, t, p.lambda0)[m], rel=1e-12
             )
 
     def test_diagonal_decay_without_drive(self):
@@ -372,6 +404,16 @@ class TestTransmissionT1:
                     exact = abs(exact_amp[m, n]) ** 2
                     got = transmission_TN(m, n, (i1,), (t1,), t, p, r)
                     assert got == pytest.approx(exact, rel=2e-2, abs=1e-10)
+
+    def test_no_coupling_gives_zero_without_warning(self):
+        # gamma = 0: every jump rate vanishes, so any jump density is 0.0
+        p = PhysicalParams(gamma=0.0, beta=2.0, lambda0=0.01)
+        r = make_rates(p)
+        t = 0.5 * p.drive_time
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for seq, times in (((0,), (0.3 * t,)), ((1,), (0.0,)), ((0, 1), (0.2 * t, 0.6 * t))):
+                assert transmission_TN(1, 1, seq, times, t, p, r) == 0.0
 
     def test_invalid_jump_time(self):
         p, r = fig4()
@@ -487,7 +529,7 @@ def per_node_transfer_table(t, params, rates, policy, nodes):
     each Gauss-Legendre node (pair), then its squared amplitude is weighted
     and summed. A reference for the Gram-weight reduction."""
     dim = policy.m_max + 7
-    u = _pert_matrix_raw(t, params, rates, dim, nodes)[: policy.m_max + 1]
+    u = _pert_matrix_raw(t, params, rates, dim)[: policy.m_max + 1]
     gs, lam = rates.gamma_sigma, params.lambda0
     jumps_max = policy.jumps_max if gs > 0 else 0
     s2, w2 = gauss_legendre(nodes, 0.0, t)
@@ -573,10 +615,8 @@ class TestTruncatedMoments:
         policy = TruncationPolicy(n_max=1, m_max=30, jumps_max=0)
         for frac in (0.2, 0.8):
             t = frac * p.drive_time
-            for k in (1, 2):
-                trunc = truncated_calorimetric_moment(k, t, p, r, policy)
-                unit = unitary_calorimetric_moment(k, t, p, r)
-                assert abs(trunc - unit) < 1e-8
+            trunc = perturbative_moments(t, p, r, policy)[2:]
+            np.testing.assert_allclose(trunc, unitary_wc(t, p, r), rtol=0, atol=1e-8)
 
     def test_zero_temperature_identities(self):
         # coupling small enough that the genuine one-jump correction
@@ -586,8 +626,7 @@ class TestTruncatedMoments:
         policy = TruncationPolicy(n_max=1, m_max=30, jumps_max=2)
         t = 0.5 * p.drive_time
         mu_t = mu(t, p.lambda0)
-        m1 = truncated_calorimetric_moment(1, t, p, r, policy)
-        m2 = truncated_calorimetric_moment(2, t, p, r, policy)
+        _, _, m1, m2 = perturbative_moments(t, p, r, policy)
         assert abs(m1 - (1 - math.exp(-mu_t))) < 1e-6
         assert abs((m2 - m1 * m1) - math.exp(-2 * mu_t) * (math.exp(mu_t) - 1)) < 1e-6
 
@@ -600,8 +639,7 @@ class TestTruncatedMoments:
         policy = TruncationPolicy()
         ratios = []
         for t in (0.08 * p.drive_time, 0.04 * p.drive_time, 0.02 * p.drive_time):
-            wc = truncated_calorimetric_moment(1, t, p, r, policy)
-            wp = truncated_projective_moment(1, t, p, r, policy)
+            wp, _, wc, _ = perturbative_moments(t, p, r, policy)
             ratios.append(abs(wc - wp) / mu(t, p.lambda0))
         assert ratios[1] < ratios[0] and ratios[2] < ratios[1]
         assert ratios[2] < 0.01
@@ -610,7 +648,7 @@ class TestTruncatedMoments:
         # weak coupling: dissipative corrections stay small at early times
         p, r = fig4()
         t = 0.2 * p.drive_time
-        wp = truncated_projective_moment(1, t, p, r)
+        wp = perturbative_moments(t, p, r)[0]
         assert wp == pytest.approx(mu(t, p.lambda0), rel=0.05)
 
     def test_policy_validation(self):
@@ -623,6 +661,17 @@ class TestTruncatedMoments:
         p, r = fig4()
         with pytest.raises(ValueError):
             truncated_projective_moment(3, 1.0, p, r)
+
+    def test_per_moment_readers_match_kernels(self):
+        # the single-moment readers return entries of the kernels' output
+        p, r = fig4()
+        policy = TruncationPolicy(n_max=2, m_max=10, jumps_max=2)
+        t = 0.3 * p.drive_time
+        pert = perturbative_moments(t, p, r, policy)
+        for k in (1, 2):
+            assert truncated_projective_moment(k, t, p, r, policy) == pert[k - 1]
+            assert truncated_calorimetric_moment(k, t, p, r, policy) == pert[k + 1]
+            assert unitary_calorimetric_moment(k, t, p, r, n_max=2) == unitary_wc(t, p, r, 2)[k - 1]
 
 
 # `qho-cal analytic --preset fig5a --grid 11` as written by the per-moment
@@ -716,6 +765,20 @@ def test_fig5a_analytic_csv_golden(tmp_path):
         read_analytic_rows("fig5a", 11, tmp_path),
         {"unitary": FIG5A_UNITARY, "perturbative": FIG5A_PERTURBATIVE},
     )
+
+
+def test_unitary_and_perturbative_rows_share_n_max(tmp_path):
+    # both row types weight the initial levels n <= n_max, so they agree at
+    # t = 0 for any policy; at n_max = 3 the t = 0 var_Wc is 0.04425
+    out = tmp_path / "ana.csv"
+    run_analytic(parse_config("preset=fig4\nn_max=3", {"grid": 3, "out": str(out)}))
+    rows = {}
+    for line in out.read_text().splitlines():
+        if line.startswith("0,"):
+            *values, method = line.split(",")
+            rows[method] = np.array([float(v) for v in values])
+    np.testing.assert_allclose(rows["unitary"], rows["perturbative"], rtol=1e-12, atol=1e-15)
+    assert rows["unitary"][4] == pytest.approx(0.0442469760666, rel=1e-10)
 
 
 def test_fig5c_analytic_csv_golden(tmp_path):

@@ -369,6 +369,23 @@ class TestMainEntry:
         assert "jumps_max" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "sim_text, message",
+        [
+            ("t,mean_Wp\n0,abc\n", "non-numeric"),
+            ("t,mean_Wp,se_mean_Wp\n0,0,0\n1,0.5\n", "fields"),
+            ("t,p0,p1\n0,0.9,0.1\n", "missing columns mean_Wp"),  # an oracle CSV
+        ],
+        ids=["non-numeric", "ragged", "oracle-as-simulated"],
+    )
+    def test_compare_bad_input_is_config_error(self, tmp_path, capsys, sim_text, message):
+        sim = tmp_path / "sim.csv"
+        ana = tmp_path / "ana.csv"
+        sim.write_text(sim_text)
+        ana.write_text("t,mean_Wp,var_Wp,mean_Wc,var_Wc,method\n0,0,0,0,0,unitary\n")
+        assert main(["compare", str(sim), str(ana)]) == 2
+        assert message in capsys.readouterr().err
+
     def test_compare_missing_file_is_config_error(self, tmp_path):
         sim = tmp_path / "nope.csv"
         code = main(["compare", str(sim), str(sim)])

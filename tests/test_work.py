@@ -82,7 +82,10 @@ class TestHeat:
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_matches_signed_count(self, seed):
-        p = PhysicalParams(gamma=0.2, beta=0.5, lambda0=0.01, drive_time=60.0, dim=14)
+        # dim 20: at dim 14, 7 of the seeds 0-999 (34, 48, 50, ...) push the
+        # mean top-level population of these 3 trajectories past the 0.1
+        # truncation guard, which raises before any heat is checked
+        p = PhysicalParams(gamma=0.2, beta=0.5, lambda0=0.01, drive_time=60.0, dim=20)
         cfg = EnsembleConfig(checkpoint_grid=(20.0, 60.0), n_traj=3, master_seed=seed)
         batch = run_ensemble(p, make_rates(p), cfg)
         signed = 1 - 2 * batch.jumps["kind"].astype(np.int64)
@@ -279,11 +282,29 @@ class TestCalorimetricWork:
         assert set((wc[1] - 2).tolist()) == {-1, 0, 1}
 
 
-def summary_of(*columns, variance_se="moments"):
+def histogram_of(values):
+    return dict(zip(*np.unique(np.asarray(values, dtype=np.int64), return_counts=True)))
+
+
+def summary_of(*columns):
     """MomentSummary of integer work values, one column per checkpoint."""
-    hists = [dict(zip(*np.unique(np.asarray(c, dtype=np.int64), return_counts=True)))
-             for c in columns]
-    return MomentSummary.from_counts(np.arange(float(len(columns))), hists, variance_se)
+    hists = [histogram_of(c) for c in columns]
+    return MomentSummary.from_counts(np.arange(float(len(columns))), hists)
+
+
+def variance_se_jackknife(counts):
+    """Leave-one-out jackknife standard error of the sample variance of a
+    value -> count histogram: an independent reference for the moment
+    estimate MomentSummary reports."""
+    n = sum(counts.values())
+    vals = np.array(sorted(counts), dtype=float)
+    cs = np.array([counts[int(v)] for v in vals], dtype=float)
+    s1 = float((vals * cs).sum())
+    s2 = float((vals**2 * cs).sum())
+    loo = ((s2 - vals**2) - (s1 - vals) ** 2 / (n - 1)) / (n - 2)
+    loo_mean = float((cs * loo).sum() / n)
+    ss = float((cs * (loo - loo_mean) ** 2).sum())
+    return float(np.sqrt((n - 1) / n * ss))
 
 
 class TestSummarize:
@@ -314,40 +335,9 @@ class TestSummarize:
     def test_variance_se_against_jackknife(self):
         rng = np.random.default_rng(9)
         vals = rng.integers(-3, 4, size=5000)
-        moments = summary_of(vals, variance_se="moments")
-        jack = summary_of(vals, variance_se="jackknife")
-        assert moments.stderr_variance[0] == pytest.approx(
-            jack.stderr_variance[0], rel=0.05
+        assert summary_of(vals).stderr_variance[0] == pytest.approx(
+            variance_se_jackknife(histogram_of(vals)), rel=0.05
         )
-
-    def test_merge_is_exact_and_commutative(self):
-        def block(seed):
-            return np.random.default_rng(seed).integers(-2, 3, size=300)
-
-        a, b = summary_of(block(1)), summary_of(block(2))
-        ab = a.merge(b)
-        ba = b.merge(a)
-        assert ab.histograms == ba.histograms
-        assert ab.n_traj == 600
-        combined = summary_of(np.concatenate([block(1), block(2)]))
-        assert ab.histograms == combined.histograms
-        np.testing.assert_allclose(ab.mean, combined.mean, rtol=1e-14)
-        np.testing.assert_allclose(ab.variance, combined.variance, rtol=1e-14)
-
-    def test_merge_keeps_variance_se_method(self):
-        # merging two jackknife summaries is the jackknife of the pooled
-        # histogram, not the moments estimate
-        r = np.random.default_rng(12)
-        blocks = [r.integers(-3, 4, size=400) for _ in range(2)]
-        a, b = (summary_of(v, variance_se="jackknife") for v in blocks)
-        pooled = summary_of(np.concatenate(blocks), variance_se="jackknife")
-        merged = a.merge(b)
-        assert merged.variance_se == "jackknife"
-        np.testing.assert_allclose(merged.stderr_variance, pooled.stderr_variance, rtol=1e-14)
-        moments = summary_of(np.concatenate(blocks))
-        assert moments.stderr_variance[0] != pooled.stderr_variance[0]
-        with pytest.raises(ValueError):
-            a.merge(summary_of(blocks[1]))
 
 
 class TestMeasureEnsemble:
@@ -391,13 +381,3 @@ class TestMeasureEnsemble:
         b = measure_ensemble([batch], r)
         assert a.projective.histograms == b.projective.histograms
         assert a.calorimetric.histograms == b.calorimetric.histograms
-
-    def test_population_summary_shapes(self):
-        p, r, batch = self._small_run(n_traj=100)
-        result = measure_ensemble([batch], r)
-        pop = result.populations
-        assert pop.mean.shape == (3, p.dim)
-        assert pop.nbar_mean.shape == (3,)
-        assert pop.n_traj == 100
-        np.testing.assert_allclose(pop.mean.sum(axis=1), 1.0, atol=1e-10)
-        np.testing.assert_allclose(pop.mean, batch.populations.mean(axis=1), rtol=1e-12)
