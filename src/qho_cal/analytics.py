@@ -71,6 +71,8 @@ __all__ = [
 ]
 
 _QUAD_TOL = 1e-8
+# jump-time Gauss-Legendre nodes, checked against twice as many
+_JUMP_NODES = 32
 _MAX_JUMPS = 2
 # jump sequences, earliest jump first: index 0 emits a quantum into the bath
 # (heat +1), index 1 absorbs one (heat -1)
@@ -306,7 +308,7 @@ def transfer_table(
     params: PhysicalParams,
     rates: Rates,
     policy: TruncationPolicy = TruncationPolicy(),
-    nodes: int = 32,
+    nodes: int = _JUMP_NODES,
 ) -> np.ndarray:
     """Transfer weights P[n, m, Q + 2] at time t for n <= n_max, m <= m_max
     and jump heat Q in -2..2: the no-jump |u(m,t|n)|^2 plus the one- and
@@ -340,24 +342,23 @@ def perturbative_moments(
     params: PhysicalParams,
     rates: Rates,
     policy: TruncationPolicy = TruncationPolicy(),
-    nodes: int = 32,
 ) -> np.ndarray:
     """[<W_p>, <W_p^2>, <W_c>, <W_c^2>] at time t with dissipative
     corrections, from the transfer table truncated per ``policy``.
 
-    The table is built at ``nodes`` and 2*``nodes`` jump-time Gauss-Legendre
-    points; a moment that moves by more than 1e-8 max(1, |moment|) raises.
+    The table is built at _JUMP_NODES and twice as many jump-time nodes; a
+    moment that moves by more than 1e-8 max(1, |moment|) raises.
     """
     _check_regime(t, rates)
     weights = thermal_probabilities(params.beta, policy.n_max + 1)
     coarse, fine = (
         work_moments(transfer_table(t, params, rates, policy, q), weights, rates)
-        for q in (nodes, 2 * nodes)
+        for q in (_JUMP_NODES, 2 * _JUMP_NODES)
     )
     delta = np.abs(fine - coarse)
     if (delta > _QUAD_TOL * np.maximum(1.0, np.abs(fine))).any():
         raise SimulationError(
-            f"jump-time quadrature not converged at {nodes} nodes "
+            f"jump-time quadrature not converged at {_JUMP_NODES} nodes "
             f"(delta = {delta.max():.2e})"
         )
     return fine
@@ -369,12 +370,11 @@ def truncated_calorimetric_moment(
     params: PhysicalParams,
     rates: Rates,
     policy: TruncationPolicy = TruncationPolicy(),
-    nodes: int = 32,
 ) -> float:
     """k-th (k = 1, 2) calorimetric work moment with dissipative corrections,
     truncated per ``policy``; in units of (hbar*omega0)^k."""
     i = _moment_index(k, 2)
-    return float(perturbative_moments(t, params, rates, policy, nodes)[i])
+    return float(perturbative_moments(t, params, rates, policy)[i])
 
 
 def truncated_projective_moment(
@@ -383,12 +383,11 @@ def truncated_projective_moment(
     params: PhysicalParams,
     rates: Rates,
     policy: TruncationPolicy = TruncationPolicy(),
-    nodes: int = 32,
 ) -> float:
     """Projective counterpart of truncated_calorimetric_moment (same transfer
     table, two-measurement energy bookkeeping)."""
     i = _moment_index(k, 0)
-    return float(perturbative_moments(t, params, rates, policy, nodes)[i])
+    return float(perturbative_moments(t, params, rates, policy)[i])
 
 
 # ---------------------------------------------------------------------------

@@ -60,7 +60,6 @@ _FILE_KEYS = {
     "lambda0": float,
     "gamma": float,
     "beta": float,
-    "omega0": float,
     "drive_time": float,
     "dim": int,
     "ntraj": int,
@@ -87,7 +86,7 @@ class ExperimentConfig:
             f"qho-cal {__version__}",
             f"preset={self.preset or ''}",
             f"lambda0={p.lambda0!r} gamma={p.gamma!r} beta={p.beta!r} "
-            f"omega0={p.omega0!r} drive_time={p.drive_time!r} dim={p.dim}",
+            f"drive_time={p.drive_time!r} dim={p.dim}",
             f"ntraj={e.n_traj} seed={e.master_seed} grid_points={len(e.checkpoint_grid)}",
             f"policy n_max={self.policy.n_max} m_max={self.policy.m_max} "
             f"jumps_max={self.policy.jumps_max}",
@@ -155,7 +154,6 @@ def parse_config(text: str | None = None, overrides: dict | None = None) -> Expe
             gamma=values["gamma"],
             beta=values["beta"],
             lambda0=values.get("lambda0", 0.01),
-            omega0=values.get("omega0", 1.0),
             drive_time=values.get("drive_time"),
             dim=values.get("dim", 10),
         )
@@ -195,13 +193,13 @@ def _require_out(cfg: ExperimentConfig) -> str:
     return cfg.out
 
 
-def run_simulate(cfg: ExperimentConfig, n_workers: int | None = None) -> str:
+def run_simulate(cfg: ExperimentConfig) -> str:
     """Run the trajectory ensemble, measure both work estimators, write the
     estimator CSV; prints a one-line summary."""
     out = _require_out(cfg)
     rates = make_rates(cfg.params)
     started = time.monotonic()
-    batches = iter_ensemble(cfg.params, rates, cfg.ensemble, n_workers=n_workers)
+    batches = iter_ensemble(cfg.params, rates, cfg.ensemble)
     result = measure_ensemble(batches, rates)
     elapsed = time.monotonic() - started
     write_moments_csv(out, result, header_lines=cfg.provenance())

@@ -31,7 +31,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PhysicalParams:
-    """Model parameters in natural units (hbar = 1, omega0 = 1 by default).
+    """Model parameters in units of the oscillator frequency (hbar = omega0 = 1).
 
     gamma: system-bath coupling rate; beta: inverse temperature in units of
     1/(hbar*omega0); lambda0: drive amplitude; drive_time: length of the
@@ -41,13 +41,10 @@ class PhysicalParams:
     gamma: float
     beta: float
     lambda0: float = 0.01
-    omega0: float = 1.0
     drive_time: float | None = None
     dim: int = 10
 
     def __post_init__(self) -> None:
-        if self.omega0 <= 0:
-            raise ValueError(f"omega0 must be positive, got {self.omega0}")
         if self.beta <= 0:
             raise ValueError(f"beta must be positive, got {self.beta}")
         if self.gamma < 0:
@@ -62,16 +59,16 @@ class PhysicalParams:
             object.__setattr__(self, "drive_time", math.pi / self.lambda0)
         if self.drive_time < 0:
             raise ValueError(f"drive_time must be non-negative, got {self.drive_time}")
-        if self.lambda0 > 0.1 * self.omega0:
+        if self.lambda0 > 0.1:
             warnings.warn(
-                f"lambda0 = {self.lambda0} is not small against omega0 = {self.omega0}; "
+                f"lambda0 = {self.lambda0} is not small against omega0 = 1; "
                 "the weak-driving (rotating wave) assumption degrades",
                 RegimeWarning,
                 stacklevel=2,
             )
-        if self.gamma > 0.1 * self.omega0:
+        if self.gamma > 0.1:
             warnings.warn(
-                f"gamma = {self.gamma} is not small against omega0 = {self.omega0}; "
+                f"gamma = {self.gamma} is not small against omega0 = 1; "
                 "the weak-coupling (Lindblad) assumption degrades",
                 RegimeWarning,
                 stacklevel=2,

@@ -20,19 +20,18 @@ stream, trajectory id low word, high word). The DYNAMICS stream spends event
 and the next threshold; the MEASUREMENT stream, read by
 work.sample_work, spends event 0 on the pre-drive guardian photon and event
 k + 1 on checkpoint k. No generator object exists per trajectory, and
-results are bitwise identical for every worker count and batch size.
+results are bitwise identical for every batch size.
 
-Ensembles are columnar: a TrajectoryBatch holds n trajectories on K
-checkpoints as arrays (see its docstring), never one object per trajectory
-or per jump.
+Ensembles are columnar and serial: iter_ensemble evolves one
+TrajectoryBatch at a time, when it is asked for, and a batch holds n
+trajectories on K checkpoints as arrays (see its docstring), never one
+object per trajectory or per jump.
 """
 
 from __future__ import annotations
 
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator
 
 import numpy as np
@@ -409,38 +408,24 @@ def _validate_grid(params: PhysicalParams, config: EnsembleConfig) -> None:
 
 
 def iter_ensemble(
-    params: PhysicalParams,
-    rates: Rates,
-    config: EnsembleConfig,
-    n_workers: int | None = None,
+    params: PhysicalParams, rates: Rates, config: EnsembleConfig
 ) -> Iterator[TrajectoryBatch]:
     """Yield the ensemble as consecutive batches of at most
-    ``config.batch_size`` trajectories, in trajectory-id order.
-
-    Batches may be evolved concurrently by up to ``n_workers`` threads
-    (default: the QHO_CAL_THREADS environment variable, else 1); every
-    trajectory is identical for every worker count and batch size.
+    ``config.batch_size`` trajectories, in trajectory-id order, each evolved
+    only when it is asked for. Every trajectory is identical for every batch
+    size.
     """
     _validate_grid(params, config)
     prop = _Propagator(params, rates, config.checkpoint_grid)
     key = np.random.SeedSequence(config.master_seed).generate_state(2)
-    if n_workers is None:
-        n_workers = int(os.environ.get("QHO_CAL_THREADS", "1"))
-    n_workers = max(1, n_workers)
-
-    starts = range(0, config.n_traj, config.batch_size)
-
-    def make_batch(start: int) -> TrajectoryBatch:
+    top = np.zeros(len(config.checkpoint_grid))
+    for start in range(0, config.n_traj, config.batch_size):
         count = min(config.batch_size, config.n_traj - start)
-        return _Evolution(
+        batch = _Evolution(
             prop, key, params, config.checkpoint_grid, start, count, config.initial_level
         ).run()
-
-    top = np.zeros(len(config.checkpoint_grid))
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        for batch in map(make_batch, starts) if n_workers == 1 else pool.map(make_batch, starts):
-            top += batch.populations[:, :, -1].sum(axis=1)
-            yield batch
+        top += batch.populations[:, :, -1].sum(axis=1)
+        yield batch
     # the ensemble-mean top-level population is what biases the moments
     leak = top / config.n_traj
     k = int(np.argmax(leak))
@@ -458,29 +443,9 @@ def iter_ensemble(
         )
 
 
-def run_ensemble(
-    params: PhysicalParams,
-    rates: Rates,
-    config: EnsembleConfig,
-    n_workers: int | None = None,
-) -> TrajectoryBatch:
-    """The whole ensemble as one batch: iter_ensemble's batches joined."""
-    batches = list(iter_ensemble(params, rates, config, n_workers=n_workers))
-    if len(batches) == 1:
-        return batches[0]
-
-    def join(name, axis=0):
-        return np.concatenate([getattr(b, name) for b in batches], axis=axis)
-
-    counts = np.concatenate([np.diff(b.jump_offsets) for b in batches])
-    return TrajectoryBatch(
-        times=batches[0].times,
-        first_id=batches[0].first_id,
-        key=batches[0].key,
-        levels=join("levels"),
-        heats=join("heats", axis=1),
-        populations=join("populations", axis=1),
-        states=join("states"),
-        jumps=join("jumps"),
-        jump_offsets=np.concatenate([[0], np.cumsum(counts)]),
-    )
+def run_ensemble(params: PhysicalParams, rates: Rates, config: EnsembleConfig) -> TrajectoryBatch:
+    """The whole ensemble as one batch."""
+    # unpacking, unlike next(), runs iter_ensemble to its end and so through
+    # the truncation guard
+    [batch] = iter_ensemble(params, rates, replace(config, batch_size=config.n_traj))
+    return batch

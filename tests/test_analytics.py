@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import poisson
 
+from qho_cal import analytics
 from qho_cal.analytics import (
     TruncationPolicy,
     _pert_matrix_raw,
@@ -587,13 +588,15 @@ class TestTransferTableGramWeights:
                     err_msg=f"t={t} n_max={n_max} jumps_max={jumps_max} nodes={nodes}",
                 )
 
-    def test_node_doubling_check_still_raises(self):
+    def test_node_doubling_check_still_raises(self, monkeypatch):
         # fig4 at T: 4 against 8 nodes moves a moment beyond 1e-8, 6 against
         # 12 does not (the same split as the per-node table)
         p, r = fig4()
+        monkeypatch.setattr(analytics, "_JUMP_NODES", 4)
         with pytest.raises(SimulationError, match="not converged at 4 nodes"):
-            perturbative_moments(p.drive_time, p, r, nodes=4)
-        assert np.isfinite(perturbative_moments(p.drive_time, p, r, nodes=6)).all()
+            perturbative_moments(p.drive_time, p, r)
+        monkeypatch.setattr(analytics, "_JUMP_NODES", 6)
+        assert np.isfinite(perturbative_moments(p.drive_time, p, r)).all()
 
     def test_no_coupling_fills_only_zero_heat(self):
         p = PhysicalParams(gamma=0.0, beta=2.0, lambda0=0.01, dim=10)

@@ -11,6 +11,7 @@ from qho_cal.trajectories import (
     DYNAMICS,
     MEASUREMENT,
     EnsembleConfig,
+    _Evolution,
     inverse_cdf,
     iter_ensemble,
     philox4x32,
@@ -316,25 +317,51 @@ class TestEnsemble:
             assert np.array_equal(getattr(a, name), getattr(b, name))
 
     @pytest.mark.parametrize("batch_size", [7, 16, 64])
-    def test_worker_count_does_not_change_results(self, batch_size):
-        # three threads on batches of 7, 16 or all 64 trajectories against
-        # one serial batch: same arrays and same work histograms, bit for bit
+    def test_batch_size_does_not_change_results(self, batch_size):
+        # batches of 7, 16 or all 64 trajectories against one whole-ensemble
+        # batch: each batch equals its slice, and the work histograms agree,
+        # bit for bit
         p = PhysicalParams(gamma=0.02, beta=1.0, lambda0=0.01, dim=8)
         r = make_rates(p)
         grid = grid_to(p.drive_time, 4)
-        serial = EnsembleConfig(checkpoint_grid=grid, n_traj=64, master_seed=13, batch_size=64)
         cut = EnsembleConfig(
             checkpoint_grid=grid, n_traj=64, master_seed=13, batch_size=batch_size
         )
-        a = run_ensemble(p, r, serial, n_workers=1)
-        b = run_ensemble(p, r, cut, n_workers=3)
-        assert len(b.levels) == 64 and len(b.jumps) > 0
-        for name in ("levels", "heats", "populations", "states", "jumps", "jump_offsets"):
-            assert np.array_equal(getattr(a, name), getattr(b, name)), name
-        ma = measure_ensemble(iter_ensemble(p, r, serial, n_workers=1), r)
-        mb = measure_ensemble(iter_ensemble(p, r, cut, n_workers=3), r)
+        whole = run_ensemble(p, r, cut)
+        assert len(whole.levels) == 64 and len(whole.jumps) > 0
+        for b in iter_ensemble(p, r, cut):
+            ids = slice(b.first_id, b.first_id + len(b.levels))
+            assert np.array_equal(b.levels, whole.levels[ids])
+            assert np.array_equal(b.heats, whole.heats[:, ids])
+            assert np.array_equal(b.populations, whole.populations[:, ids])
+            assert np.array_equal(b.states, whole.states[ids])
+            offsets = whole.jump_offsets[b.first_id:ids.stop + 1]
+            assert np.array_equal(b.jumps, whole.jumps[offsets[0]:offsets[-1]])
+            assert np.array_equal(b.jump_offsets, offsets - offsets[0])
+        ma = measure_ensemble([whole], r)
+        mb = measure_ensemble(iter_ensemble(p, r, cut), r)
         assert ma.projective.histograms == mb.projective.histograms
         assert ma.calorimetric.histograms == mb.calorimetric.histograms
+
+    def test_batches_are_evolved_on_demand(self, monkeypatch):
+        # the sizes of the batches evolved so far
+        runs = []
+        run = _Evolution.run
+
+        def counted_run(self):
+            runs.append(self.n)
+            return run(self)
+
+        monkeypatch.setattr(_Evolution, "run", counted_run)
+        p = PhysicalParams(gamma=0.02, beta=1.0, lambda0=0.01, dim=8)
+        cfg = EnsembleConfig(
+            checkpoint_grid=grid_to(p.drive_time, 3), n_traj=30, master_seed=5, batch_size=10
+        )
+        batches = iter_ensemble(p, make_rates(p), cfg)
+        assert runs == []
+        next(batches)
+        assert runs == [10]
+        assert len(list(batches)) == 2 and runs == [10, 10, 10]
 
     def test_trajectory_count_and_ids(self):
         p = PhysicalParams(gamma=1e-3, beta=2.0)
