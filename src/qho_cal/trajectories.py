@@ -8,9 +8,18 @@ to r, applying C0 (emission into the bath, heat +1) or C1 (absorption, heat
 -1) with probability proportional to ``||C_i psi||^2``; then it draws a new
 r. One eigendecomposition ``K = V diag(k) V^-1`` propagates a batch in
 closed form; jump instants are Newton roots of ``log ||psi||^2 = log r``
-inside a bisection bracket. Checkpoints store the level populations and the
-integer cumulative heat, and rescale r by the norm lost (r <- r/||psi||^2),
-so trajectories do not depend on the checkpoint grid.
+inside a bisection bracket.
+
+A batch evolves in two phases. The first solves every jump up to the last
+checkpoint T, one round per jump: each round propagates every row still
+active from its last post-jump state to T, retires the rows whose norm stays
+at or above r there and makes the next jump of the others. The second reads
+the checkpoints off that record: per interval one shared propagator for
+every row, then each row that jumped inside it re-propagated from its last
+post-jump state; checkpoints store the level populations and the integer
+cumulative heat. The jump solves see only T, so the points before it do not
+change a trajectory at all, and a grid that ends earlier changes its jump
+times only within the root tolerance.
 
 Random numbers are counter based (Philox4x32-10; Salmon, Moraes, Dror &
 Shaw, SC11): each uniform is a pure function of the ensemble key, two words
@@ -57,6 +66,7 @@ __all__ = [
 _LEAK_WARN = 1e-3
 _LEAK_FAIL = 1e-1
 # the eigen propagator must reproduce expm(-i K span) on every grid interval
+# and over the whole span T
 _EIG_TOL = 1e-8
 # a jump instant is accepted when log ||psi||^2 is this close to log r
 _ROOT_TOL = 1e-13
@@ -213,8 +223,9 @@ def _norm2(states: np.ndarray) -> np.ndarray:
 class _Propagator:
     """Closed-form no-jump evolution, built once per ensemble.
 
-    ``K = V diag(k) V^-1`` once; every grid interval length gets its
-    propagator from that decomposition, checked against ``expm``.
+    ``K = V diag(k) V^-1`` once; every grid interval length and the whole
+    span T get their propagators from that decomposition, checked against
+    ``expm``.
     """
 
     def __init__(self, params: PhysicalParams, rates: Rates, grid) -> None:
@@ -229,10 +240,11 @@ class _Propagator:
         self.w1 = np.sum(np.abs(c1) ** 2, axis=0)
         self.rate = self.w0 + self.w1
         self.can_jump = bool(self.rate.any())
-        # a grid that starts at t = 0 opens with an empty interval
+        # a grid that starts at t = 0 opens with an empty interval; the jump
+        # record starts with the whole span T and propagates over parts of it
         self.interval_t = {0.0: np.eye(params.dim, dtype=complex)}
-        for a, b in zip((0.0,) + grid[:-1], grid):
-            span = b - a
+        spans = [b - a for a, b in zip((0.0,) + grid[:-1], grid)] + [grid[-1]]
+        for span in spans:
             if span in self.interval_t:
                 continue
             u_t = self.propagate(np.eye(params.dim, dtype=complex), np.full(params.dim, span))
@@ -285,11 +297,12 @@ class _Propagator:
 
 
 class _Evolution:
-    """Work arrays for a batch of trajectories advanced in lockstep."""
+    """One batch of trajectories: its jump record over the whole drive, then
+    its checkpoints read off that record."""
 
     def __init__(self, prop, key, params, grid, first_id, count, initial_level):
         self.n = count
-        dim = params.dim
+        self.dim = dim = params.dim
         self.grid = grid
         self.prop = prop
         self.key = key
@@ -307,84 +320,65 @@ class _Evolution:
         # norm is conserved and no draw is needed
         self.thresholds = u[:, 1] if prop.can_jump else np.zeros(self.n)
 
-        self.states = np.zeros((self.n, dim), dtype=complex)
-        self.states[np.arange(self.n), self.levels] = 1.0
-        self.heats = np.zeros(self.n, dtype=np.int64)
-        self.n_jumps = np.zeros(self.n, dtype=np.int64)
-        self.log: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        self.ck_heats = np.zeros((len(grid), self.n), dtype=np.int64)
-        self.populations = np.zeros((len(grid), self.n, dim))
-
     def run(self) -> TrajectoryBatch:
-        t_prev = 0.0
-        for k, t in enumerate(self.grid):
-            self._advance(t_prev, t)
-            np.add(self.states.real**2, self.states.imag**2, out=self.populations[k])
-            self.ck_heats[k] = self.heats
-            t_prev = t
-        jumps = np.empty(int(self.n_jumps.sum()), dtype=JUMP_DTYPE)
-        if self.log:
-            rows, times, kinds = (np.concatenate(col) for col in zip(*self.log))
-            # rounds run forward in time, so a stable sort keeps each row's jumps in order
-            order = np.argsort(rows, kind="stable")
-            jumps["time"] = times[order]
-            jumps["kind"] = kinds[order]
+        rows, times, kinds, posts = self._jump_record()
+        # rounds run forward in time, so a stable sort keeps each row's jumps in order
+        order = np.argsort(rows, kind="stable")
+        n_jumps = np.bincount(rows, minlength=self.n)
+        jumps = np.empty(len(rows), dtype=JUMP_DTYPE)
+        jumps["time"] = times[order]
+        jumps["kind"] = kinds[order]
+        heats, populations, states = self._observe(rows, times, kinds, posts, order)
         return TrajectoryBatch(
             times=np.array(self.grid),
             first_id=self.first_id,
             key=self.key,
             levels=self.levels,
-            heats=self.ck_heats,
-            populations=self.populations,
-            states=self.states,
+            heats=heats,
+            populations=populations,
+            states=states,
             jumps=jumps,
-            jump_offsets=np.concatenate([[0], np.cumsum(self.n_jumps)]),
+            jump_offsets=np.concatenate([[0], np.cumsum(n_jumps)]),
         )
 
-    def _advance(self, t0: float, t1: float) -> None:
-        """Evolve every trajectory from the checkpoint t0 to the next, t1.
+    def _jump_record(self):
+        """Every jump up to the last checkpoint T, in the order of the rounds
+        that made them: rows, times, kinds and normalized post-jump states.
 
-        Rows whose norm stays above their threshold over the whole interval
-        are renormalized and have the threshold rescaled in place; only the
-        rows that jump loop through root solves, jumps and re-propagation.
+        Round j makes jump j + 1 of the rows whose norm, propagated from
+        their last post-jump state (the initial level for j = 0) to T, falls
+        below their threshold; the others retire. So there are as many
+        rounds as the most jumps of any row.
         """
-        span = t1 - t0
-        end = _rows_times(self.states, self.prop.interval_t[span])
-        p = _norm2(end)
-        rows = np.flatnonzero(p < self.thresholds)
-        start = self.states[rows]
+        end_t = self.grid[-1]
+        # from the initial level the state at T is a row of the T propagator
+        rows = np.flatnonzero(_norm2(self.prop.interval_t[end_t][self.levels]) < self.thresholds)
+        states = np.eye(self.dim, dtype=complex)[self.levels[rows]]
+        t_last = np.zeros(rows.size)
         r = self.thresholds[rows]
-        # the rows that jump get their states and thresholds back below,
-        # whatever these divisions leave in them (a norm can underflow to 0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            end /= np.sqrt(p)[:, None]
-            self.thresholds /= p
-        self.states = end
-        self.thresholds[rows] = r
-        elapsed = np.zeros(rows.size)
+        # an empty first entry leaves round j's jumps at log[j + 1], which
+        # spend dynamics event j + 1
+        log = [(rows[:0], t_last[:0], rows[:0], states[:0])]
         while rows.size:
-            tau, psi = self.prop.jump_states(start, np.log(self.thresholds[rows]), span - elapsed)
-            elapsed += tau
-            self._jump(rows, psi, t0 + elapsed)
-            start = self.states[rows]
-            end = self.prop.propagate(start, span - elapsed)
-            p = _norm2(end)
-            r = self.thresholds[rows]
-            stay = p >= r
-            self.states[rows[stay]] = end[stay] / np.sqrt(p[stay])[:, None]
-            self.thresholds[rows[stay]] = r[stay] / p[stay]
-            rows, elapsed, start = rows[~stay], elapsed[~stay], start[~stay]
+            tau, psi = self.prop.jump_states(states, np.log(r), end_t - t_last)
+            t_last = np.minimum(t_last + tau, end_t)
+            kinds, states, r = self._jump(rows, psi, len(log))
+            log.append((rows, t_last, kinds, states))
+            go = _norm2(self.prop.propagate(states, end_t - t_last)) < r
+            rows, states, t_last, r = rows[go], states[go], t_last[go], r[go]
+        return tuple(np.concatenate(col) for col in zip(*log))
 
-    def _jump(self, rows: np.ndarray, psi: np.ndarray, times: np.ndarray) -> None:
-        """Apply a jump to each row's pre-jump state ``psi`` and redraw its
-        threshold: the two uniforms of the row's next dynamics event."""
+    def _jump(self, rows: np.ndarray, psi: np.ndarray, event: int):
+        """Kinds, normalized post-jump states and next thresholds of the rows
+        whose pre-jump states are ``psi``: the two uniforms of dynamics event
+        ``event``, the row's jump number."""
         p2 = psi.real**2 + psi.imag**2
         w0 = np.einsum("ij,j->i", p2, self.prop.w0)
         total = w0 + np.einsum("ij,j->i", p2, self.prop.w1)
         if not np.all(total > 0):
             bad = self.first_id + int(rows[np.argmin(total)])
             raise SimulationError(f"jump without a jump rate in trajectory {bad}")
-        draws = uniforms(self.key, self.n_jumps[rows] + 1, DYNAMICS, self.ids[rows])
+        draws = uniforms(self.key, event, DYNAMICS, self.ids[rows])
         kinds = (draws[:, 0] * total >= w0).astype(np.int64)
         post = np.where(
             (kinds == 0)[:, None],
@@ -392,11 +386,37 @@ class _Evolution:
             _rows_times(psi, self.prop.jump_t[1]),
         )
         post /= np.linalg.norm(post, axis=1)[:, None]
-        self.states[rows] = post
-        self.heats[rows] += 1 - 2 * kinds
-        self.thresholds[rows] = draws[:, 1]
-        self.n_jumps[rows] += 1
-        self.log.append((rows, times, kinds))
+        return kinds, post, draws[:, 1]
+
+    def _observe(self, rows, times, kinds, posts, order):
+        """Cumulative heats (K, n), populations (K, n, dim) and final states
+        on the grid, from the jump record and its ``order`` by row and time.
+        Every interval applies its shared propagator to every row, then
+        re-propagates each row that jumped inside it from its last post-jump
+        state there."""
+        n_ck = len(self.grid)
+        # checkpoint k closes the interval (t_{k-1}, t_k] that holds the jump
+        ck = np.searchsorted(self.grid, times)
+        heats = np.zeros((n_ck, self.n), dtype=np.int64)
+        np.add.at(heats, (ck, rows), 1 - 2 * kinds)
+        np.cumsum(heats, axis=0, out=heats)
+        # each row's last jump in each interval, grouped by interval
+        cell = (rows * n_ck + ck)[order]
+        last = order[cell != np.append(cell[1:], -1)]
+        last = last[np.argsort(ck[last], kind="stable")]
+        bounds = np.searchsorted(ck[last], np.arange(n_ck + 1))
+        populations = np.empty((n_ck, self.n, self.dim))
+        states = np.eye(self.dim, dtype=complex)[self.levels]
+        t_prev = 0.0
+        for k, t in enumerate(self.grid):
+            states = _rows_times(states, self.prop.interval_t[t - t_prev])
+            sel = last[bounds[k]:bounds[k + 1]]
+            if sel.size:
+                states[rows[sel]] = self.prop.propagate(posts[sel], t - times[sel])
+            states /= np.sqrt(_norm2(states))[:, None]
+            np.add(states.real**2, states.imag**2, out=populations[k])
+            t_prev = t
+        return heats, populations, states
 
 
 def _validate_grid(params: PhysicalParams, config: EnsembleConfig) -> None:
@@ -426,6 +446,8 @@ def iter_ensemble(
         ).run()
         top += batch.populations[:, :, -1].sum(axis=1)
         yield batch
+        # let the consumer's release free this batch before the next is evolved
+        del batch
     # the ensemble-mean top-level population is what biases the moments
     leak = top / config.n_traj
     k = int(np.argmax(leak))

@@ -236,6 +236,8 @@ def measure_ensemble(batches: Iterable[TrajectoryBatch], rates: Rates) -> Ensemb
         for k in range(k_n):
             _add_counts(counts_p[k], wp[k])
             _add_counts(counts_c[k], wc[k])
+        # free this batch and its work arrays before the next is evolved
+        del batch, wp, wc
 
     if times is None:
         raise InsufficientDataError("no trajectories given")

@@ -1,12 +1,14 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
 from scipy.stats import kstest
 
+from qho_cal import trajectories
 from qho_cal.errors import GridMismatchError, SimulationError, TruncationWarning
 from qho_cal.lindblad import integrate
-from qho_cal.model import PhysicalParams, make_rates, no_jump_propagator
+from qho_cal.model import PhysicalParams, make_rates, nh_generator, no_jump_propagator
 from qho_cal.trajectories import (
     DYNAMICS,
     MEASUREMENT,
@@ -269,9 +271,10 @@ class TestNoJumpConsistency:
 class TestGridIndependence:
     def test_refined_grid_gives_the_same_trajectories(self):
         # one seed on an 11-point grid and on every fifth of its points: the
-        # thresholds are rescaled at checkpoints, so jumps, the populations
-        # at the shared checkpoints and the final states must agree to
-        # round-off
+        # jumps are solved over the whole drive before any checkpoint is
+        # read, so with the same final time they are bit for bit the same,
+        # and the populations at the shared checkpoints and the final states
+        # agree to round-off
         p = PhysicalParams(gamma=0.1, beta=1.0, lambda0=0.01, dim=12)
         r = make_rates(p)
         fine = grid_to(p.drive_time, 11)
@@ -283,11 +286,65 @@ class TestGridIndependence:
         assert len(a.jumps) > 100
         np.testing.assert_array_equal(a.levels, b.levels)
         np.testing.assert_array_equal(a.jump_offsets, b.jump_offsets)
-        np.testing.assert_array_equal(a.jumps["kind"], b.jumps["kind"])
-        np.testing.assert_allclose(a.jumps["time"], b.jumps["time"], rtol=1e-9)
+        np.testing.assert_array_equal(a.jumps, b.jumps)
         np.testing.assert_array_equal(a.heats[::5], b.heats)
         np.testing.assert_allclose(a.populations[::5], b.populations, rtol=0, atol=1e-9)
         np.testing.assert_allclose(a.states, b.states, rtol=0, atol=1e-9)
+
+    def test_shorter_grid_gives_the_same_early_trajectories(self):
+        # the same seed on a grid that ends at T/2: its jump solves run over
+        # (0, T/2] instead of (0, T], so the jumps up to T/2 agree to the
+        # root tolerance and the heats at the shared checkpoints exactly
+        p = PhysicalParams(gamma=0.1, beta=1.0, lambda0=0.01, dim=12)
+        r = make_rates(p)
+        fine = grid_to(p.drive_time, 11)
+        a, b = (
+            run_ensemble(p, r, EnsembleConfig(checkpoint_grid=g, n_traj=16, master_seed=41))
+            for g in (fine, fine[:6])
+        )
+        assert b.times[-1] == pytest.approx(p.drive_time / 2)
+        assert len(b.jumps) > 50
+        early = [jumps_of(a, i)[jumps_of(a, i)["time"] <= b.times[-1]] for i in range(16)]
+        np.testing.assert_array_equal([len(j) for j in early], np.diff(b.jump_offsets))
+        early = np.concatenate(early)
+        np.testing.assert_array_equal(early["kind"], b.jumps["kind"])
+        np.testing.assert_allclose(early["time"], b.jumps["time"], rtol=1e-9)
+        np.testing.assert_array_equal(a.heats[:6], b.heats)
+        np.testing.assert_allclose(a.populations[:6], b.populations, rtol=0, atol=1e-9)
+
+
+class TestPropagatorCheck:
+    def test_whole_drive_span_is_checked_against_expm(self, monkeypatch):
+        # the jump record propagates over spans up to the whole drive T, so
+        # the eigen propagator is checked at T even where no grid interval
+        # is that long; a wrong expm there must stop the run
+        p = PhysicalParams(gamma=0.1, beta=1.0, lambda0=0.01, dim=8)
+        r = make_rates(p)
+        k = nh_generator(p, r)
+        big = np.unravel_index(np.argmax(np.abs(k)), k.shape)
+        spans = []
+        expm = trajectories.matrix_exponential
+
+        def span_of(m):
+            # matrix_exponential is called with -i K span
+            return float(np.real(m[big] / (-1j * k[big])))
+
+        def recording(m):
+            spans.append(span_of(m))
+            return expm(m)
+
+        monkeypatch.setattr(trajectories, "matrix_exponential", recording)
+        cfg = EnsembleConfig(checkpoint_grid=grid_to(p.drive_time, 5), n_traj=4, master_seed=1)
+        run_ensemble(p, r, cfg)
+        assert p.drive_time / 4 == pytest.approx(spans[0])
+        assert any(s == pytest.approx(p.drive_time, rel=1e-12) for s in spans)
+
+        def perturbed(m):
+            return expm(m) + (1e-6 if span_of(m) == pytest.approx(p.drive_time) else 0.0)
+
+        monkeypatch.setattr(trajectories, "matrix_exponential", perturbed)
+        with pytest.raises(SimulationError, match="off by"):
+            run_ensemble(p, r, cfg)
 
 
 class TestStationarity:
@@ -362,6 +419,27 @@ class TestEnsemble:
         next(batches)
         assert runs == [10]
         assert len(list(batches)) == 2 and runs == [10, 10, 10]
+
+    def test_one_batch_alive_at_a_time(self, monkeypatch):
+        # measuring an ensemble batch by batch holds no earlier batch while
+        # the next one is evolved
+        refs, alive = [], []
+        run = _Evolution.run
+
+        def probed_run(self):
+            alive.append(sum(ref() is not None for ref in refs))
+            batch = run(self)
+            refs.append(weakref.ref(batch))
+            return batch
+
+        monkeypatch.setattr(_Evolution, "run", probed_run)
+        p = PhysicalParams(gamma=0.02, beta=1.0, lambda0=0.01, dim=8)
+        r = make_rates(p)
+        cfg = EnsembleConfig(
+            checkpoint_grid=grid_to(p.drive_time, 5), n_traj=30, master_seed=5, batch_size=10
+        )
+        measure_ensemble(iter_ensemble(p, r, cfg), r)
+        assert alive == [0, 0, 0]
 
     def test_trajectory_count_and_ids(self):
         p = PhysicalParams(gamma=1e-3, beta=2.0)
