@@ -28,14 +28,12 @@ from .errors import (
     TruncationWarning,
 )
 from .fock import (
-    displacement_element,
     displacement_matrix,
     ladder_operators,
     matrix_exponential,
-    number_operator,
     quadratures,
 )
-from .lindblad import expectation, integrate, thermal_state
+from .lindblad import integrate, thermal_state
 from .model import (
     PhysicalParams,
     Rates,
@@ -43,7 +41,6 @@ from .model import (
     jump_operators,
     make_rates,
     nh_generator,
-    no_jump_propagator,
 )
 from .trajectories import (
     EnsembleConfig,

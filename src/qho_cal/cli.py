@@ -304,7 +304,9 @@ def run_compare(sim_path: str, analytic_path: str, z_max: float = 3.0) -> int:
         for value_col, se_col in _COMPARED:
             diff = np.abs(sim[:, sim_cols[value_col]] - ana[rows, ana_cols[value_col]])
             se = sim[:, sim_cols[se_col]]
-            z = np.where(diff <= 1e-12, 0.0, diff / np.where(se > 0, se, np.inf))
+            # a real difference against an SE of 0 cannot be scored: z = inf
+            scaled = np.divide(diff, se, out=np.full_like(diff, np.inf), where=se > 0)
+            z = np.where(diff <= 1e-12, 0.0, scaled)
             worst = float(z[window].max()) if window.any() else 0.0
             ok = worst <= z_max
             failures += 0 if ok else 1
@@ -357,14 +359,7 @@ def _config_from_args(args) -> ExperimentConfig:
                 text = fh.read()
         except OSError as exc:
             raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
-    overrides = {
-        "preset": args.preset,
-        "seed": args.seed,
-        "ntraj": args.ntraj,
-        "dim": args.dim,
-        "out": args.out,
-        "grid": args.grid,
-    }
+    overrides = {k: v for k, v in vars(args).items() if k in _FILE_KEYS}
     return parse_config(text, overrides)
 
 

@@ -19,11 +19,9 @@ from .errors import PrecisionLossWarning
 
 __all__ = [
     "ladder_operators",
-    "number_operator",
     "quadratures",
     "matrix_exponential",
     "displacement_elements",
-    "displacement_element",
     "displacement_matrix",
 ]
 
@@ -51,13 +49,6 @@ def ladder_operators(dim: int) -> tuple[np.ndarray, np.ndarray]:
     lowering[ns - 1, ns] = np.sqrt(ns)
     raising = lowering.conj().T.copy()
     return _readonly(lowering), _readonly(raising)
-
-
-def number_operator(dim: int) -> np.ndarray:
-    """diag(0, 1, ..., dim-1)."""
-    if dim < 2:
-        raise ValueError(f"Fock truncation needs dim >= 2, got {dim}")
-    return _readonly(np.diag(np.arange(dim, dtype=float)).astype(complex))
 
 
 def quadratures(dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -116,11 +107,6 @@ def displacement_elements(m, n, alpha: complex) -> np.ndarray:
     log_pref = 0.5 * (gammaln(lo + 1) - gammaln(hi + 1)) - x / 2
     base = np.where(m >= n, alpha, -alpha.conjugate())
     return np.exp(log_pref) * base ** (hi - lo) * eval_genlaguerre(lo, hi - lo, x)
-
-
-def displacement_element(m: int, n: int, alpha: complex) -> complex:
-    """Scalar view of displacement_elements: one element <m|D(alpha)|n>."""
-    return complex(displacement_elements(m, n, alpha))
 
 
 def displacement_matrix(alpha: complex, dim: int) -> np.ndarray:

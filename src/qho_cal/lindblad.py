@@ -18,15 +18,12 @@ from .errors import SimulationError
 from .model import PhysicalParams, Rates, jump_operators, nh_generator
 from .quadrature import csv_float
 from .trajectories import thermal_probabilities
-from .fock import matrix_exponential, number_operator
+from .fock import matrix_exponential
 
 __all__ = [
     "thermal_state",
     "integrate",
-    "expectation",
-    "mean_occupation",
     "write_populations_csv",
-    "truncation_convergence_check",
 ]
 
 _TRACE_TOL = 1e-8
@@ -37,17 +34,6 @@ _POSITIVITY_TOL = 1e-6
 def thermal_state(beta: float, dim: int) -> np.ndarray:
     """Diagonal thermal density matrix renormalized on the truncation."""
     return np.diag(thermal_probabilities(beta, dim)).astype(complex)
-
-
-def expectation(rho: np.ndarray, op: np.ndarray) -> complex:
-    """trace(op @ rho)."""
-    if rho.shape != op.shape:
-        raise ValueError(f"dimension mismatch: rho {rho.shape} vs op {op.shape}")
-    return complex(np.trace(op @ rho))
-
-
-def mean_occupation(rho: np.ndarray) -> float:
-    return float(np.real(expectation(rho, number_operator(rho.shape[0]))))
 
 
 def _validate_rho(rho: np.ndarray, dim: int) -> None:
@@ -130,27 +116,3 @@ def write_populations_csv(path, grid, rhos, header_lines: Sequence[str] = ()) ->
         for t, rho in zip(grid, rhos):
             pops = np.real(np.diag(rho))
             fh.write(csv_float(t) + "," + ",".join(csv_float(p) for p in pops) + "\n")
-
-
-def truncation_convergence_check(
-    params: PhysicalParams,
-    rates: Rates,
-    grid: Sequence[float],
-    rtol: float = 1e-3,
-) -> tuple[bool, float]:
-    """Integrate at dim and 2*dim and compare mean occupations.
-
-    Returns (converged, worst relative difference). A failure means the
-    truncation is biting and ``dim`` should be raised.
-    """
-    from dataclasses import replace
-
-    big = replace(params, dim=2 * params.dim)
-    rhos_small = integrate(thermal_state(params.beta, params.dim), params, rates, grid)
-    rhos_big = integrate(thermal_state(big.beta, big.dim), big, rates, grid)
-    worst = 0.0
-    for rs, rb in zip(rhos_small, rhos_big):
-        a = mean_occupation(rs)
-        b = mean_occupation(rb)
-        worst = max(worst, abs(a - b) / max(abs(b), 1e-12))
-    return worst <= rtol, worst

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RegimeWarning
-from .fock import ladder_operators, matrix_exponential, quadratures
+# matrix_exponential is unused here; benchmark/tracing.py hooks it (ROADMAP item 3)
+from .fock import ladder_operators, matrix_exponential, quadratures  # noqa: F401
 
 __all__ = [
     "PhysicalParams",
@@ -25,7 +26,6 @@ __all__ = [
     "make_rates",
     "jump_operators",
     "nh_generator",
-    "no_jump_propagator",
 ]
 
 
@@ -45,6 +45,10 @@ class PhysicalParams:
     dim: int = 10
 
     def __post_init__(self) -> None:
+        for name in ("gamma", "beta", "lambda0", "drive_time"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.beta <= 0:
             raise ValueError(f"beta must be positive, got {self.beta}")
         if self.gamma < 0:
@@ -137,10 +141,3 @@ def nh_generator(params: PhysicalParams, rates: Rates) -> np.ndarray:
     k = params.lambda0 / np.sqrt(2) * p - 0.5j * decay
     k.flags.writeable = False
     return k
-
-
-def no_jump_propagator(params: PhysicalParams, rates: Rates, t: float) -> np.ndarray:
-    """U_nh(t) = exp(-i K t)."""
-    if t < 0:
-        raise ValueError(f"propagation time must be non-negative, got {t}")
-    return matrix_exponential(-1j * t * nh_generator(params, rates))

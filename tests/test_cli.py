@@ -211,6 +211,17 @@ class TestRunCompare:
         )
         assert run_compare(sim, ana) == 4
 
+    def test_discrepancy_against_zero_se_fails(self, tmp_path, capsys):
+        # an SE of 0 cannot excuse a real difference: z = inf in every column
+        sim, ana = self._write_pair(
+            tmp_path,
+            ["0,0,0,0,0,0,0,0,0,10", "1,0,0,0,0,0,0,0,0,10"],
+            ["0,0,0,0,0,unitary", "1,0.5,0.7,0.4,0.9,unitary"],
+        )
+        assert main(["compare", sim, ana]) == 4
+        report = capsys.readouterr().out.splitlines()[:4]
+        assert all(line.endswith("max|z| =     inf  FAIL") for line in report)
+
     def test_perturbative_window_excuses_late_times(self, tmp_path):
         # identical early rows, drifted late row: perturbative method only
         # audited up to half the horizon
@@ -390,6 +401,20 @@ class TestMainEntry:
         out = tmp_path / "ana.csv"
         assert main(["analytic", "--config", str(config), "--grid", "3", "--out", str(out)]) == 2
         assert "jumps_max" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "analytic", "oracle"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("key", ["gamma", "beta", "lambda0", "drive_time"])
+    def test_non_finite_physical_input_is_config_error(
+        self, tmp_path, capsys, key, value, command
+    ):
+        config = tmp_path / "exp.cfg"
+        config.write_text(f"preset=fig4\n{key}={value}\n")
+        out = tmp_path / "out.csv"
+        argv = [command, "--config", str(config), "--grid", "3", "--ntraj", "10"]
+        assert main([*argv, "--out", str(out)]) == 2
+        assert f"{key} must be finite" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(

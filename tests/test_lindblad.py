@@ -5,13 +5,7 @@ import pytest
 from scipy.stats import poisson
 
 from qho_cal.fock import displacement_matrix, matrix_exponential, quadratures
-from qho_cal.lindblad import (
-    expectation,
-    integrate,
-    mean_occupation,
-    thermal_state,
-    truncation_convergence_check,
-)
+from qho_cal.lindblad import integrate, thermal_state
 from qho_cal.model import PhysicalParams, bath_occupation, jump_operators, make_rates
 
 pytestmark = pytest.mark.filterwarnings("ignore::qho_cal.errors.RegimeWarning")
@@ -41,24 +35,11 @@ class TestThermalState:
 
 
 class TestExpectation:
-    def test_identity(self):
-        rho = thermal_state(1.0, 8)
-        assert expectation(rho, np.eye(8)) == pytest.approx(1.0, abs=1e-14)
-
     def test_thermal_occupation(self):
         # geometric series tail below 1e-6 for dim = 10 at beta = 2
         rho = thermal_state(2.0, 10)
-        got = mean_occupation(rho)
+        got = np.real(np.diag(rho)) @ np.arange(10)
         assert got == pytest.approx(bath_occupation(2.0), abs=1e-6)
-
-    def test_fock_state_occupation(self):
-        rho = np.zeros((6, 6), dtype=complex)
-        rho[1, 1] = 1.0
-        assert mean_occupation(rho) == pytest.approx(1.0, abs=1e-14)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            expectation(thermal_state(1.0, 4), np.eye(5))
 
 
 class TestIntegrate:
@@ -198,18 +179,19 @@ def rk4_reference(rho0, params, rates, grid, dt):
     return out
 
 
-def test_truncation_convergence_fig4():
-    p = fig4_params()
-    r = make_rates(p)
+@pytest.mark.parametrize("dim", [10, 3], ids=["fig4-dim10", "fig4-dim3"])
+def test_truncation_convergence(dim):
+    # mean occupations from thermal states at dim and 2 dim agree to 1e-3
+    # relative at dim = 10; dim = 3 is far too small for mu(T) = pi^2/4
+    p = fig4_params(dim)
     grid = np.linspace(0.0, p.drive_time, 5)[1:]
-    converged, worst = truncation_convergence_check(p, r, grid, rtol=1e-3)
-    assert converged, f"relative drift {worst}"
-
-
-def test_truncation_convergence_detects_small_dim():
-    p = fig4_params(dim=3)  # far too small for mu(T) = pi^2/4
-    r = make_rates(p)
-    grid = [p.drive_time]
-    converged, worst = truncation_convergence_check(p, r, grid, rtol=1e-3)
-    assert not converged
-    assert worst > 0.01
+    occupations = []
+    for q in (p, fig4_params(2 * dim)):
+        rhos = integrate(thermal_state(q.beta, q.dim), q, make_rates(q), grid)
+        occupations.append([np.real(np.diag(rho)) @ np.arange(q.dim) for rho in rhos])
+    small, big = np.array(occupations)
+    drift = np.max(np.abs(small - big) / big)
+    if dim == 10:
+        assert drift <= 1e-3, f"relative drift {drift}"
+    else:
+        assert drift > 1e-2

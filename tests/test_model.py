@@ -16,7 +16,6 @@ from qho_cal.model import (
     jump_operators,
     make_rates,
     nh_generator,
-    no_jump_propagator,
 )
 
 
@@ -136,7 +135,7 @@ class TestNhGenerator:
     def test_pure_decay_is_diagonal(self):
         p = params_for(gamma=0.5, beta=600.0, lambda0=0.0, drive_time=10.0)
         r = make_rates(p)
-        u = no_jump_propagator(p, r, t=2.0)
+        u = matrix_exponential(-2j * nh_generator(p, r))
         ns = np.arange(p.dim)
         np.testing.assert_allclose(
             u, np.diag(np.exp(-r.gamma0 * ns * 2.0 / 2.0)), atol=1e-12
@@ -145,7 +144,7 @@ class TestNhGenerator:
     def test_no_coupling_is_unitary(self):
         p = params_for(gamma=0.0)
         r = make_rates(p)
-        u = no_jump_propagator(p, r, t=40.0)
+        u = matrix_exponential(-40j * nh_generator(p, r))
         np.testing.assert_allclose(u.conj().T @ u, np.eye(p.dim), atol=1e-10)
 
     def test_free_hamiltonian_absent(self):
@@ -166,7 +165,7 @@ class TestNhGenerator:
         p = params_for(gamma=0.3, beta=1.0, lambda0=0.0, drive_time=5.0)
         r = make_rates(p)
         t = 1.7
-        u = no_jump_propagator(p, r, t)
+        u = matrix_exponential(-1j * t * nh_generator(p, r))
         for n in range(p.dim):
             state = np.zeros(p.dim, dtype=complex)
             state[n] = 1.0
@@ -193,8 +192,3 @@ class TestNhGenerator:
                 for t, u in zip(ts, props)
             ]
             assert all(b <= a * (1 + 1e-12) for a, b in zip(vals, vals[1:]))
-
-    def test_negative_time_rejected(self):
-        p = params_for()
-        with pytest.raises(ValueError):
-            no_jump_propagator(p, make_rates(p), -0.1)

@@ -2,12 +2,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qho_cal.errors import InsufficientDataError
 from qho_cal.model import PhysicalParams, make_rates
-from qho_cal.trajectories import JUMP_DTYPE, EnsembleConfig, TrajectoryBatch, run_ensemble
+from qho_cal.trajectories import (
+    JUMP_DTYPE,
+    EnsembleConfig,
+    TrajectoryBatch,
+    iter_ensemble,
+    run_ensemble,
+)
 from qho_cal.work import (
     MomentSummary,
     guardian_probs,
@@ -81,13 +87,15 @@ class TestHeat:
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 2**32 - 1))
+    @example(511438367)
     def test_matches_signed_count(self, seed):
-        # dim 20: at dim 14, 7 of the seeds 0-999 (34, 48, 50, ...) push the
-        # mean top-level population of these 3 trajectories past the 0.1
-        # truncation guard, which raises before any heat is checked
+        # the heat bookkeeping holds on any truncation, so next() reads the
+        # batch without run_ensemble's truncation guard, which some seeds trip
+        # (511438367: mean top-level population 0.33 at t = 20); the guard
+        # has its own tests in TestTruncationGuard
         p = PhysicalParams(gamma=0.2, beta=0.5, lambda0=0.01, drive_time=60.0, dim=20)
         cfg = EnsembleConfig(checkpoint_grid=(20.0, 60.0), n_traj=3, master_seed=seed)
-        batch = run_ensemble(p, make_rates(p), cfg)
+        batch = next(iter_ensemble(p, make_rates(p), cfg))
         signed = 1 - 2 * batch.jumps["kind"].astype(np.int64)
         for i in range(3):
             lo, hi = batch.jump_offsets[i], batch.jump_offsets[i + 1]
