@@ -38,6 +38,7 @@ from .model import (
     PhysicalParams,
     Rates,
     bath_occupation,
+    guardian_probs,
     jump_operators,
     make_rates,
     nh_generator,
@@ -50,9 +51,7 @@ from .trajectories import (
 )
 from .work import (
     MomentSummary,
-    guardian_probs,
     measure_ensemble,
-    sample_work,
     work_moments,
 )
 

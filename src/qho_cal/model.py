@@ -1,4 +1,5 @@
-"""Physical parameters, bath rates, jump operators and the no-jump generator.
+"""Physical parameters, bath rates, jump operators, the no-jump generator
+and the guardian-photon measurement model.
 
 Everything lives in the interaction picture at resonance with the rotating
 wave approximation already applied: the free Hamiltonian never enters the
@@ -26,6 +27,8 @@ __all__ = [
     "make_rates",
     "jump_operators",
     "nh_generator",
+    "guardian_probs",
+    "calorimetric_value",
 ]
 
 
@@ -141,3 +144,35 @@ def nh_generator(params: PhysicalParams, rates: Rates) -> np.ndarray:
     k = params.lambda0 / np.sqrt(2) * p - 0.5j * decay
     k.flags.writeable = False
     return k
+
+
+def guardian_probs(
+    levels, rates: Rates
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Guardian-photon probabilities per level, x = gamma1/gamma0.
+
+    Returns (pi0, pf0, pf1). pi0 = x(n+1) / (x(n+1) + n) is the probability
+    that the last pre-drive photon was an emission (index 0) given initial
+    level n: a level-n equilibrium state was entered from above or from
+    below. pf0 = m / (m + x(m+1)) and pf1 = x(m+1) / (m + x(m+1)) are the
+    probabilities that the first post-drive photon given final level m is an
+    emission or an absorption; the remainder 1 - pf0 - pf1 is the no-photon
+    branch. It is nonzero only at m = 0 and zero temperature, where no photon
+    is ever observed; the same degenerate point resolves pi0 = 1, the system
+    having sat in the ground state.
+    """
+    lv = np.asarray(levels, dtype=float)
+    if (lv < 0).any():
+        raise ValueError(f"levels must be non-negative, got {levels}")
+    up = rates.boltzmann_ratio * (lv + 1)
+    den = up + lv
+    ok = den > 0
+    den = np.where(ok, den, 1.0)
+    return np.where(ok, up / den, 1.0), np.where(ok, lv / den, 0.0), np.where(ok, up / den, 0.0)
+
+
+def calorimetric_value(final_emission, ell_i, heat):
+    """W_c = [ell_f = 0] - ell_i + Q. An emitted final guardian adds its own
+    quantum to the inferred rise; an absorbed one cancels its own energy and
+    a missing one carries none, so only P(ell_f = 0 | m) matters."""
+    return final_emission - ell_i + heat

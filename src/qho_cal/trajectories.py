@@ -13,11 +13,15 @@ inside a bisection bracket.
 A batch evolves in two phases. The first solves every jump up to the last
 checkpoint T, one round per jump: each round propagates every row still
 active from its last post-jump state to T, retires the rows whose norm stays
-at or above r there and makes the next jump of the others. The second reads
-the checkpoints off that record: per interval one shared propagator for
-every row, then each row that jumped inside it re-propagated from its last
-post-jump state; checkpoints store the level populations and the integer
-cumulative heat. The jump solves see only T, so the points before it do not
+at or above r there and makes the next jump of the others. It keeps only the
+post-jump states the second phase reads, each row's last in each checkpoint
+interval. The second reads the checkpoints off that record: per interval one
+shared propagator for every row, then each row that jumped inside it
+re-propagated from its last post-jump state there. Each checkpoint row is
+measured as soon as it exists (both work values, see work) and then
+dropped, so no batch ever holds the populations of all its checkpoints; a
+batch keeps the integer cumulative heats and the two work values per
+checkpoint. The jump solves see only T, so the points before it do not
 change a trajectory at all, and a grid that ends earlier changes its jump
 times only within the root tolerance.
 
@@ -26,10 +30,10 @@ Shaw, SC11): each uniform is a pure function of the ensemble key, two words
 of SeedSequence(master_seed).generate_state, and the counter (event index,
 stream, trajectory id low word, high word). The DYNAMICS stream spends event
 0 on the initial level and the first threshold and event j on jump j's type
-and the next threshold; the MEASUREMENT stream, read by
-work.sample_work, spends event 0 on the pre-drive guardian photon and event
-k + 1 on checkpoint k. No generator object exists per trajectory, and
-results are bitwise identical for every batch size.
+and the next threshold; the MEASUREMENT stream, read during the readout,
+spends event 0 on the pre-drive guardian photon and event k + 1 on
+checkpoint k. No generator object exists per trajectory, and results are
+bitwise identical for every batch size.
 
 Ensembles are columnar and serial: iter_ensemble evolves one
 TrajectoryBatch at a time, when it is asked for, and a batch holds n
@@ -47,7 +51,14 @@ import numpy as np
 
 from .errors import SimulationError, TruncationWarning
 from .fock import matrix_exponential
-from .model import PhysicalParams, Rates, jump_operators, nh_generator
+from .model import (
+    PhysicalParams,
+    Rates,
+    calorimetric_value,
+    guardian_probs,
+    jump_operators,
+    nh_generator,
+)
 
 __all__ = [
     "DYNAMICS",
@@ -124,20 +135,19 @@ class TrajectoryBatch:
 
     ``levels[i]`` is trajectory i's initial level, ``heats[k, i]`` its
     cumulative heat up to ``times[k]`` as an exact integer (emissions minus
-    absorptions, in units of hbar*omega0), ``populations[k, i, m]`` the
-    population of level m in its normalized state at ``times[k]`` and
+    absorptions, in units of hbar*omega0), ``W_p[k, i]`` and ``W_c[k, i]``
+    its projective and calorimetric work at ``times[k]`` (see work) and
     ``states[i]`` its final normalized state. Its jumps, in time order, are
     ``jumps[jump_offsets[i]:jump_offsets[i + 1]]`` with fields ``time`` and
     ``kind`` (0: emission into the bath by C0, 1: absorption by C1).
-    ``key`` is the ensemble's Philox key, which the measurement stream reads.
     """
 
     times: np.ndarray
     first_id: int
-    key: np.ndarray
     levels: np.ndarray
     heats: np.ndarray
-    populations: np.ndarray
+    W_p: np.ndarray
+    W_c: np.ndarray
     states: np.ndarray
     jumps: np.ndarray
     jump_offsets: np.ndarray
@@ -296,11 +306,33 @@ class _Propagator:
         raise SimulationError(f"jump-time root solve did not converge for {act.size} trajectories")
 
 
+def _measure(pops, u, levels, heats, ell_i, pf0):
+    """Both work values (n,) of n trajectories at one checkpoint, from
+    their populations ``pops`` (n, dim) and measurement uniforms ``u`` (n, 2).
+
+    The final level m is the inverse-CDF draw of ``u[:, 0]`` (W_p = m - n +
+    Q); summing the populations level by level gives the same sequential
+    sums as ``np.cumsum(pops, axis=1)``, so m is what ``inverse_cdf`` draws.
+    The final guardian photon is an emission when ``u[:, 1]`` falls below
+    ``pops . pf0`` (W_c as in model.calorimetric_value); einsum, not gemv,
+    so that a row's rounding does not depend on its batch.
+    """
+    u0 = u[:, 0].copy()
+    cdf = pops[:, 0].copy()
+    m = (cdf <= u0).astype(np.int64)
+    for column in pops.T[1:]:
+        cdf += column
+        m += cdf <= u0
+    np.minimum(m, pops.shape[1] - 1, out=m)
+    emitted = u[:, 1] < np.einsum("ij,j->i", pops, pf0)
+    return m - levels + heats, calorimetric_value(emitted, ell_i, heats)
+
+
 class _Evolution:
     """One batch of trajectories: its jump record over the whole drive, then
-    its checkpoints read off that record."""
+    its checkpoints read off that record and measured."""
 
-    def __init__(self, prop, key, params, grid, first_id, count, initial_level):
+    def __init__(self, prop, key, params, rates, grid, first_id, count, initial_level):
         self.n = count
         self.dim = dim = params.dim
         self.grid = grid
@@ -319,23 +351,43 @@ class _Evolution:
         # a threshold of 0 is never crossed: without any jump channel the
         # norm is conserved and no draw is needed
         self.thresholds = u[:, 1] if prop.can_jump else np.zeros(self.n)
+        pi0, self.pf0, _ = guardian_probs(np.arange(dim), rates)
+        # event 0 of the measurement stream: the pre-drive guardian photon
+        u = uniforms(key, 0, MEASUREMENT, self.ids)
+        self.ell_i = (u[:, 0] >= pi0[self.levels]).astype(np.int64)
+        # per checkpoint, the summed top-level population of the batch
+        self.top = np.zeros(len(grid))
 
     def run(self) -> TrajectoryBatch:
-        rows, times, kinds, posts = self._jump_record()
+        (rows, times, kinds), last = self._jump_record()
         # rounds run forward in time, so a stable sort keeps each row's jumps in order
         order = np.argsort(rows, kind="stable")
         n_jumps = np.bincount(rows, minlength=self.n)
         jumps = np.empty(len(rows), dtype=JUMP_DTYPE)
         jumps["time"] = times[order]
         jumps["kind"] = kinds[order]
-        heats, populations, states = self._observe(rows, times, kinds, posts, order)
+        n_ck = len(self.grid)
+        # checkpoint k closes the interval (t_{k-1}, t_k] that holds the jump
+        heats = np.zeros((n_ck, self.n), dtype=np.int64)
+        np.add.at(heats, (np.searchsorted(self.grid, times), rows), 1 - 2 * kinds)
+        np.cumsum(heats, axis=0, out=heats)
+        # |W| <= dim + the row's jump count, far below 2**31
+        w_p = np.empty((n_ck, self.n), dtype=np.int32)
+        w_c = np.empty((n_ck, self.n), dtype=np.int32)
+        for k, states in self._readout(*last):
+            # |psi|^2 from the float view, bit for bit states.real**2 + states.imag**2
+            sq = np.square(states.view(np.float64))
+            pops = sq[:, 0::2] + sq[:, 1::2]
+            self.top[k] = pops[:, -1].sum()
+            u = uniforms(self.key, k + 1, MEASUREMENT, self.ids)
+            w_p[k], w_c[k] = _measure(pops, u, self.levels, heats[k], self.ell_i, self.pf0)
         return TrajectoryBatch(
             times=np.array(self.grid),
             first_id=self.first_id,
-            key=self.key,
             levels=self.levels,
             heats=heats,
-            populations=populations,
+            W_p=w_p,
+            W_c=w_c,
             states=states,
             jumps=jumps,
             jump_offsets=np.concatenate([[0], np.cumsum(n_jumps)]),
@@ -343,7 +395,9 @@ class _Evolution:
 
     def _jump_record(self):
         """Every jump up to the last checkpoint T, in the order of the rounds
-        that made them: rows, times, kinds and normalized post-jump states.
+        that made them (rows, times, kinds), and the normalized post-jump
+        state of each row's last jump in each checkpoint interval (rows,
+        times, states), the only ones the readout propagates from.
 
         Round j makes jump j + 1 of the rows whose norm, propagated from
         their last post-jump state (the initial level for j = 0) to T, falls
@@ -358,15 +412,24 @@ class _Evolution:
         r = self.thresholds[rows]
         # an empty first entry leaves round j's jumps at log[j + 1], which
         # spend dynamics event j + 1
-        log = [(rows[:0], t_last[:0], rows[:0], states[:0])]
+        log = [(rows[:0], t_last[:0], rows[:0])]
+        last = [(rows[:0], t_last[:0], states[:0])]
         while rows.size:
             tau, psi = self.prop.jump_states(states, np.log(r), end_t - t_last)
-            t_last = np.minimum(t_last + tau, end_t)
+            t_jump = np.minimum(t_last + tau, end_t)
+            if len(log) > 1:
+                # a post-jump state is the last of its interval unless the
+                # row's next jump falls in the same one
+                moved = np.searchsorted(self.grid, t_jump) > np.searchsorted(self.grid, t_last)
+                last.append((rows[moved], t_last[moved], states[moved]))
+            t_last = t_jump
             kinds, states, r = self._jump(rows, psi, len(log))
-            log.append((rows, t_last, kinds, states))
+            log.append((rows, t_last, kinds))
             go = _norm2(self.prop.propagate(states, end_t - t_last)) < r
+            last.append((rows[~go], t_last[~go], states[~go]))
             rows, states, t_last, r = rows[go], states[go], t_last[go], r[go]
-        return tuple(np.concatenate(col) for col in zip(*log))
+        return (tuple(np.concatenate(col) for col in zip(*log)),
+                tuple(np.concatenate(col) for col in zip(*last)))
 
     def _jump(self, rows: np.ndarray, psi: np.ndarray, event: int):
         """Kinds, normalized post-jump states and next thresholds of the rows
@@ -388,35 +451,29 @@ class _Evolution:
         post /= np.linalg.norm(post, axis=1)[:, None]
         return kinds, post, draws[:, 1]
 
-    def _observe(self, rows, times, kinds, posts, order):
-        """Cumulative heats (K, n), populations (K, n, dim) and final states
-        on the grid, from the jump record and its ``order`` by row and time.
-        Every interval applies its shared propagator to every row, then
-        re-propagates each row that jumped inside it from its last post-jump
-        state there."""
-        n_ck = len(self.grid)
-        # checkpoint k closes the interval (t_{k-1}, t_k] that holds the jump
+    def _readout(self, rows, times, posts):
+        """Yield ``(k, states)`` per checkpoint: the normalized states (n,
+        dim) of every row at ``grid[k]``. Every interval applies its shared
+        propagator to every row, then re-propagates each row that jumped
+        inside it from its last post-jump state there (``rows``, ``times``,
+        ``posts``: one entry per row and interval). Each yielded array is
+        new, and the readout does not write to it again."""
         ck = np.searchsorted(self.grid, times)
-        heats = np.zeros((n_ck, self.n), dtype=np.int64)
-        np.add.at(heats, (ck, rows), 1 - 2 * kinds)
-        np.cumsum(heats, axis=0, out=heats)
-        # each row's last jump in each interval, grouped by interval
-        cell = (rows * n_ck + ck)[order]
-        last = order[cell != np.append(cell[1:], -1)]
-        last = last[np.argsort(ck[last], kind="stable")]
-        bounds = np.searchsorted(ck[last], np.arange(n_ck + 1))
-        populations = np.empty((n_ck, self.n, self.dim))
+        by_ck = np.argsort(ck, kind="stable")
+        bounds = np.searchsorted(ck[by_ck], np.arange(len(self.grid) + 1))
         states = np.eye(self.dim, dtype=complex)[self.levels]
         t_prev = 0.0
         for k, t in enumerate(self.grid):
             states = _rows_times(states, self.prop.interval_t[t - t_prev])
-            sel = last[bounds[k]:bounds[k + 1]]
+            sel = by_ck[bounds[k]:bounds[k + 1]]
             if sel.size:
                 states[rows[sel]] = self.prop.propagate(posts[sel], t - times[sel])
-            states /= np.sqrt(_norm2(states))[:, None]
-            np.add(states.real**2, states.imag**2, out=populations[k])
+            # scaling the float view by the reciprocal rounds exactly as
+            # numpy's complex-by-real division, at about half the cost
+            flat = states.view(np.float64)
+            flat *= (1.0 / np.sqrt(_norm2(states)))[:, None]
+            yield k, states
             t_prev = t
-        return heats, populations, states
 
 
 def _validate_grid(params: PhysicalParams, config: EnsembleConfig) -> None:
@@ -441,10 +498,11 @@ def iter_ensemble(
     top = np.zeros(len(config.checkpoint_grid))
     for start in range(0, config.n_traj, config.batch_size):
         count = min(config.batch_size, config.n_traj - start)
-        batch = _Evolution(
-            prop, key, params, config.checkpoint_grid, start, count, config.initial_level
-        ).run()
-        top += batch.populations[:, :, -1].sum(axis=1)
+        evolution = _Evolution(
+            prop, key, params, rates, config.checkpoint_grid, start, count, config.initial_level
+        )
+        batch = evolution.run()
+        top += evolution.top
         yield batch
         # let the consumer's release free this batch before the next is evolved
         del batch
@@ -458,8 +516,8 @@ def iter_ensemble(
         )
     if leak[k] > _LEAK_WARN:
         warnings.warn(
-            f"top-level population reached {leak[k]:.2e}; moments may be "
-            "truncation-limited",
+            f"mean top-level population {leak[k]:.2e} exceeds {_LEAK_WARN} at "
+            f"t = {config.checkpoint_grid[k]}; moments may be truncation-limited",
             TruncationWarning,
             stacklevel=2,
         )

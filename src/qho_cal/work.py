@@ -1,4 +1,4 @@
-"""Work estimators sampled from trajectory batches, and moment statistics.
+"""Work estimators of the trajectory ensemble, and moment statistics.
 
 Two work values are attached to each trajectory at a checkpoint time tau:
 
@@ -12,16 +12,15 @@ Two work values are attached to each trajectory at a checkpoint time tau:
   ending in the ground state emits no final photon; that branch contributes
   delta_u = -ell_i and no guardian heat.
 
-One set of guardian probabilities (guardian_probs) and one W_c rule serve
-both the sampled measurement and the exact moment kernel work_moments, which
-the analytics apply to their transfer tables.
+One set of guardian probabilities (model.guardian_probs) and one W_c rule
+(model.calorimetric_value) serve both the sampled measurement and the exact
+moment kernel work_moments, which the analytics apply to their transfer
+tables.
 
-Sampling is one vectorized pass over a TrajectoryBatch's arrays
-(sample_work): per checkpoint row k, one inverse-CDF draw over the
-populations (K, n, dim) and one comparison with the final-guardian emission
-probability, reading the trajectory's measurement stream at event k + 1
-(event 0 is the pre-drive guardian photon). measure_ensemble counts the
-(K, n) work arrays into histograms with bincount.
+The sampling happens during the trajectory readout (trajectories): each
+checkpoint row is measured as soon as it exists, so a TrajectoryBatch
+arrives carrying its (K, n) work arrays W_p and W_c, and measure_ensemble
+counts each row into exact histograms with bincount.
 
 All work values are exact integers in units of hbar*omega0, so moment
 accumulation is an exact value -> count histogram.
@@ -35,51 +34,17 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import GridMismatchError, InsufficientDataError
-from .model import Rates
+from .model import Rates, calorimetric_value, guardian_probs
 from .quadrature import csv_float
-from .trajectories import MEASUREMENT, TrajectoryBatch, inverse_cdf, uniforms
+from .trajectories import TrajectoryBatch
 
 __all__ = [
     "MomentSummary",
     "EnsembleWorkResult",
-    "guardian_probs",
     "work_moments",
-    "sample_work",
     "measure_ensemble",
     "write_moments_csv",
 ]
-
-
-def guardian_probs(
-    levels, rates: Rates
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Guardian-photon probabilities per level, x = gamma1/gamma0.
-
-    Returns (pi0, pf0, pf1). pi0 = x(n+1) / (x(n+1) + n) is the probability
-    that the last pre-drive photon was an emission (index 0) given initial
-    level n: a level-n equilibrium state was entered from above or from
-    below. pf0 = m / (m + x(m+1)) and pf1 = x(m+1) / (m + x(m+1)) are the
-    probabilities that the first post-drive photon given final level m is an
-    emission or an absorption; the remainder 1 - pf0 - pf1 is the no-photon
-    branch. It is nonzero only at m = 0 and zero temperature, where no photon
-    is ever observed; the same degenerate point resolves pi0 = 1, the system
-    having sat in the ground state.
-    """
-    lv = np.asarray(levels, dtype=float)
-    if (lv < 0).any():
-        raise ValueError(f"levels must be non-negative, got {levels}")
-    up = rates.boltzmann_ratio * (lv + 1)
-    den = up + lv
-    ok = den > 0
-    den = np.where(ok, den, 1.0)
-    return np.where(ok, up / den, 1.0), np.where(ok, lv / den, 0.0), np.where(ok, up / den, 0.0)
-
-
-def _calorimetric_value(final_emission, ell_i, heat):
-    """W_c = [ell_f = 0] - ell_i + Q. An emitted final guardian adds its own
-    quantum to the inferred rise; an absorbed one cancels its own energy and
-    a missing one carries none, so only P(ell_f = 0 | m) matters."""
-    return final_emission - ell_i + heat
 
 
 def work_moments(table: np.ndarray, weights: np.ndarray, rates: Rates) -> np.ndarray:
@@ -89,7 +54,7 @@ def work_moments(table: np.ndarray, weights: np.ndarray, rates: Rates) -> np.nda
     heat Q = j - (J - 1)/2 from initial level n (J = table.shape[2] odd, so
     the heat axis is centred on Q = 0); ``weights[n]`` are the initial-level
     probabilities. Returns [<W_p>, <W_p^2>, <W_c>, <W_c^2>] with
-    W_p = m - n + Q and W_c as in _calorimetric_value, the guardian photons
+    W_p = m - n + Q and W_c as in model.calorimetric_value, the guardian photons
     drawn independently given n and m.
     """
     n_lv, m_lv, q_lv = table.shape
@@ -102,7 +67,7 @@ def work_moments(table: np.ndarray, weights: np.ndarray, rates: Rates) -> np.nda
     out = np.array([np.sum(joint * wp), np.sum(joint * wp**2), 0.0, 0.0])
     for ell_i, p_i in ((0, pi0), (1, 1.0 - pi0)):
         for emitted, p_f in ((1, pf0), (0, 1.0 - pf0)):
-            wc = _calorimetric_value(emitted, ell_i, heats)
+            wc = calorimetric_value(emitted, ell_i, heats)
             branch = p_i[:, None, None] * p_f[None, :, None] * joint
             out[2] += np.sum(branch * wc)
             out[3] += np.sum(branch * wc**2)
@@ -184,33 +149,6 @@ class EnsembleWorkResult:
     calorimetric: MomentSummary
 
 
-def sample_work(batch: TrajectoryBatch, rates: Rates) -> tuple[np.ndarray, np.ndarray]:
-    """Projective and calorimetric work of every trajectory of the batch at
-    every checkpoint, as two (K, n) integer arrays.
-
-    Per checkpoint row: one inverse-CDF draw of the final level m over the
-    row's populations (W_p = m - n + Q) and one comparison with the
-    final-guardian emission probability (W_c as in _calorimetric_value).
-    The pre-drive guardian photon is drawn once per trajectory. Uniforms
-    come from each trajectory's measurement stream, so the values do not
-    depend on batching.
-    """
-    k_n, n, dim = batch.populations.shape
-    pi0, pf0, _ = guardian_probs(np.arange(dim), rates)
-    ids = batch.traj_ids
-    ell_i = (uniforms(batch.key, 0, MEASUREMENT, ids)[:, 0] >= pi0[batch.levels]).astype(np.int64)
-    wp = np.empty((k_n, n), dtype=np.int64)
-    wc = np.empty((k_n, n), dtype=np.int64)
-    for k, pops in enumerate(batch.populations):
-        u = uniforms(batch.key, k + 1, MEASUREMENT, ids)
-        m = inverse_cdf(np.cumsum(pops, axis=1), u[:, 0])
-        wp[k] = m - batch.levels + batch.heats[k]
-        # einsum, not gemv: a row's rounding must not depend on its batch
-        final_emission = (u[:, 1] < np.einsum("ij,j->i", pops, pf0)).astype(np.int64)
-        wc[k] = _calorimetric_value(final_emission, ell_i, batch.heats[k])
-    return wp, wc
-
-
 def _add_counts(hist: dict[int, int], values: np.ndarray) -> None:
     lo = int(values.min())
     counts = np.bincount(values - lo)
@@ -219,9 +157,12 @@ def _add_counts(hist: dict[int, int], values: np.ndarray) -> None:
 
 
 def measure_ensemble(batches: Iterable[TrajectoryBatch], rates: Rates) -> EnsembleWorkResult:
-    """Both work values for every (trajectory, checkpoint) pair (sample_work),
-    reduced per checkpoint to exact histograms. The result does not depend
-    on how the ensemble is cut into batches.
+    """Both work values of every (trajectory, checkpoint) pair, reduced per
+    checkpoint to exact histograms. The result does not depend on how the
+    ensemble is cut into batches.
+
+    ``rates`` is not read: each batch was measured with its ensemble's rates
+    while it was evolved.
     """
     times: np.ndarray | None = None
     for batch in batches:
@@ -232,12 +173,11 @@ def measure_ensemble(batches: Iterable[TrajectoryBatch], rates: Rates) -> Ensemb
             counts_c: list[dict[int, int]] = [{} for _ in range(k_n)]
         elif not np.array_equal(batch.times, times):
             raise GridMismatchError("batches carry different checkpoint grids")
-        wp, wc = sample_work(batch, rates)
         for k in range(k_n):
-            _add_counts(counts_p[k], wp[k])
-            _add_counts(counts_c[k], wc[k])
-        # free this batch and its work arrays before the next is evolved
-        del batch, wp, wc
+            _add_counts(counts_p[k], batch.W_p[k])
+            _add_counts(counts_c[k], batch.W_c[k])
+        # free this batch before the next is evolved
+        del batch
 
     if times is None:
         raise InsufficientDataError("no trajectories given")

@@ -26,10 +26,10 @@ from qho_cal.trajectories import (
     EnsembleConfig,
     inverse_cdf,
     iter_ensemble,
-    run_ensemble,
     thermal_probabilities,
 )
-from qho_cal.work import guardian_probs, measure_ensemble, sample_work, work_moments
+from qho_cal.work import guardian_probs, measure_ensemble, work_moments
+from readout_tap import run_with_populations, tapped_readout
 
 pytestmark = [
     pytest.mark.filterwarnings("ignore::qho_cal.errors.TruncationWarning"),
@@ -43,6 +43,15 @@ def report(name: str, ok: bool, detail: str) -> None:
 
 def combined(se_a: np.ndarray, se_b: np.ndarray) -> np.ndarray:
     return np.sqrt(se_a**2 + se_b**2)
+
+
+def z_scores(estimate: np.ndarray, exact: np.ndarray, se: np.ndarray) -> np.ndarray:
+    """|estimate - exact| / se per row. A row that agrees to 1e-12 scores 0;
+    a real difference against an SE of 0 cannot be scored and counts as
+    z = inf."""
+    diff = np.abs(estimate - exact)
+    scaled = np.divide(diff, se, out=np.full_like(diff, np.inf), where=se > 0)
+    return np.where(diff <= 1e-12, 0.0, scaled)
 
 
 # ---------------------------------------------------------------------------
@@ -103,25 +112,26 @@ def fig4_bundle():
     nbar_sumsqs: dict = {}
     narr = np.arange(p.dim, dtype=float)
 
-    def tap(batches):
-        for batch in batches:
-            for n0 in np.unique(batch.levels).tolist():
-                p2 = batch.populations[:, batch.levels == n0]  # (K, count, dim)
-                nbar = p2 @ narr
-                if n0 not in counts:
-                    counts[n0] = 0
-                    sums[n0] = np.zeros((len(grid), p.dim))
-                    sumsqs[n0] = np.zeros((len(grid), p.dim))
-                    nbar_sums[n0] = np.zeros(len(grid))
-                    nbar_sumsqs[n0] = np.zeros(len(grid))
-                counts[n0] += p2.shape[1]
-                sums[n0] += p2.sum(axis=1)
-                sumsqs[n0] += (p2**2).sum(axis=1)
-                nbar_sums[n0] += nbar.sum(axis=1)
-                nbar_sumsqs[n0] += (nbar**2).sum(axis=1)
-            yield batch
+    def tap(evolution, k, pops):
+        # one checkpoint row (n, dim) of one batch, as it is read out
+        for n0 in np.unique(evolution.levels).tolist():
+            p2 = pops[evolution.levels == n0]  # (count, dim)
+            nbar = p2 @ narr
+            if n0 not in counts:
+                counts[n0] = 0
+                sums[n0] = np.zeros((len(grid), p.dim))
+                sumsqs[n0] = np.zeros((len(grid), p.dim))
+                nbar_sums[n0] = np.zeros(len(grid))
+                nbar_sumsqs[n0] = np.zeros(len(grid))
+            if k == 0:
+                counts[n0] += p2.shape[0]
+            sums[n0][k] += p2.sum(axis=0)
+            sumsqs[n0][k] += (p2**2).sum(axis=0)
+            nbar_sums[n0][k] += nbar.sum()
+            nbar_sumsqs[n0][k] += (nbar**2).sum()
 
-    result = measure_ensemble(tap(iter_ensemble(p, r, cfg)), r)
+    with tapped_readout(tap):
+        result = measure_ensemble(iter_ensemble(p, r, cfg), r)
     oracle = {}
     for n0 in sorted(counts):
         rho0 = np.zeros((p.dim, p.dim), dtype=complex)
@@ -156,11 +166,7 @@ def test_criterion_1_unitary_projective_mean(fig3_runs):
     p, r, result, elapsed = fig3_runs[2.0]
     s = result.projective
     expected = np.array([mu(t, p.lambda0) for t in s.times])
-    z = np.where(
-        np.abs(s.mean - expected) <= 1e-12,
-        0.0,
-        np.abs(s.mean - expected) / np.where(s.stderr_mean > 0, s.stderr_mean, np.inf),
-    )
+    z = z_scores(s.mean, expected, s.stderr_mean)
     ok = float(z.max()) <= 3.0 and elapsed <= 300.0
     report(
         "1 unitary projective mean",
@@ -177,12 +183,7 @@ def test_criterion_2_unitary_projective_variance(fig3_runs):
     for beta, (p, r, result, _) in fig3_runs.items():
         s = result.projective
         expected = np.array([unitary_projective_moments(t, p)[1] for t in s.times])
-        z = np.where(
-            np.abs(s.variance - expected) <= 1e-12,
-            0.0,
-            np.abs(s.variance - expected)
-            / np.where(s.stderr_variance > 0, s.stderr_variance, np.inf),
-        )
+        z = z_scores(s.variance, expected, s.stderr_variance)
         worst = max(worst, float(z.max()))
     ok = worst <= 3.0
     report("2 unitary projective variance", ok, f"max|z| = {worst:.2f} over beta = 1, 2, 5")
@@ -210,17 +211,8 @@ def test_criterion_3_zero_temperature_calorimetric(zero_temperature_run):
     mean_exact = 1.0 - np.exp(-mus)
     var_exact = np.exp(-2 * mus) * (np.exp(mus) - 1.0)
 
-    z_mean = np.where(
-        np.abs(s.mean - mean_exact) <= 1e-12,
-        0.0,
-        np.abs(s.mean - mean_exact) / np.where(s.stderr_mean > 0, s.stderr_mean, np.inf),
-    )
-    z_var = np.where(
-        np.abs(s.variance - var_exact) <= 1e-12,
-        0.0,
-        np.abs(s.variance - var_exact)
-        / np.where(s.stderr_variance > 0, s.stderr_variance, np.inf),
-    )
+    z_mean = z_scores(s.mean, mean_exact, s.stderr_mean)
+    z_var = z_scores(s.variance, var_exact, s.stderr_variance)
     analytic_err = 0.0
     for t, m_ref, v_ref in zip(s.times, mean_exact, var_exact):
         table = unitary_table(t, p.lambda0, n_max=1)
@@ -459,10 +451,10 @@ def test_criterion_8_property_suites(tmp_path):
     rs = make_rates(ps)
     grid = tuple(np.linspace(0.0, ps.drive_time, 5))
     cfg = EnsembleConfig(checkpoint_grid=grid, n_traj=50, master_seed=606)
-    batch = run_ensemble(ps, rs, cfg)
-    wp, wc = sample_work(batch, rs)
+    batch, pops = run_with_populations(ps, rs, cfg)
+    wp, wc = batch.W_p, batch.W_c
     final_level = wp - batch.heats + batch.levels
-    drawn = np.take_along_axis(batch.populations, final_level[:, :, None], axis=2)
+    drawn = np.take_along_axis(pops, final_level[:, :, None], axis=2)
     assert np.all(drawn > 0)
     assert set(np.unique(wc - batch.heats).tolist()) <= {-1, 0, 1}
     assert len(batch.jumps) > 0

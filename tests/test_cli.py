@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 
@@ -112,6 +113,24 @@ class TestRunSimulate:
         cfg2 = parse_config("preset=fig4", small_overrides(tmp_path, "b.csv", seed=43))
         run_simulate(cfg2)
         assert (tmp_path / "a.csv").read_bytes() != (tmp_path / "b.csv").read_bytes()
+
+    @pytest.mark.filterwarnings("ignore::qho_cal.errors.TruncationWarning")
+    @pytest.mark.parametrize(
+        "preset, ntraj, grid, digest",
+        [
+            ("fig4", 4096, 21, "9e52667e053277ab1e999d6cf3366abad076c9c557244c59be44bd390e72f34c"),
+            ("fig5c", 256, 11, "b9b078124b566b97e8fc4df98ef67e5fa2013304d1e11751620b3d1340ee927a"),
+        ],
+    )
+    def test_csv_body_is_golden(self, tmp_path, preset, ntraj, grid, digest):
+        # the estimator rows (every line but the provenance header) at seed 7
+        out = tmp_path / "sim.csv"
+        argv = ["simulate", "--preset", preset, "--ntraj", str(ntraj), "--grid", str(grid)]
+        assert main(argv + ["--seed", "7", "--out", str(out)]) == 0
+        body = "".join(
+            line for line in out.read_text().splitlines(keepends=True) if not line.startswith("#")
+        )
+        assert hashlib.sha256(body.encode()).hexdigest() == digest
 
     def test_missing_out_rejected(self):
         cfg = parse_config("preset=fig4\nntraj=2\ngrid=2")

@@ -1,4 +1,6 @@
 import math
+import re
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -23,6 +25,7 @@ from qho_cal.trajectories import (
     uniforms,
 )
 from qho_cal.work import measure_ensemble
+from readout_tap import run_with_populations, tapped_readout
 
 pytestmark = pytest.mark.filterwarnings("ignore::qho_cal.errors.RegimeWarning")
 
@@ -153,20 +156,20 @@ class TestEvolveTrajectory:
         p = PhysicalParams(gamma=0.5, beta=600.0, lambda0=0.0, drive_time=40.0, dim=6)
         r = make_rates(p)
         cfg = EnsembleConfig(checkpoint_grid=grid_to(40.0), n_traj=5, master_seed=0)
-        batch = run_ensemble(p, r, cfg)
+        batch, pops = run_with_populations(p, r, cfg)
         assert not batch.levels.any()
         assert len(batch.jumps) == 0
         assert not batch.heats.any()
-        np.testing.assert_allclose(batch.populations[:, :, 0], 1.0, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(pops[:, :, 0], 1.0, rtol=0, atol=1e-12)
 
     def test_no_coupling_never_jumps(self):
         # gamma = 0: no jump channel, unitary driven evolution
         p = PhysicalParams(gamma=0.0, beta=2.0, lambda0=0.01, dim=10)
         cfg = EnsembleConfig(checkpoint_grid=grid_to(p.drive_time), n_traj=50, master_seed=4)
-        batch = run_ensemble(p, make_rates(p), cfg)
+        batch, pops = run_with_populations(p, make_rates(p), cfg)
         assert len(batch.jumps) == 0
         assert not batch.heats.any()
-        np.testing.assert_allclose(batch.populations.sum(axis=2), 1.0, atol=1e-12)
+        np.testing.assert_allclose(pops.sum(axis=2), 1.0, atol=1e-12)
         np.testing.assert_allclose(np.linalg.norm(batch.states, axis=1), 1.0, atol=1e-12)
 
     def test_excited_state_single_emission_waiting_time(self):
@@ -189,12 +192,10 @@ class TestEvolveTrajectory:
         p = PhysicalParams(gamma=0.02, beta=1.0, lambda0=0.01, dim=10)
         r = make_rates(p)
         cfg = EnsembleConfig(checkpoint_grid=grid_to(p.drive_time), n_traj=20, master_seed=3)
-        batch = run_ensemble(p, r, cfg)
-        np.testing.assert_allclose(batch.populations.sum(axis=2), 1.0, atol=1e-10)
+        batch, pops = run_with_populations(p, r, cfg)
+        np.testing.assert_allclose(pops.sum(axis=2), 1.0, atol=1e-10)
         np.testing.assert_allclose(np.linalg.norm(batch.states, axis=1), 1.0, atol=1e-10)
-        np.testing.assert_allclose(
-            np.abs(batch.states) ** 2, batch.populations[-1], rtol=0, atol=1e-15
-        )
+        np.testing.assert_allclose(np.abs(batch.states) ** 2, pops[-1], rtol=0, atol=1e-15)
 
     def test_heat_bookkeeping_is_integer_exact(self):
         p = PhysicalParams(gamma=0.05, beta=0.7, lambda0=0.01, dim=12)
@@ -283,13 +284,13 @@ class TestGridIndependence:
             EnsembleConfig(checkpoint_grid=g, n_traj=16, master_seed=41)
             for g in (fine, fine[::5])
         ]
-        a, b = (run_ensemble(p, r, cfg) for cfg in cfgs)
+        (a, pops_a), (b, pops_b) = (run_with_populations(p, r, cfg) for cfg in cfgs)
         assert len(a.jumps) > 100
         np.testing.assert_array_equal(a.levels, b.levels)
         np.testing.assert_array_equal(a.jump_offsets, b.jump_offsets)
         np.testing.assert_array_equal(a.jumps, b.jumps)
         np.testing.assert_array_equal(a.heats[::5], b.heats)
-        np.testing.assert_allclose(a.populations[::5], b.populations, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(pops_a[::5], pops_b, rtol=0, atol=1e-9)
         np.testing.assert_allclose(a.states, b.states, rtol=0, atol=1e-9)
 
     def test_shorter_grid_gives_the_same_early_trajectories(self):
@@ -299,10 +300,11 @@ class TestGridIndependence:
         p = PhysicalParams(gamma=0.1, beta=1.0, lambda0=0.01, dim=12)
         r = make_rates(p)
         fine = grid_to(p.drive_time, 11)
-        a, b = (
-            run_ensemble(p, r, EnsembleConfig(checkpoint_grid=g, n_traj=16, master_seed=41))
+        cfgs = [
+            EnsembleConfig(checkpoint_grid=g, n_traj=16, master_seed=41)
             for g in (fine, fine[:6])
-        )
+        ]
+        (a, pops_a), (b, pops_b) = (run_with_populations(p, r, cfg) for cfg in cfgs)
         assert b.times[-1] == pytest.approx(p.drive_time / 2)
         assert len(b.jumps) > 50
         early = [jumps_of(a, i)[jumps_of(a, i)["time"] <= b.times[-1]] for i in range(16)]
@@ -311,7 +313,31 @@ class TestGridIndependence:
         np.testing.assert_array_equal(early["kind"], b.jumps["kind"])
         np.testing.assert_allclose(early["time"], b.jumps["time"], rtol=1e-9)
         np.testing.assert_array_equal(a.heats[:6], b.heats)
-        np.testing.assert_allclose(a.populations[:6], b.populations, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(pops_a[:6], pops_b, rtol=0, atol=1e-9)
+
+
+class TestJumpRecord:
+    def test_keeps_only_each_rows_last_post_jump_state_per_interval(self):
+        # the readout propagates from each row's last jump in each checkpoint
+        # interval, so those are the only post-jump states the record keeps
+        p = PhysicalParams(gamma=0.1, beta=2.0, lambda0=0.01, dim=10)
+        r = make_rates(p)
+        grid = grid_to(p.drive_time, 21)
+        key = np.random.SeedSequence(1).generate_state(2)
+        prop = trajectories._Propagator(p, r, grid)
+        evolution = _Evolution(prop, key, p, r, grid, 0, 64, None)
+        (rows, times, _), (kept_rows, kept_times, posts) = evolution._jump_record()
+
+        def cells(rows, times):
+            return zip(rows.tolist(), np.searchsorted(grid, times).tolist(), times.tolist())
+
+        last = {}
+        for row, ck, t in cells(rows, times):
+            last[row, ck] = max(last.get((row, ck), 0.0), t)
+        kept = sorted(cells(kept_rows, kept_times))
+        assert kept == sorted((row, ck, t) for (row, ck), t in last.items())
+        assert len(kept_rows) < len(rows)
+        np.testing.assert_allclose(np.linalg.norm(posts, axis=1), 1.0, rtol=0, atol=1e-12)
 
 
 class TestPropagatorCheck:
@@ -355,9 +381,9 @@ class TestStationarity:
         r = make_rates(p)
         grid = tuple(np.linspace(50.0, 400.0, 8))
         cfg = EnsembleConfig(checkpoint_grid=grid, n_traj=600, master_seed=5)
-        batch = run_ensemble(p, r, cfg)
+        _, pops = run_with_populations(p, r, cfg)
         peq = thermal_probabilities(p.beta, p.dim)
-        time_avg = batch.populations.mean(axis=0)  # (n, dim)
+        time_avg = pops.mean(axis=0)  # (n, dim)
         for level in range(4):
             mean = time_avg[:, level].mean()
             se = time_avg[:, level].std(ddof=1) / math.sqrt(cfg.n_traj)
@@ -369,9 +395,9 @@ class TestEnsemble:
         p = PhysicalParams(gamma=0.01, beta=1.5, lambda0=0.01, dim=8)
         r = make_rates(p)
         cfg = EnsembleConfig(checkpoint_grid=grid_to(p.drive_time, 6), n_traj=2, master_seed=9)
-        a = run_ensemble(p, r, cfg)
-        b = run_ensemble(p, r, cfg)
-        for name in ("levels", "heats", "populations", "states", "jumps", "jump_offsets"):
+        (a, pops_a), (b, pops_b) = (run_with_populations(p, r, cfg) for _ in range(2))
+        assert np.array_equal(pops_a, pops_b)
+        for name in ("levels", "heats", "W_p", "W_c", "states", "jumps", "jump_offsets"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
 
     @pytest.mark.parametrize("batch_size", [7, 16, 64])
@@ -385,13 +411,19 @@ class TestEnsemble:
         cut = EnsembleConfig(
             checkpoint_grid=grid, n_traj=64, master_seed=13, batch_size=batch_size
         )
-        whole = run_ensemble(p, r, cut)
+        whole, pops = run_with_populations(p, r, cut)
         assert len(whole.levels) == 64 and len(whole.jumps) > 0
-        for b in iter_ensemble(p, r, cut):
+        # each batch's checkpoint rows, by first id
+        rows = {}
+        with tapped_readout(lambda e, k, row: rows.setdefault(e.first_id, []).append(row)):
+            batches = list(iter_ensemble(p, r, cut))
+        for b in batches:
             ids = slice(b.first_id, b.first_id + len(b.levels))
             assert np.array_equal(b.levels, whole.levels[ids])
             assert np.array_equal(b.heats, whole.heats[:, ids])
-            assert np.array_equal(b.populations, whole.populations[:, ids])
+            assert np.array_equal(np.stack(rows[b.first_id]), pops[:, ids])
+            assert np.array_equal(b.W_p, whole.W_p[:, ids])
+            assert np.array_equal(b.W_c, whole.W_c[:, ids])
             assert np.array_equal(b.states, whole.states[ids])
             offsets = whole.jump_offsets[b.first_id:ids.stop + 1]
             assert np.array_equal(b.jumps, whole.jumps[offsets[0]:offsets[-1]])
@@ -442,6 +474,25 @@ class TestEnsemble:
         measure_ensemble(iter_ensemble(p, r, cfg), r)
         assert alive == [0, 0, 0]
 
+    @pytest.mark.filterwarnings("ignore::qho_cal.errors.TruncationWarning")
+    def test_no_population_array_on_any_path(self):
+        # fig4 at 2048 trajectories x 101 checkpoints: the (K, n, dim) float64
+        # populations alone would take 15.8 MiB; each checkpoint row is
+        # measured as it is read out, so measuring peaks below half of that
+        p = PhysicalParams(gamma=0.001, beta=2.0, lambda0=0.01, dim=10)
+        r = make_rates(p)
+        cfg = EnsembleConfig(
+            checkpoint_grid=grid_to(p.drive_time, 101), n_traj=2048, master_seed=1
+        )
+        tracemalloc.start()
+        try:
+            measure_ensemble(iter_ensemble(p, r, cfg), r)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        full = 101 * 2048 * p.dim * np.dtype(float).itemsize
+        assert peak < full / 2, f"peak {peak / 2**20:.1f} MiB"
+
     def test_trajectory_count_and_ids(self):
         p = PhysicalParams(gamma=1e-3, beta=2.0)
         r = make_rates(p)
@@ -461,7 +512,7 @@ class TestEnsemble:
         cfg = EnsembleConfig(
             checkpoint_grid=grid, n_traj=10_000, master_seed=31, initial_level=1
         )
-        nbar = run_ensemble(p, r, cfg).populations @ np.arange(p.dim)  # (K, n_traj)
+        nbar = run_with_populations(p, r, cfg)[1] @ np.arange(p.dim)  # (K, n_traj)
         for k, t in enumerate(grid):
             mean = nbar[k].mean()
             se = nbar[k].std(ddof=1) / math.sqrt(cfg.n_traj)
@@ -481,14 +532,14 @@ class TestEnsemble:
         # over those 32000 trajectories the largest |z| of the 40 cells is
         # 2.69. 17 is the first seed of the declared list 17, 18, ...
         cfg = EnsembleConfig(checkpoint_grid=grid, n_traj=4000, master_seed=17)
-        batch = run_ensemble(p, r, cfg)
+        batch, pops = run_with_populations(p, r, cfg)
         oracle = np.zeros((p.dim, len(grid) - 1, p.dim))
         for n in np.unique(batch.levels):
             rho0 = np.zeros((p.dim, p.dim), dtype=complex)
             rho0[n, n] = 1.0
             oracle[n] = [np.real(np.diag(rho)) for rho in integrate(rho0, p, r, grid[1:])]
         # (K-1, n_traj, dim)
-        residuals = batch.populations[1:] - oracle[batch.levels].transpose(1, 0, 2)
+        residuals = pops[1:] - oracle[batch.levels].transpose(1, 0, 2)
         mean = residuals.mean(axis=1)
         se = residuals.std(axis=1, ddof=1) / math.sqrt(cfg.n_traj)
         # SE floored at the deterministic integration tolerance for the far
@@ -504,7 +555,7 @@ class TestEnsemble:
         means = []
         for seed in (1, 2):
             cfg = EnsembleConfig(checkpoint_grid=grid, n_traj=3000, master_seed=seed)
-            pops = run_ensemble(p, r, cfg).populations[-1]
+            pops = run_with_populations(p, r, cfg)[1][-1]
             means.append((pops @ np.arange(p.dim)).mean())
         se = 2.0 / math.sqrt(3000)  # generous scale bound for <n> fluctuation
         assert abs(means[0] - means[1]) <= 3.0 * se
@@ -519,7 +570,8 @@ class TestTruncationGuard:
         cfg = EnsembleConfig(
             checkpoint_grid=(p.drive_time,), n_traj=1, initial_level=0
         )
-        with pytest.warns(TruncationWarning):
+        # the warning names the checkpoint time of the largest leak
+        with pytest.warns(TruncationWarning, match=re.escape(f"at t = {p.drive_time};")):
             run_ensemble(p, r, cfg)
 
     def test_error_on_blowup(self):

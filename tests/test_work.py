@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,18 +10,22 @@ from qho_cal.errors import InsufficientDataError
 from qho_cal.model import PhysicalParams, make_rates
 from qho_cal.trajectories import (
     JUMP_DTYPE,
+    MEASUREMENT,
     EnsembleConfig,
     TrajectoryBatch,
+    _measure,
+    inverse_cdf,
     iter_ensemble,
     run_ensemble,
+    uniforms,
 )
 from qho_cal.work import (
     MomentSummary,
     guardian_probs,
     measure_ensemble,
-    sample_work,
     work_moments,
 )
+from readout_tap import run_with_populations
 
 pytestmark = pytest.mark.filterwarnings("ignore::qho_cal.errors.RegimeWarning")
 
@@ -29,25 +34,48 @@ def rates_for(beta, gamma=1.0):
     return make_rates(PhysicalParams(gamma=gamma, beta=beta, lambda0=0.01))
 
 
-def make_batch(levels, heats, states, times=None, seed=0):
-    """A hand-made batch with an empty jump log: initial ``levels`` (n,),
-    cumulative ``heats`` (K,) or (K, n), and checkpoint ``states`` (K, dim)
-    shared by all trajectories or (K, n, dim)."""
+def initial_guardian(key, ids, levels, pi0):
+    """ell_i per trajectory, from event 0 of its measurement stream."""
+    return (uniforms(key, 0, MEASUREMENT, ids)[:, 0] >= pi0[levels]).astype(np.int64)
+
+
+def sample_work(levels, heats, states, rates, seed=0):
+    """W_p and W_c (K, n) that the readout's measurement kernel draws on
+    hand-made checkpoint ``states``, (K, dim) shared by all trajectories or
+    (K, n, dim), with initial ``levels`` (n,) and cumulative ``heats`` (K,)
+    or (K, n), from the measurement streams of master seed ``seed``."""
     levels = np.asarray(levels, dtype=np.int64)
     n = len(levels)
     states = np.asarray(states, dtype=complex)
     if states.ndim == 2:
         states = np.repeat(states[:, None, :], n, axis=1)
-    k_n = len(states)
+    k_n, _, dim = states.shape
     heats = np.asarray(heats, dtype=np.int64).reshape(k_n, -1) + np.zeros((k_n, n), np.int64)
+    key = np.random.SeedSequence(seed).generate_state(2)
+    ids = np.arange(n)
+    pi0, pf0, _ = guardian_probs(np.arange(dim), rates)
+    ell_i = initial_guardian(key, ids, levels, pi0)
+    rows = [
+        _measure(np.abs(s) ** 2, uniforms(key, k + 1, MEASUREMENT, ids), levels, q, ell_i, pf0)
+        for k, (s, q) in enumerate(zip(states, heats))
+    ]
+    return np.array([wp for wp, _ in rows]), np.array([wc for _, wc in rows])
+
+
+def make_batch(levels, heats, states, rates, times=None, seed=0):
+    """A hand-made batch with an empty jump log, measured by sample_work."""
+    levels = np.asarray(levels, dtype=np.int64)
+    n = len(levels)
+    wp, wc = sample_work(levels, heats, states, rates, seed)
+    k_n = len(wp)
     return TrajectoryBatch(
         times=np.arange(float(k_n)) if times is None else np.asarray(times, dtype=float),
         first_id=0,
-        key=np.random.SeedSequence(seed).generate_state(2),
         levels=levels,
-        heats=heats,
-        populations=np.abs(states) ** 2,
-        states=states[-1],
+        heats=np.asarray(heats, dtype=np.int64).reshape(k_n, -1) + np.zeros((k_n, n), np.int64),
+        W_p=wp,
+        W_c=wc,
+        states=np.asarray(states, dtype=complex)[-1],
         jumps=np.empty(0, dtype=JUMP_DTYPE),
         jump_offsets=np.zeros(n + 1, dtype=np.int64),
     )
@@ -67,10 +95,11 @@ class TestHeat:
     def test_partial_sums(self):
         # emissions at 1 and 2, an absorption at 3: heats 0, 1, 2, 1 at the
         # checkpoints 0, 1.5, 2.5, 4, with the state parked in |0>
+        r = rates_for(2.0)
         batch = make_batch(
-            [0] * 5, [0, 1, 2, 1], [basis_state(0, 4)] * 4, times=[0.0, 1.5, 2.5, 4.0]
+            [0] * 5, [0, 1, 2, 1], [basis_state(0, 4)] * 4, r, times=[0.0, 1.5, 2.5, 4.0]
         )
-        result = measure_ensemble([batch], rates_for(2.0))
+        result = measure_ensemble([batch], r)
         assert result.projective.histograms == [{0: 5}, {1: 5}, {2: 5}, {1: 5}]
 
     def test_outside_horizon(self):
@@ -107,31 +136,36 @@ class TestHeat:
 class TestProjectiveWork:
     def test_tau_zero_is_exactly_zero(self):
         levels = [0, 1, 2, 3]
-        batch = make_batch(levels, [0], [[basis_state(n, 6) for n in levels]])
-        wp, _ = sample_work(batch, rates_for(2.0))
+        wp, _ = sample_work(levels, [0], [[basis_state(n, 6) for n in levels]], rates_for(2.0))
         assert wp.tolist() == [[0, 0, 0, 0]]
 
     def test_known_outcome(self):
         # deterministic state |2>, one absorbed quantum: W = (2-0) - 1 = 1
-        batch = make_batch([0] * 3, [0, -1], [basis_state(0, 5), basis_state(2, 5)])
-        wp, _ = sample_work(batch, rates_for(2.0))
+        states = [basis_state(0, 5), basis_state(2, 5)]
+        wp, _ = sample_work([0] * 3, [0, -1], states, rates_for(2.0))
         assert wp.tolist() == [[0, 0, 0], [1, 1, 1]]
 
     def test_sampling_distribution(self):
         state = np.array([np.sqrt(0.25), np.sqrt(0.75), 0.0], dtype=complex)
         n = 20000
-        batch = make_batch([0] * n, [0, 0], [basis_state(0, 3), state], seed=2)
-        wp, _ = sample_work(batch, rates_for(2.0))
+        wp, _ = sample_work([0] * n, [0, 0], [basis_state(0, 3), state], rates_for(2.0), seed=2)
         assert set(wp[1].tolist()) == {0, 1}
         frac1 = np.mean(wp[1] == 1)
         assert abs(frac1 - 0.75) <= 3.0 * math.sqrt(0.75 * 0.25 / n)
+
+    def test_draw_capped_at_top_level(self):
+        # round-off can leave the last cumulative sum below the uniform;
+        # the draw stays at the top level, as inverse_cdf's does
+        pops = np.array([[0.5, 0.5 - 1e-16]])
+        zero = np.zeros(1, dtype=np.int64)
+        wp, _ = _measure(pops, np.array([[1.0 - 1e-17, 0.5]]), zero, zero, zero, np.zeros(2))
+        assert wp.tolist() == [1]
 
     def test_first_law_identity(self):
         # W_p - Q = m - n with m a populated level: from |1>, one emission
         # and two absorptions (Q = -1), ending in (|0> + |3>)/sqrt 2
         final = (basis_state(0, 6) + basis_state(3, 6)) / np.sqrt(2)
-        batch = make_batch([1] * 200, [0, -1], [basis_state(1, 6), final], seed=3)
-        wp, _ = sample_work(batch, rates_for(1.0))
+        wp, _ = sample_work([1] * 200, [0, -1], [basis_state(1, 6), final], rates_for(1.0), seed=3)
         assert set((wp[1] + 1 + 1).tolist()) == {0, 3}
 
 
@@ -259,34 +293,29 @@ class TestCalorimetricWork:
     def test_unitary_bracket_values(self):
         # no jumps, ell_i = 0 from the ground state: W_c = l_f - l_i + (-1)^l_f
         # final state |1> at beta=2: l_f = 0 with p 0.787, else 1
-        batch = make_batch([0] * 200, [0], [basis_state(1, 5)])
-        _, wc = sample_work(batch, rates_for(2.0))
+        _, wc = sample_work([0] * 200, [0], [basis_state(1, 5)], rates_for(2.0))
         # l_f=0: inferred drop 0, guardian heat +1 -> W_c = +1
         # l_f=1: inferred rise 1, guardian heat -1 -> W_c = 0
         assert set(wc[0].tolist()) == {0, 1}
 
     def test_ground_final_state_forces_absorption(self):
-        batch = make_batch([0] * 50, [0], [basis_state(0, 5)], seed=1)
-        _, wc = sample_work(batch, rates_for(2.0))
+        _, wc = sample_work([0] * 50, [0], [basis_state(0, 5)], rates_for(2.0), seed=1)
         assert not wc.any()  # inferred rise 1, guardian heat -1
 
     def test_no_photon_branch_zero_temperature(self):
-        batch = make_batch([0] * 50, [0], [basis_state(0, 5)], seed=2)
-        _, wc = sample_work(batch, rates_for(800.0))
+        _, wc = sample_work([0] * 50, [0], [basis_state(0, 5)], rates_for(800.0), seed=2)
         assert not wc.any()  # no final photon: no rise, no guardian heat
 
     def test_no_photon_with_excited_inference(self):
         # l_i = 1 (level 1 at zero temperature was entered from above) and no
         # final photon: inferred delta_u = -1, no guardian heat
-        batch = make_batch([1] * 50, [0], [basis_state(0, 5)], seed=3)
-        _, wc = sample_work(batch, rates_for(800.0))
+        _, wc = sample_work([1] * 50, [0], [basis_state(0, 5)], rates_for(800.0), seed=3)
         assert wc.tolist() == [[-1] * 50]
 
     def test_first_law_with_jumps(self):
         # two emissions (Q = 2) from |2>: W_c - Q = [l_f = 0] - l_i
         final = (basis_state(0, 6) - basis_state(1, 6)) / np.sqrt(2)
-        batch = make_batch([2] * 400, [0, 2], [basis_state(2, 6), final], seed=4)
-        _, wc = sample_work(batch, rates_for(1.0))
+        _, wc = sample_work([2] * 400, [0, 2], [basis_state(2, 6), final], rates_for(1.0), seed=4)
         assert set((wc[1] - 2).tolist()) == {-1, 0, 1}
 
 
@@ -346,6 +375,51 @@ class TestSummarize:
         assert summary_of(vals).stderr_variance[0] == pytest.approx(
             variance_se_jackknife(histogram_of(vals)), rel=0.05
         )
+
+
+def reference_work(batch, pops, rates, seed):
+    """The batch-wide sampling that the readout's measurement replaced, over
+    a stacked (K, n, dim) population array: per checkpoint row, np.cumsum
+    over the levels, inverse_cdf of the first uniform and the guardian
+    comparison of the second."""
+    k_n, n, dim = pops.shape
+    pi0, pf0, _ = guardian_probs(np.arange(dim), rates)
+    key = np.random.SeedSequence(seed).generate_state(2)
+    ids = batch.traj_ids
+    ell_i = initial_guardian(key, ids, batch.levels, pi0)
+    wp = np.empty((k_n, n), dtype=np.int64)
+    wc = np.empty((k_n, n), dtype=np.int64)
+    for k, row in enumerate(pops):
+        u = uniforms(key, k + 1, MEASUREMENT, ids)
+        m = inverse_cdf(np.cumsum(row, axis=1), u[:, 0])
+        wp[k] = m - batch.levels + batch.heats[k]
+        final_emission = (u[:, 1] < np.einsum("ij,j->i", row, pf0)).astype(np.int64)
+        wc[k] = final_emission - ell_i + batch.heats[k]
+    return wp, wc
+
+
+class TestStreamedMeasurement:
+    @pytest.mark.filterwarnings("ignore::qho_cal.errors.TruncationWarning")
+    @pytest.mark.parametrize(
+        "gamma, n_traj, points, seed",
+        [(0.001, 600, 21, 3), (0.1, 300, 11, 4)],
+        ids=["fig4", "fig5c"],
+    )
+    def test_matches_batch_wide_reference(self, gamma, n_traj, points, seed):
+        # each checkpoint row measured as it is read out gives the values of
+        # the batch-wide pass over all populations, bit for bit, and so the
+        # same histograms, also when the ensemble is cut into batches
+        p = PhysicalParams(gamma=gamma, beta=2.0, lambda0=0.01, dim=10)
+        r = make_rates(p)
+        grid = tuple(np.linspace(0.0, p.drive_time, points))
+        cfg = EnsembleConfig(checkpoint_grid=grid, n_traj=n_traj, master_seed=seed)
+        batch, pops = run_with_populations(p, r, cfg)
+        wp, wc = reference_work(batch, pops, r, seed)
+        assert np.array_equal(batch.W_p, wp)
+        assert np.array_equal(batch.W_c, wc)
+        streamed = measure_ensemble(iter_ensemble(p, r, replace(cfg, batch_size=128)), r)
+        assert streamed.projective.histograms == [histogram_of(v) for v in wp]
+        assert streamed.calorimetric.histograms == [histogram_of(v) for v in wc]
 
 
 class TestMeasureEnsemble:
