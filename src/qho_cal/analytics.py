@@ -53,7 +53,7 @@ import numpy as np
 from .errors import RegimeWarning, SimulationError
 from .fock import displacement_elements, displacement_matrix, quadratures
 from .model import PhysicalParams, Rates, bath_occupation
-from .quadrature import csv_float, gauss_legendre
+from .quadrature import gauss_legendre, write_csv
 from .trajectories import thermal_probabilities
 from .work import work_moments
 
@@ -409,20 +409,16 @@ def write_analytic_csv(
     n <= policy.n_max. The unitary projective columns are the closed forms;
     every other column is read from one table per time."""
     weights = thermal_probabilities(params.beta, policy.n_max + 1)
-    with open(path, "w") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write(_ANALYTIC_COLUMNS + "\n")
-        for t in grid:
-            mean_p, var_p = unitary_projective_moments(t, params)
-            table = unitary_table(t, params.lambda0, policy.n_max)
-            _, _, m1, m2 = work_moments(table, weights, rates)
-            row = [t, mean_p, var_p, m1, m2 - m1 * m1]
-            fh.write(",".join(csv_float(x) for x in row) + ",unitary\n")
-        if rates.gamma_sigma > 0:
-            with warnings.catch_warnings():
-                warnings.simplefilter("once", RegimeWarning)
-                for t in grid:
-                    m1p, m2p, m1c, m2c = perturbative_moments(t, params, rates, policy)
-                    row = [t, m1p, m2p - m1p**2, m1c, m2c - m1c**2]
-                    fh.write(",".join(csv_float(x) for x in row) + ",perturbative\n")
+    rows = []
+    for t in grid:
+        mean_p, var_p = unitary_projective_moments(t, params)
+        table = unitary_table(t, params.lambda0, policy.n_max)
+        _, _, m1, m2 = work_moments(table, weights, rates)
+        rows.append((t, mean_p, var_p, m1, m2 - m1 * m1, "unitary"))
+    if rates.gamma_sigma > 0:
+        with warnings.catch_warnings():
+            warnings.simplefilter("once", RegimeWarning)
+            for t in grid:
+                m1p, m2p, m1c, m2c = perturbative_moments(t, params, rates, policy)
+                rows.append((t, m1p, m2p - m1p**2, m1c, m2c - m1c**2, "perturbative"))
+    write_csv(path, _ANALYTIC_COLUMNS, rows, header_lines)

@@ -17,9 +17,9 @@ Exit codes: 0 success, 2 configuration error, 3 numerical error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 import time
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -43,17 +43,19 @@ __all__ = [
     "main",
 ]
 
-# Preset parameter sets. All share lambda0 = 0.01, T = pi/lambda0, dim = 10.
-# fig3 needs an explicit beta from {1, 2, 5}; the others pin beta = 2.
+# Preset parameter sets, on the PhysicalParams defaults lambda0 = 0.01,
+# T = pi/lambda0, dim = 10. fig3 needs beta from {1, 2, 5}; the others pin 2.
 PRESETS: dict[str, dict] = {
-    "fig3": {"lambda0": 0.01, "gamma": 0.01 * 0.01, "beta_choices": (1.0, 2.0, 5.0)},
-    "fig4": {"lambda0": 0.01, "gamma": 0.1 * 0.01, "beta": 2.0},
-    "fig5a": {"lambda0": 0.01, "gamma": 0.01, "beta": 2.0},
-    "fig5b": {"lambda0": 0.01, "gamma": 0.05, "beta": 2.0},
-    "fig5c": {"lambda0": 0.01, "gamma": 0.1, "beta": 2.0},
+    "fig3": {"gamma": 0.01 * 0.01, "beta_choices": (1.0, 2.0, 5.0)},
+    "fig4": {"gamma": 0.1 * 0.01, "beta": 2.0},
+    "fig5a": {"gamma": 0.01, "beta": 2.0},
+    "fig5b": {"gamma": 0.05, "beta": 2.0},
+    "fig5c": {"gamma": 0.1, "beta": 2.0},
 }
 
 _DEFAULT_GRID_POINTS = 101
+# compare passes a column when every |z| in its window is at most this
+_Z_MAX = 3.0
 
 _FILE_KEYS = {
     "preset": str,
@@ -70,9 +72,19 @@ _FILE_KEYS = {
     "jumps_max": int,
     "out": str,
 }
+# the keys whose dataclass field has another name
+_FIELD_NAMES = {"ntraj": "n_traj", "seed": "master_seed"}
 
 
-@dataclass(frozen=True)
+def _build(cls, values: dict, *args):
+    """``cls`` from the values that name its fields; every field not set
+    keeps its dataclass default."""
+    fields = {f.name for f in dataclasses.fields(cls)}
+    named = {_FIELD_NAMES.get(k, k): v for k, v in values.items()}
+    return cls(*args, **{k: v for k, v in named.items() if k in fields})
+
+
+@dataclasses.dataclass(frozen=True)
 class ExperimentConfig:
     params: PhysicalParams
     ensemble: EnsembleConfig
@@ -82,7 +94,7 @@ class ExperimentConfig:
 
     def provenance(self) -> list[str]:
         p, e = self.params, self.ensemble
-        lines = [
+        return [
             f"qho-cal {__version__}",
             f"preset={self.preset or ''}",
             f"lambda0={p.lambda0!r} gamma={p.gamma!r} beta={p.beta!r} "
@@ -91,7 +103,6 @@ class ExperimentConfig:
             f"policy n_max={self.policy.n_max} m_max={self.policy.m_max} "
             f"jumps_max={self.policy.jumps_max}",
         ]
-        return lines
 
 
 def _parse_file(text: str) -> dict:
@@ -144,38 +155,18 @@ def parse_config(text: str | None = None, overrides: dict | None = None) -> Expe
                 raise ConfigError(
                     f"preset {preset!r} uses beta in {choices}, got {values['beta']}"
                 )
-    if "gamma" not in values:
-        raise ConfigError("gamma is required (set it or pick a preset)")
-    if "beta" not in values:
-        raise ConfigError("beta is required (set it or pick a preset)")
+    for key in ("gamma", "beta"):
+        if key not in values:
+            raise ConfigError(f"{key} is required (set it or pick a preset)")
 
+    n_points = values.get("grid", _DEFAULT_GRID_POINTS)
+    if n_points < 1:
+        raise ConfigError(f"grid must have at least 1 point, got {n_points}")
     try:
-        params = PhysicalParams(
-            gamma=values["gamma"],
-            beta=values["beta"],
-            lambda0=values.get("lambda0", 0.01),
-            drive_time=values.get("drive_time"),
-            dim=values.get("dim", 10),
-        )
-        n_points = values.get("grid", _DEFAULT_GRID_POINTS)
-        if n_points < 1:
-            raise ConfigError(f"grid must have at least 1 point, got {n_points}")
-        if n_points == 1:
-            grid = (0.0,)
-        else:
-            grid = tuple(np.linspace(0.0, params.drive_time, n_points))
-        ensemble = EnsembleConfig(
-            checkpoint_grid=grid,
-            n_traj=values.get("ntraj", 100_000),
-            master_seed=values.get("seed", 0),
-        )
-        policy = TruncationPolicy(
-            n_max=values.get("n_max", 1),
-            m_max=values.get("m_max", 10),
-            jumps_max=values.get("jumps_max", 2),
-        )
-    except ConfigError:
-        raise
+        params = _build(PhysicalParams, values)
+        grid = tuple(np.linspace(0.0, params.drive_time, n_points))
+        ensemble = _build(EnsembleConfig, values, grid)
+        policy = _build(TruncationPolicy, values)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return ExperimentConfig(
@@ -197,10 +188,11 @@ def run_simulate(cfg: ExperimentConfig) -> str:
     """Run the trajectory ensemble, measure both work estimators, write the
     estimator CSV; prints a one-line summary."""
     out = _require_out(cfg)
+    if cfg.ensemble.n_traj < 2:
+        raise ConfigError(f"simulate needs at least 2 trajectories, got {cfg.ensemble.n_traj}")
     rates = make_rates(cfg.params)
     started = time.monotonic()
-    batches = iter_ensemble(cfg.params, rates, cfg.ensemble)
-    result = measure_ensemble(batches, rates)
+    result = measure_ensemble(iter_ensemble(cfg.params, rates, cfg.ensemble))
     elapsed = time.monotonic() - started
     write_moments_csv(out, result, header_lines=cfg.provenance())
     print(
@@ -277,10 +269,10 @@ _COMPARED = (("mean_Wp", "se_mean_Wp"), ("var_Wp", "se_var_Wp"),
              ("mean_Wc", "se_mean_Wc"), ("var_Wc", "se_var_Wc"))
 
 
-def run_compare(sim_path: str, analytic_path: str, z_max: float = 3.0) -> int:
+def run_compare(sim_path: str, analytic_path: str) -> int:
     """Per-time z = |MC - analytic| / SE for each moment column and method.
 
-    Pass/fail at z <= z_max over each method's validity window: the whole
+    Pass/fail at z <= 3 over each method's validity window: the whole
     grid for the unitary curves, t <= half the final grid time for the
     perturbative ones (beyond that, discarded higher jump numbers bite).
     Returns 0 on pass, 4 on failure.
@@ -308,14 +300,14 @@ def run_compare(sim_path: str, analytic_path: str, z_max: float = 3.0) -> int:
             scaled = np.divide(diff, se, out=np.full_like(diff, np.inf), where=se > 0)
             z = np.where(diff <= 1e-12, 0.0, scaled)
             worst = float(z[window].max()) if window.any() else 0.0
-            ok = worst <= z_max
+            ok = worst <= _Z_MAX
             failures += 0 if ok else 1
             report_rows.append((method, value_col, worst, ok))
     for method, col, worst, ok in report_rows:
         status = "pass" if ok else "FAIL"
         print(f"compare [{method:12s}] {col:8s} max|z| = {worst:7.3f}  {status}")
     overall = "pass" if failures == 0 else "FAIL"
-    print(f"compare: {overall} (z threshold {z_max})")
+    print(f"compare: {overall} (z threshold {_Z_MAX})")
     return 0 if failures == 0 else 4
 
 
@@ -347,7 +339,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="z-score a simulated CSV against an analytic one")
     p.add_argument("simulated", help="CSV from the simulate subcommand")
     p.add_argument("analytic", help="CSV from the analytic subcommand")
-    p.add_argument("--zmax", type=float, default=3.0, help="pass threshold (default 3)")
     return parser
 
 
@@ -366,14 +357,10 @@ def _config_from_args(args) -> ExperimentConfig:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "simulate":
-            run_simulate(_config_from_args(args))
-        elif args.command == "analytic":
-            run_analytic(_config_from_args(args))
-        elif args.command == "oracle":
-            run_oracle(_config_from_args(args))
-        elif args.command == "compare":
-            return run_compare(args.simulated, args.analytic, z_max=args.zmax)
+        if args.command == "compare":
+            return run_compare(args.simulated, args.analytic)
+        run = {"simulate": run_simulate, "analytic": run_analytic, "oracle": run_oracle}
+        run[args.command](_config_from_args(args))
         return 0
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import SimulationError
 from .model import PhysicalParams, Rates, jump_operators, nh_generator
-from .quadrature import csv_float
+from .quadrature import write_csv
 from .trajectories import thermal_probabilities
 from .fock import matrix_exponential
 
@@ -108,11 +108,6 @@ def integrate(
 
 def write_populations_csv(path, grid, rhos, header_lines: Sequence[str] = ()) -> None:
     """Populations over the grid: t, p0, ..., p_{D-1}."""
-    dim = rhos[0].shape[0]
-    with open(path, "w") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write("t," + ",".join(f"p{m}" for m in range(dim)) + "\n")
-        for t, rho in zip(grid, rhos):
-            pops = np.real(np.diag(rho))
-            fh.write(csv_float(t) + "," + ",".join(csv_float(p) for p in pops) + "\n")
+    columns = "t," + ",".join(f"p{m}" for m in range(rhos[0].shape[0]))
+    rows = [(t, *np.real(np.diag(rho))) for t, rho in zip(grid, rhos)]
+    write_csv(path, columns, rows, header_lines)

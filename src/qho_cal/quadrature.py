@@ -1,10 +1,11 @@
-"""Small numeric helpers: Gauss-Legendre nodes and stable CSV float formatting."""
+"""Small numeric helpers: Gauss-Legendre nodes, stable CSV float formatting
+and the one CSV writer."""
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["gauss_legendre", "csv_float"]
+__all__ = ["gauss_legendre", "csv_float", "write_csv"]
 
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -26,3 +27,14 @@ def gauss_legendre(n: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray
 def csv_float(x: float) -> str:
     """Deterministic short float formatting for CSV emission."""
     return f"{float(x):.12g}"
+
+
+def write_csv(path, columns: str, rows, header_lines=()) -> None:
+    """``# `` provenance lines, the ``columns`` line, then one line per row:
+    numbers through csv_float, strings as they are. Every line is formatted
+    before the file is opened, so a failing row leaves no file."""
+    lines = [f"# {line}\n" for line in header_lines] + [columns + "\n"]
+    lines += [",".join(x if isinstance(x, str) else csv_float(x) for x in row) + "\n"
+              for row in rows]
+    with open(path, "w") as fh:
+        fh.writelines(lines)

@@ -35,10 +35,11 @@ spends event 0 on the pre-drive guardian photon and event k + 1 on
 checkpoint k. No generator object exists per trajectory, and results are
 bitwise identical for every batch size.
 
-Ensembles are columnar and serial: iter_ensemble evolves one
-TrajectoryBatch at a time, when it is asked for, and a batch holds n
-trajectories on K checkpoints as arrays (see its docstring), never one
-object per trajectory or per jump.
+Ensembles are columnar and serial: iter_ensemble checks and builds what
+every batch shares once (the key, the level CDF, the guardian
+probabilities, the propagators) and then evolves one TrajectoryBatch at a
+time, when it is asked for. A batch holds n trajectories on K checkpoints
+as arrays (see its docstring), never one object per trajectory or per jump.
 """
 
 from __future__ import annotations
@@ -152,10 +153,6 @@ class TrajectoryBatch:
     jumps: np.ndarray
     jump_offsets: np.ndarray
 
-    @property
-    def traj_ids(self) -> np.ndarray:
-        return self.first_id + np.arange(len(self.levels))
-
 
 def philox4x32(counter, key) -> np.ndarray:
     """Philox4x32-10 block function on 32-bit words held in uint64.
@@ -230,20 +227,36 @@ def _norm2(states: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", flat, flat)
 
 
-class _Propagator:
-    """Closed-form no-jump evolution, built once per ensemble.
+class _Ensemble:
+    """What every batch of one ensemble shares, built and checked once: the
+    Philox key, the grid, dim, the CDF of the initial level (thermal, or a
+    point mass at a fixed level), the guardian probabilities and the jump
+    operators. ``K = V diag(k) V^-1`` once gives the closed-form no-jump
+    evolution; every grid interval and the whole span T is checked against
+    ``expm``."""
 
-    ``K = V diag(k) V^-1`` once; every grid interval length and the whole
-    span T get their propagators from that decomposition, checked against
-    ``expm``.
-    """
-
-    def __init__(self, params: PhysicalParams, rates: Rates, grid) -> None:
+    def __init__(self, params: PhysicalParams, rates: Rates, config: EnsembleConfig) -> None:
+        self.grid = grid = config.checkpoint_grid
+        self.dim = dim = params.dim
+        if grid[-1] > params.drive_time * (1 + 1e-12):
+            raise ValueError(
+                f"checkpoint grid extends to {grid[-1]} beyond drive_time = {params.drive_time}"
+            )
+        level = config.initial_level
+        if level is None:
+            self.level_cdf = np.cumsum(thermal_probabilities(params.beta, dim))
+        elif not 0 <= level < dim:
+            raise ValueError(f"initial_level {level} outside [0, {dim})")
+        else:
+            # a point mass: every uniform in [0, 1) draws the fixed level
+            self.level_cdf = (np.arange(dim) >= level).astype(float)
+        self.key = np.random.SeedSequence(config.master_seed).generate_state(2)
+        self.pi0, self.pf0, _ = guardian_probs(np.arange(dim), rates)
         k = nh_generator(params, rates)
         self.eigvals, v = np.linalg.eig(k)
         self._to_eig = np.ascontiguousarray(np.linalg.inv(v).T)
         self._from_eig = np.ascontiguousarray(v.T)
-        c0, c1 = jump_operators(rates, params.dim)
+        c0, c1 = jump_operators(rates, dim)
         self.jump_t = (np.ascontiguousarray(c0.T), np.ascontiguousarray(c1.T))
         # C_i^+ C_i is diagonal, so ||C_i psi||^2 = |psi|^2 . w_i
         self.w0 = np.sum(np.abs(c0) ** 2, axis=0)
@@ -252,12 +265,12 @@ class _Propagator:
         self.can_jump = bool(self.rate.any())
         # a grid that starts at t = 0 opens with an empty interval; the jump
         # record starts with the whole span T and propagates over parts of it
-        self.interval_t = {0.0: np.eye(params.dim, dtype=complex)}
+        self.interval_t = {0.0: np.eye(dim, dtype=complex)}
         spans = [b - a for a, b in zip((0.0,) + grid[:-1], grid)] + [grid[-1]]
         for span in spans:
             if span in self.interval_t:
                 continue
-            u_t = self.propagate(np.eye(params.dim, dtype=complex), np.full(params.dim, span))
+            u_t = self.propagate(np.eye(dim, dtype=complex), np.full(dim, span))
             gap = float(np.max(np.abs(u_t.T - matrix_exponential(-1j * span * k))))
             if not gap <= _EIG_TOL:
                 raise SimulationError(
@@ -329,36 +342,28 @@ def _measure(pops, u, levels, heats, ell_i, pf0):
 
 
 class _Evolution:
-    """One batch of trajectories: its jump record over the whole drive, then
-    its checkpoints read off that record and measured."""
+    """One batch, trajectories ``first_id .. first_id + count - 1`` of the
+    ensemble ``ens``: its jump record over the whole drive, then its
+    checkpoints read off that record and measured."""
 
-    def __init__(self, prop, key, params, rates, grid, first_id, count, initial_level):
+    def __init__(self, ens: _Ensemble, first_id: int, count: int) -> None:
+        self.ens = ens
         self.n = count
-        self.dim = dim = params.dim
-        self.grid = grid
-        self.prop = prop
-        self.key = key
         self.first_id = first_id
         self.ids = first_id + np.arange(count)
-        u = uniforms(key, 0, DYNAMICS, self.ids)
-        if initial_level is None:
-            cdf = np.cumsum(thermal_probabilities(params.beta, dim))
-            self.levels = inverse_cdf(cdf, u[:, 0])
-        else:
-            if not 0 <= initial_level < dim:
-                raise ValueError(f"initial_level {initial_level} outside [0, {dim})")
-            self.levels = np.full(self.n, initial_level, dtype=np.int64)
+        u = uniforms(ens.key, 0, DYNAMICS, self.ids)
+        self.levels = inverse_cdf(ens.level_cdf, u[:, 0])
         # a threshold of 0 is never crossed: without any jump channel the
         # norm is conserved and no draw is needed
-        self.thresholds = u[:, 1] if prop.can_jump else np.zeros(self.n)
-        pi0, self.pf0, _ = guardian_probs(np.arange(dim), rates)
+        self.thresholds = u[:, 1] if ens.can_jump else np.zeros(count)
         # event 0 of the measurement stream: the pre-drive guardian photon
-        u = uniforms(key, 0, MEASUREMENT, self.ids)
-        self.ell_i = (u[:, 0] >= pi0[self.levels]).astype(np.int64)
+        u = uniforms(ens.key, 0, MEASUREMENT, self.ids)
+        self.ell_i = (u[:, 0] >= ens.pi0[self.levels]).astype(np.int64)
         # per checkpoint, the summed top-level population of the batch
-        self.top = np.zeros(len(grid))
+        self.top = np.zeros(len(ens.grid))
 
     def run(self) -> TrajectoryBatch:
+        grid = self.ens.grid
         (rows, times, kinds), last = self._jump_record()
         # rounds run forward in time, so a stable sort keeps each row's jumps in order
         order = np.argsort(rows, kind="stable")
@@ -366,10 +371,10 @@ class _Evolution:
         jumps = np.empty(len(rows), dtype=JUMP_DTYPE)
         jumps["time"] = times[order]
         jumps["kind"] = kinds[order]
-        n_ck = len(self.grid)
+        n_ck = len(grid)
         # checkpoint k closes the interval (t_{k-1}, t_k] that holds the jump
         heats = np.zeros((n_ck, self.n), dtype=np.int64)
-        np.add.at(heats, (np.searchsorted(self.grid, times), rows), 1 - 2 * kinds)
+        np.add.at(heats, (np.searchsorted(grid, times), rows), 1 - 2 * kinds)
         np.cumsum(heats, axis=0, out=heats)
         # |W| <= dim + the row's jump count, far below 2**31
         w_p = np.empty((n_ck, self.n), dtype=np.int32)
@@ -379,10 +384,10 @@ class _Evolution:
             sq = np.square(states.view(np.float64))
             pops = sq[:, 0::2] + sq[:, 1::2]
             self.top[k] = pops[:, -1].sum()
-            u = uniforms(self.key, k + 1, MEASUREMENT, self.ids)
-            w_p[k], w_c[k] = _measure(pops, u, self.levels, heats[k], self.ell_i, self.pf0)
+            u = uniforms(self.ens.key, k + 1, MEASUREMENT, self.ids)
+            w_p[k], w_c[k] = _measure(pops, u, self.levels, heats[k], self.ell_i, self.ens.pf0)
         return TrajectoryBatch(
-            times=np.array(self.grid),
+            times=np.array(grid),
             first_id=self.first_id,
             levels=self.levels,
             heats=heats,
@@ -404,10 +409,11 @@ class _Evolution:
         below their threshold; the others retire. So there are as many
         rounds as the most jumps of any row.
         """
-        end_t = self.grid[-1]
+        ens, grid = self.ens, self.ens.grid
+        end_t = grid[-1]
         # from the initial level the state at T is a row of the T propagator
-        rows = np.flatnonzero(_norm2(self.prop.interval_t[end_t][self.levels]) < self.thresholds)
-        states = np.eye(self.dim, dtype=complex)[self.levels[rows]]
+        rows = np.flatnonzero(_norm2(ens.interval_t[end_t][self.levels]) < self.thresholds)
+        states = np.eye(ens.dim, dtype=complex)[self.levels[rows]]
         t_last = np.zeros(rows.size)
         r = self.thresholds[rows]
         # an empty first entry leaves round j's jumps at log[j + 1], which
@@ -415,17 +421,17 @@ class _Evolution:
         log = [(rows[:0], t_last[:0], rows[:0])]
         last = [(rows[:0], t_last[:0], states[:0])]
         while rows.size:
-            tau, psi = self.prop.jump_states(states, np.log(r), end_t - t_last)
+            tau, psi = ens.jump_states(states, np.log(r), end_t - t_last)
             t_jump = np.minimum(t_last + tau, end_t)
             if len(log) > 1:
                 # a post-jump state is the last of its interval unless the
                 # row's next jump falls in the same one
-                moved = np.searchsorted(self.grid, t_jump) > np.searchsorted(self.grid, t_last)
+                moved = np.searchsorted(grid, t_jump) > np.searchsorted(grid, t_last)
                 last.append((rows[moved], t_last[moved], states[moved]))
             t_last = t_jump
             kinds, states, r = self._jump(rows, psi, len(log))
             log.append((rows, t_last, kinds))
-            go = _norm2(self.prop.propagate(states, end_t - t_last)) < r
+            go = _norm2(ens.propagate(states, end_t - t_last)) < r
             last.append((rows[~go], t_last[~go], states[~go]))
             rows, states, t_last, r = rows[go], states[go], t_last[go], r[go]
         return (tuple(np.concatenate(col) for col in zip(*log)),
@@ -436,17 +442,17 @@ class _Evolution:
         whose pre-jump states are ``psi``: the two uniforms of dynamics event
         ``event``, the row's jump number."""
         p2 = psi.real**2 + psi.imag**2
-        w0 = np.einsum("ij,j->i", p2, self.prop.w0)
-        total = w0 + np.einsum("ij,j->i", p2, self.prop.w1)
+        w0 = np.einsum("ij,j->i", p2, self.ens.w0)
+        total = w0 + np.einsum("ij,j->i", p2, self.ens.w1)
         if not np.all(total > 0):
             bad = self.first_id + int(rows[np.argmin(total)])
             raise SimulationError(f"jump without a jump rate in trajectory {bad}")
-        draws = uniforms(self.key, event, DYNAMICS, self.ids[rows])
+        draws = uniforms(self.ens.key, event, DYNAMICS, self.ids[rows])
         kinds = (draws[:, 0] * total >= w0).astype(np.int64)
         post = np.where(
             (kinds == 0)[:, None],
-            _rows_times(psi, self.prop.jump_t[0]),
-            _rows_times(psi, self.prop.jump_t[1]),
+            _rows_times(psi, self.ens.jump_t[0]),
+            _rows_times(psi, self.ens.jump_t[1]),
         )
         post /= np.linalg.norm(post, axis=1)[:, None]
         return kinds, post, draws[:, 1]
@@ -458,30 +464,23 @@ class _Evolution:
         inside it from its last post-jump state there (``rows``, ``times``,
         ``posts``: one entry per row and interval). Each yielded array is
         new, and the readout does not write to it again."""
-        ck = np.searchsorted(self.grid, times)
+        ens, grid = self.ens, self.ens.grid
+        ck = np.searchsorted(grid, times)
         by_ck = np.argsort(ck, kind="stable")
-        bounds = np.searchsorted(ck[by_ck], np.arange(len(self.grid) + 1))
-        states = np.eye(self.dim, dtype=complex)[self.levels]
+        bounds = np.searchsorted(ck[by_ck], np.arange(len(grid) + 1))
+        states = np.eye(ens.dim, dtype=complex)[self.levels]
         t_prev = 0.0
-        for k, t in enumerate(self.grid):
-            states = _rows_times(states, self.prop.interval_t[t - t_prev])
+        for k, t in enumerate(grid):
+            states = _rows_times(states, ens.interval_t[t - t_prev])
             sel = by_ck[bounds[k]:bounds[k + 1]]
             if sel.size:
-                states[rows[sel]] = self.prop.propagate(posts[sel], t - times[sel])
+                states[rows[sel]] = ens.propagate(posts[sel], t - times[sel])
             # scaling the float view by the reciprocal rounds exactly as
             # numpy's complex-by-real division, at about half the cost
             flat = states.view(np.float64)
             flat *= (1.0 / np.sqrt(_norm2(states)))[:, None]
             yield k, states
             t_prev = t
-
-
-def _validate_grid(params: PhysicalParams, config: EnsembleConfig) -> None:
-    if config.checkpoint_grid[-1] > params.drive_time * (1 + 1e-12):
-        raise ValueError(
-            f"checkpoint grid extends to {config.checkpoint_grid[-1]} beyond "
-            f"drive_time = {params.drive_time}"
-        )
 
 
 def iter_ensemble(
@@ -492,15 +491,10 @@ def iter_ensemble(
     only when it is asked for. Every trajectory is identical for every batch
     size.
     """
-    _validate_grid(params, config)
-    prop = _Propagator(params, rates, config.checkpoint_grid)
-    key = np.random.SeedSequence(config.master_seed).generate_state(2)
+    ensemble = _Ensemble(params, rates, config)
     top = np.zeros(len(config.checkpoint_grid))
     for start in range(0, config.n_traj, config.batch_size):
-        count = min(config.batch_size, config.n_traj - start)
-        evolution = _Evolution(
-            prop, key, params, rates, config.checkpoint_grid, start, count, config.initial_level
-        )
+        evolution = _Evolution(ensemble, start, min(config.batch_size, config.n_traj - start))
         batch = evolution.run()
         top += evolution.top
         yield batch

@@ -19,8 +19,9 @@ tables.
 
 The sampling happens during the trajectory readout (trajectories): each
 checkpoint row is measured as soon as it exists, so a TrajectoryBatch
-arrives carrying its (K, n) work arrays W_p and W_c, and measure_ensemble
-counts each row into exact histograms with bincount.
+arrives carrying its (K, n) work arrays W_p and W_c, and measure_ensemble,
+which reads nothing but the batches, counts each row into exact histograms
+with bincount.
 
 All work values are exact integers in units of hbar*omega0, so moment
 accumulation is an exact value -> count histogram.
@@ -35,7 +36,7 @@ import numpy as np
 
 from .errors import GridMismatchError, InsufficientDataError
 from .model import Rates, calorimetric_value, guardian_probs
-from .quadrature import csv_float
+from .quadrature import write_csv
 from .trajectories import TrajectoryBatch
 
 __all__ = [
@@ -156,13 +157,11 @@ def _add_counts(hist: dict[int, int], values: np.ndarray) -> None:
         hist[lo + int(v)] = hist.get(lo + int(v), 0) + int(counts[v])
 
 
-def measure_ensemble(batches: Iterable[TrajectoryBatch], rates: Rates) -> EnsembleWorkResult:
+def measure_ensemble(batches: Iterable[TrajectoryBatch]) -> EnsembleWorkResult:
     """Both work values of every (trajectory, checkpoint) pair, reduced per
     checkpoint to exact histograms. The result does not depend on how the
-    ensemble is cut into batches.
-
-    ``rates`` is not read: each batch was measured with its ensemble's rates
-    while it was evolved.
+    ensemble is cut into batches. Only the batches are read: each arrives
+    measured (see TrajectoryBatch).
     """
     times: np.ndarray | None = None
     for batch in batches:
@@ -196,14 +195,9 @@ _MOMENT_COLUMNS = (
 def write_moments_csv(path, result: EnsembleWorkResult, header_lines: Sequence[str] = ()) -> None:
     """Estimator CSV: one row per checkpoint time."""
     p, c = result.projective, result.calorimetric
-    with open(path, "w") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write(_MOMENT_COLUMNS + "\n")
-        for k, t in enumerate(p.times):
-            row = [
-                t,
-                p.mean[k], p.stderr_mean[k], p.variance[k], p.stderr_variance[k],
-                c.mean[k], c.stderr_mean[k], c.variance[k], c.stderr_variance[k],
-            ]
-            fh.write(",".join(csv_float(x) for x in row) + f",{p.n_traj}\n")
+    rows = [
+        (t, p.mean[k], p.stderr_mean[k], p.variance[k], p.stderr_variance[k],
+         c.mean[k], c.stderr_mean[k], c.variance[k], c.stderr_variance[k], str(p.n_traj))
+        for k, t in enumerate(p.times)
+    ]
+    write_csv(path, _MOMENT_COLUMNS, rows, header_lines)

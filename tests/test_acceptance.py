@@ -88,7 +88,7 @@ def fig3_runs():
         grid = tuple(np.linspace(0.0, p.drive_time, 21))
         cfg = EnsembleConfig(checkpoint_grid=grid, n_traj=10_000, master_seed=101)
         started = time.monotonic()
-        result = measure_ensemble(iter_ensemble(p, r, cfg), r)
+        result = measure_ensemble(iter_ensemble(p, r, cfg))
         elapsed = time.monotonic() - started
         out[beta] = (p, r, result, elapsed)
     return out
@@ -131,7 +131,7 @@ def fig4_bundle():
             nbar_sumsqs[n0][k] += (nbar**2).sum()
 
     with tapped_readout(tap):
-        result = measure_ensemble(iter_ensemble(p, r, cfg), r)
+        result = measure_ensemble(iter_ensemble(p, r, cfg))
     oracle = {}
     for n0 in sorted(counts):
         rho0 = np.zeros((p.dim, p.dim), dtype=complex)
@@ -152,7 +152,7 @@ def fig5c_run():
     r = make_rates(p)
     grid = tuple(np.linspace(0.0, p.drive_time, 11))
     cfg = EnsembleConfig(checkpoint_grid=grid, n_traj=20_000, master_seed=303)
-    result = measure_ensemble(iter_ensemble(p, r, cfg), r)
+    result = measure_ensemble(iter_ensemble(p, r, cfg))
     return p, r, np.array(grid), result
 
 
@@ -198,7 +198,7 @@ def zero_temperature_run():
     r = make_rates(p)
     grid = tuple(np.linspace(0.0, p.drive_time, 21))
     cfg = EnsembleConfig(checkpoint_grid=grid, n_traj=10_000, master_seed=404)
-    result = measure_ensemble(iter_ensemble(p, r, cfg), r)
+    result = measure_ensemble(iter_ensemble(p, r, cfg))
     return p, r, result
 
 
@@ -237,7 +237,7 @@ def t0_artifact_run():
     p = PhysicalParams(gamma=0.05, beta=0.1, lambda0=0.01, dim=200)
     r = make_rates(p)
     cfg = EnsembleConfig(checkpoint_grid=(0.0,), n_traj=10_000, master_seed=505)
-    result = measure_ensemble(iter_ensemble(p, r, cfg), r)
+    result = measure_ensemble(iter_ensemble(p, r, cfg))
     return p, r, result
 
 
@@ -372,7 +372,7 @@ def fig4_small_run():
     # var_Wc lies 0.004-0.008 below them. 809 is the next seed of the
     # declared list 808, 809, ...
     cfg = EnsembleConfig(checkpoint_grid=grid, n_traj=6_000, master_seed=809)
-    result = measure_ensemble(iter_ensemble(p, r, cfg), r)
+    result = measure_ensemble(iter_ensemble(p, r, cfg))
     return p, r, np.array(grid), result
 
 

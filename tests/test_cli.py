@@ -5,6 +5,8 @@ import re
 import numpy as np
 import pytest
 
+from qho_cal import __version__, analytics, cli
+from qho_cal.analytics import TruncationPolicy
 from qho_cal.cli import (
     main,
     parse_config,
@@ -13,7 +15,9 @@ from qho_cal.cli import (
     run_oracle,
     run_simulate,
 )
-from qho_cal.errors import ConfigError
+from qho_cal.errors import ConfigError, SimulationError
+from qho_cal.model import PhysicalParams
+from qho_cal.trajectories import EnsembleConfig
 
 pytestmark = pytest.mark.filterwarnings("ignore::qho_cal.errors.RegimeWarning")
 
@@ -82,6 +86,40 @@ class TestParseConfig:
         cfg = parse_config("gamma=0.001\nbeta=2\ngrid=1")
         assert cfg.ensemble.checkpoint_grid == (0.0,)
 
+    @pytest.mark.parametrize(
+        "text, gamma, beta",
+        [
+            ("preset=fig3\nbeta=1", 1e-4, 1.0),
+            ("preset=fig3\nbeta=2", 1e-4, 2.0),
+            ("preset=fig3\nbeta=5", 1e-4, 5.0),
+            ("preset=fig4", 1e-3, 2.0),
+            ("preset=fig5a", 0.01, 2.0),
+            ("preset=fig5b", 0.05, 2.0),
+            ("preset=fig5c", 0.1, 2.0),
+        ],
+    )
+    def test_preset_is_the_documented_configuration(self, text, gamma, beta):
+        # lambda0 = 0.01, dim = 10, 101 points up to T = pi/lambda0, 100,000
+        # trajectories, seed 0 and the policy 1/10/2, all spelled out here
+        cfg = parse_config(text)
+        t_end = math.pi / 0.01
+        assert cfg.params == PhysicalParams(
+            gamma=gamma, beta=beta, lambda0=0.01, drive_time=t_end, dim=10
+        )
+        assert cfg.ensemble == EnsembleConfig(
+            checkpoint_grid=tuple(np.linspace(0.0, t_end, 101)), n_traj=100_000, master_seed=0,
+            initial_level=None, batch_size=8192,
+        )
+        assert cfg.policy == TruncationPolicy(n_max=1, m_max=10, jumps_max=2)
+        name = text.split("\n")[0].removeprefix("preset=")
+        assert cfg.provenance() == [
+            f"qho-cal {__version__}",
+            f"preset={name}",
+            f"lambda0=0.01 gamma={gamma!r} beta={beta!r} drive_time=314.1592653589793 dim=10",
+            "ntraj=100000 seed=0 grid_points=101",
+            "policy n_max=1 m_max=10 jumps_max=2",
+        ]
+
     def test_policy_keys(self):
         cfg = parse_config("gamma=0.001\nbeta=2\nn_max=0\nm_max=12\njumps_max=1")
         assert (cfg.policy.n_max, cfg.policy.m_max, cfg.policy.jumps_max) == (0, 12, 1)
@@ -132,6 +170,16 @@ class TestRunSimulate:
         )
         assert hashlib.sha256(body.encode()).hexdigest() == digest
 
+    def test_one_trajectory_is_config_error(self, tmp_path, capsys, monkeypatch):
+        # a standard error needs two samples: refused before any batch is
+        # evolved, and no file is written
+        monkeypatch.setattr(cli, "iter_ensemble", lambda *a: pytest.fail("ensemble evolved"))
+        out = tmp_path / "one.csv"
+        argv = ["simulate", "--preset", "fig4", "--ntraj", "1", "--grid", "5", "--out", str(out)]
+        assert main(argv) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_out_rejected(self):
         cfg = parse_config("preset=fig4\nntraj=2\ngrid=2")
         with pytest.raises(ConfigError, match="out"):
@@ -181,6 +229,25 @@ class TestRunAnalytic:
             mu_t = (lam * t / 2.0) ** 2
             assert abs(mean_c - (1 - math.exp(-mu_t))) < 1e-6
             assert abs(var_c - math.exp(-2 * mu_t) * (math.exp(mu_t) - 1)) < 1e-6
+
+    def test_failing_row_leaves_no_file(self, tmp_path, capsys, monkeypatch):
+        # every row is computed before the file is opened: a failure in the
+        # third perturbative row leaves no partial CSV behind
+        calls = []
+        moments = analytics.perturbative_moments
+
+        def failing(*args, **kwargs):
+            calls.append(args[0])
+            if len(calls) == 3:
+                raise SimulationError("jump-time quadrature not converged")
+            return moments(*args, **kwargs)
+
+        monkeypatch.setattr(analytics, "perturbative_moments", failing)
+        out = tmp_path / "ana.csv"
+        assert main(["analytic", "--preset", "fig4", "--grid", "5", "--out", str(out)]) == 3
+        assert "numerical error" in capsys.readouterr().err
+        assert len(calls) == 3
+        assert not out.exists()
 
 
 class TestRunOracle:
@@ -258,6 +325,16 @@ class TestRunCompare:
             ],
         )
         assert run_compare(sim, ana) == 0
+
+    def test_threshold_is_not_an_option(self, tmp_path, capsys):
+        # the pass threshold is fixed at |z| <= 3
+        sim, ana = self._write_pair(tmp_path, ["0,0,0,0,0,0,0,0,0,10"], ["0,0,0,0,0,unitary"])
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", sim, ana, "--zmax", "2"])
+        assert exc.value.code == 2
+        assert "--zmax" in capsys.readouterr().err
+        assert main(["compare", sim, ana]) == 0
+        assert capsys.readouterr().out.endswith("compare: pass (z threshold 3.0)\n")
 
     def test_grid_mismatch_detected(self, tmp_path):
         sim, ana = self._write_pair(

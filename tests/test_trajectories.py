@@ -2,6 +2,7 @@ import math
 import re
 import tracemalloc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -135,6 +136,26 @@ class TestEnsembleConfig:
         with pytest.raises(ValueError):
             run_ensemble(p, make_rates(p), cfg)
 
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"checkpoint_grid": (0.0, 400.0)}, "beyond drive_time"),
+            ({"initial_level": 10}, "initial_level 10 outside"),
+            ({"initial_level": -1}, "initial_level -1 outside"),
+        ],
+        ids=["grid-past-drive", "level-too-high", "level-negative"],
+    )
+    def test_rejected_at_first_next_before_any_batch(self, monkeypatch, changes, message):
+        # the ensemble is checked once, before its first batch is evolved
+        runs = []
+        monkeypatch.setattr(_Evolution, "run", lambda self: runs.append(self))
+        p = PhysicalParams(gamma=1e-3, beta=2.0, dim=10)
+        cfg = EnsembleConfig(checkpoint_grid=(0.0, p.drive_time), n_traj=20, batch_size=10)
+        batches = iter_ensemble(p, make_rates(p), replace(cfg, **changes))
+        with pytest.raises(ValueError, match=message):
+            next(batches)
+        assert runs == []
+
 
 class TestJumpEvent:
     def test_validation(self):
@@ -229,7 +250,7 @@ class TestEvolveTrajectory:
             for n in (5, 6)
         )
         with pytest.raises(GridMismatchError):
-            measure_ensemble([a, b], r)
+            measure_ensemble([a, b])
 
 
 class TestNoJumpConsistency:
@@ -322,10 +343,9 @@ class TestJumpRecord:
         # interval, so those are the only post-jump states the record keeps
         p = PhysicalParams(gamma=0.1, beta=2.0, lambda0=0.01, dim=10)
         r = make_rates(p)
-        grid = grid_to(p.drive_time, 21)
-        key = np.random.SeedSequence(1).generate_state(2)
-        prop = trajectories._Propagator(p, r, grid)
-        evolution = _Evolution(prop, key, p, r, grid, 0, 64, None)
+        cfg = EnsembleConfig(checkpoint_grid=grid_to(p.drive_time, 21), master_seed=1)
+        grid = cfg.checkpoint_grid
+        evolution = _Evolution(trajectories._Ensemble(p, r, cfg), 0, 64)
         (rows, times, _), (kept_rows, kept_times, posts) = evolution._jump_record()
 
         def cells(rows, times):
@@ -428,8 +448,8 @@ class TestEnsemble:
             offsets = whole.jump_offsets[b.first_id:ids.stop + 1]
             assert np.array_equal(b.jumps, whole.jumps[offsets[0]:offsets[-1]])
             assert np.array_equal(b.jump_offsets, offsets - offsets[0])
-        ma = measure_ensemble([whole], r)
-        mb = measure_ensemble(iter_ensemble(p, r, cut), r)
+        ma = measure_ensemble([whole])
+        mb = measure_ensemble(iter_ensemble(p, r, cut))
         assert ma.projective.histograms == mb.projective.histograms
         assert ma.calorimetric.histograms == mb.calorimetric.histograms
 
@@ -471,7 +491,7 @@ class TestEnsemble:
         cfg = EnsembleConfig(
             checkpoint_grid=grid_to(p.drive_time, 5), n_traj=30, master_seed=5, batch_size=10
         )
-        measure_ensemble(iter_ensemble(p, r, cfg), r)
+        measure_ensemble(iter_ensemble(p, r, cfg))
         assert alive == [0, 0, 0]
 
     @pytest.mark.filterwarnings("ignore::qho_cal.errors.TruncationWarning")
@@ -486,7 +506,7 @@ class TestEnsemble:
         )
         tracemalloc.start()
         try:
-            measure_ensemble(iter_ensemble(p, r, cfg), r)
+            measure_ensemble(iter_ensemble(p, r, cfg))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -99,7 +99,7 @@ class TestHeat:
         batch = make_batch(
             [0] * 5, [0, 1, 2, 1], [basis_state(0, 4)] * 4, r, times=[0.0, 1.5, 2.5, 4.0]
         )
-        result = measure_ensemble([batch], r)
+        result = measure_ensemble([batch])
         assert result.projective.histograms == [{0: 5}, {1: 5}, {2: 5}, {1: 5}]
 
     def test_outside_horizon(self):
@@ -362,7 +362,7 @@ class TestSummarize:
         with pytest.raises(InsufficientDataError):
             summary_of([0])
         with pytest.raises(InsufficientDataError):
-            measure_ensemble([], rates_for(1.0))
+            measure_ensemble([])
 
     def test_groups_by_time(self):
         s = summary_of([0, 1, 0, 1], [1, 1, 2, 2])
@@ -385,7 +385,7 @@ def reference_work(batch, pops, rates, seed):
     k_n, n, dim = pops.shape
     pi0, pf0, _ = guardian_probs(np.arange(dim), rates)
     key = np.random.SeedSequence(seed).generate_state(2)
-    ids = batch.traj_ids
+    ids = batch.first_id + np.arange(len(batch.levels))
     ell_i = initial_guardian(key, ids, batch.levels, pi0)
     wp = np.empty((k_n, n), dtype=np.int64)
     wc = np.empty((k_n, n), dtype=np.int64)
@@ -417,7 +417,7 @@ class TestStreamedMeasurement:
         wp, wc = reference_work(batch, pops, r, seed)
         assert np.array_equal(batch.W_p, wp)
         assert np.array_equal(batch.W_c, wc)
-        streamed = measure_ensemble(iter_ensemble(p, r, replace(cfg, batch_size=128)), r)
+        streamed = measure_ensemble(iter_ensemble(p, r, replace(cfg, batch_size=128)))
         assert streamed.projective.histograms == [histogram_of(v) for v in wp]
         assert streamed.calorimetric.histograms == [histogram_of(v) for v in wc]
 
@@ -434,7 +434,7 @@ class TestMeasureEnsemble:
         # two-measurement work vanishes identically at tau = 0, while the
         # two-level inference scatters as soon as level 1 is populated
         p, r, batch = self._small_run(beta=0.5)
-        result = measure_ensemble([batch], r)
+        result = measure_ensemble([batch])
         assert result.projective.variance[0] == 0.0
         assert result.projective.mean[0] == 0.0
         assert result.calorimetric.variance[0] > 0.1
@@ -446,7 +446,7 @@ class TestMeasureEnsemble:
         p = PhysicalParams(gamma=0.05, beta=beta, lambda0=0.01, dim=dim)
         r = make_rates(p)
         cfg = EnsembleConfig(checkpoint_grid=(0.0,), n_traj=20_000, master_seed=77)
-        result = measure_ensemble([run_ensemble(p, r, cfg)], r)
+        result = measure_ensemble([run_ensemble(p, r, cfg)])
         x = math.exp(-beta)
         ns = np.arange(dim)
         peq = (1 - x) * x**ns
@@ -459,7 +459,7 @@ class TestMeasureEnsemble:
 
     def test_deterministic_given_seeds(self):
         p, r, batch = self._small_run()
-        a = measure_ensemble([batch], r)
-        b = measure_ensemble([batch], r)
+        a = measure_ensemble([batch])
+        b = measure_ensemble([batch])
         assert a.projective.histograms == b.projective.histograms
         assert a.calorimetric.histograms == b.calorimetric.histograms
