@@ -15,15 +15,19 @@ checkpoint T, one round per jump: each round propagates every row still
 active from its last post-jump state to T, retires the rows whose norm stays
 at or above r there and makes the next jump of the others. It keeps only the
 post-jump states the second phase reads, each row's last in each checkpoint
-interval. The second reads the checkpoints off that record: per interval one
-shared propagator for every row, then each row that jumped inside it
-re-propagated from its last post-jump state there. Each checkpoint row is
-measured as soon as it exists (both work values, see work) and then
-dropped, so no batch ever holds the populations of all its checkpoints; a
-batch keeps the integer cumulative heats and the two work values per
-checkpoint. The jump solves see only T, so the points before it do not
-change a trajectory at all, and a grid that ends earlier changes its jump
-times only within the root tolerance.
+interval. The second reads the checkpoints off that record with the rows in
+first-jump order, so that the rows that have jumped by any checkpoint are a
+prefix. A row that has not jumped is its initial level's row of one chained
+dim x dim table: per interval the shared propagator, then normalized. Only
+the jumped prefix is propagated row by row, with the same propagator, and
+each row that jumped inside the interval is re-propagated from its last
+post-jump state there; every row is rounded as if all rows were propagated.
+Each checkpoint row is measured as soon as it exists (both work values, see
+work) and then dropped, so no batch ever holds the populations of all its
+checkpoints; a batch keeps the integer cumulative heats and the two work
+values per checkpoint. The jump solves see only T, so the points before it
+do not change a trajectory at all, and a grid that ends earlier changes its
+jump times only within the root tolerance.
 
 Random numbers are counter based (Philox4x32-10; Salmon, Moraes, Dror &
 Shaw, SC11): each uniform is a pure function of the ensemble key, two words
@@ -227,6 +231,22 @@ def _norm2(states: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", flat, flat)
 
 
+def _normalized(states: np.ndarray) -> np.ndarray:
+    """The rows of a C-contiguous complex array normalized in place; scaling
+    the float view by the reciprocal rounds exactly as numpy's
+    complex-by-real division, at about half the cost."""
+    flat = states.view(np.float64)
+    flat *= (1.0 / np.sqrt(_norm2(states)))[:, None]
+    return states
+
+
+def _populations(states: np.ndarray, out=None) -> np.ndarray:
+    """|psi|^2 per level from the float view, bit for bit
+    ``states.real**2 + states.imag**2``."""
+    sq = np.square(states.view(np.float64))
+    return np.add(sq[:, 0::2], sq[:, 1::2], out=out)
+
+
 class _Ensemble:
     """What every batch of one ensemble shares, built and checked once: the
     Philox key, the grid, dim, the CDF of the initial level (thermal, or a
@@ -363,29 +383,48 @@ class _Evolution:
         self.top = np.zeros(len(ens.grid))
 
     def run(self) -> TrajectoryBatch:
+        """The batch: its jump record, then its checkpoints read out in
+        first-jump order and measured, with every output array scattered
+        back to trajectory-id order (the leak sums too, so that they are
+        summed in the same order for every batch size)."""
         grid = self.ens.grid
         (rows, times, kinds), last = self._jump_record()
         # rounds run forward in time, so a stable sort keeps each row's jumps in order
-        order = np.argsort(rows, kind="stable")
+        by_row = np.argsort(rows, kind="stable")
         n_jumps = np.bincount(rows, minlength=self.n)
+        offsets = np.concatenate([[0], np.cumsum(n_jumps)])
         jumps = np.empty(len(rows), dtype=JUMP_DTYPE)
-        jumps["time"] = times[order]
-        jumps["kind"] = kinds[order]
+        jumps["time"] = times[by_row]
+        jumps["kind"] = kinds[by_row]
         n_ck = len(grid)
         # checkpoint k closes the interval (t_{k-1}, t_k] that holds the jump
         heats = np.zeros((n_ck, self.n), dtype=np.int64)
         np.add.at(heats, (np.searchsorted(grid, times), rows), 1 - 2 * kinds)
         np.cumsum(heats, axis=0, out=heats)
+        # first-jump order: the rows that have jumped by checkpoint k are the
+        # first active[k] rows of the readout
+        first = np.full(self.n, np.inf)
+        jumped = n_jumps > 0
+        first[jumped] = jumps["time"][offsets[:-1][jumped]]
+        order = np.argsort(first, kind="stable")
+        active = np.searchsorted(first[order], grid, side="right")
+        # Philox is elementwise in the id, so drawing on the permuted ids
+        # draws each trajectory's own uniforms
+        ids, levels, ell_i = self.ids[order], self.levels[order], self.ell_i[order]
         # |W| <= dim + the row's jump count, far below 2**31
         w_p = np.empty((n_ck, self.n), dtype=np.int32)
         w_c = np.empty((n_ck, self.n), dtype=np.int32)
-        for k, states in self._readout(*last):
-            # |psi|^2 from the float view, bit for bit states.real**2 + states.imag**2
-            sq = np.square(states.view(np.float64))
-            pops = sq[:, 0::2] + sq[:, 1::2]
-            self.top[k] = pops[:, -1].sum()
-            u = uniforms(self.ens.key, k + 1, MEASUREMENT, self.ids)
-            w_p[k], w_c[k] = _measure(pops, u, self.levels, heats[k], self.ell_i, self.ens.pf0)
+        top = np.empty(self.n)
+        states = np.empty((self.n, self.ens.dim), dtype=complex)
+        for k, pops in self._readout(order, active, states, *last):
+            top[order] = pops[:, -1]
+            self.top[k] = top.sum()
+            u = uniforms(self.ens.key, k + 1, MEASUREMENT, ids)
+            w_p[k, order], w_c[k, order] = _measure(
+                pops, u, levels, heats[k, order], ell_i, self.ens.pf0
+            )
+        final = np.empty_like(states)
+        final[order] = states
         return TrajectoryBatch(
             times=np.array(grid),
             first_id=self.first_id,
@@ -393,9 +432,9 @@ class _Evolution:
             heats=heats,
             W_p=w_p,
             W_c=w_c,
-            states=states,
+            states=final,
             jumps=jumps,
-            jump_offsets=np.concatenate([[0], np.cumsum(n_jumps)]),
+            jump_offsets=offsets,
         )
 
     def _jump_record(self):
@@ -457,30 +496,43 @@ class _Evolution:
         post /= np.linalg.norm(post, axis=1)[:, None]
         return kinds, post, draws[:, 1]
 
-    def _readout(self, rows, times, posts):
-        """Yield ``(k, states)`` per checkpoint: the normalized states (n,
-        dim) of every row at ``grid[k]``. Every interval applies its shared
-        propagator to every row, then re-propagates each row that jumped
-        inside it from its last post-jump state there (``rows``, ``times``,
-        ``posts``: one entry per row and interval). Each yielded array is
-        new, and the readout does not write to it again."""
+    def _readout(self, order, active, states, rows, times, posts):
+        """Yield ``(k, pops)`` per checkpoint: the populations (n, dim) at
+        ``grid[k]`` of the rows ``order`` (trajectory indices in first-jump
+        order), of which the first ``active[k]`` have jumped by then.
+
+        A row that has not jumped is its initial level's row of one chained
+        ``table``: per interval the shared propagator, then normalized. The
+        jumped prefix of ``states`` is chained with the same propagator, and
+        each row that jumped inside the interval is re-propagated from its
+        last post-jump state there (``rows``, ``times``, ``posts``: one entry
+        per row and interval), so every row is rounded as if all rows were
+        propagated. ``pops`` is one buffer, overwritten at each checkpoint;
+        after the last, ``states`` holds every row's final state."""
         ens, grid = self.ens, self.ens.grid
+        slot = np.empty_like(order)
+        slot[order] = np.arange(self.n)
+        rows = slot[rows]
+        levels = self.levels[order]
         ck = np.searchsorted(grid, times)
         by_ck = np.argsort(ck, kind="stable")
         bounds = np.searchsorted(ck[by_ck], np.arange(len(grid) + 1))
-        states = np.eye(ens.dim, dtype=complex)[self.levels]
-        t_prev = 0.0
+        table = np.eye(ens.dim, dtype=complex)
+        pops = np.empty(states.shape)
+        t_prev, n_act = 0.0, 0
         for k, t in enumerate(grid):
-            states = _rows_times(states, ens.interval_t[t - t_prev])
+            u_t = ens.interval_t[t - t_prev]
+            table = _normalized(_rows_times(table, u_t))
+            states[:n_act] = _rows_times(states[:n_act], u_t)
             sel = by_ck[bounds[k]:bounds[k + 1]]
             if sel.size:
                 states[rows[sel]] = ens.propagate(posts[sel], t - times[sel])
-            # scaling the float view by the reciprocal rounds exactly as
-            # numpy's complex-by-real division, at about half the cost
-            flat = states.view(np.float64)
-            flat *= (1.0 / np.sqrt(_norm2(states)))[:, None]
-            yield k, states
+            n_act = active[k]
+            _populations(_normalized(states[:n_act]), out=pops[:n_act])
+            np.take(_populations(table), levels[n_act:], axis=0, out=pops[n_act:])
+            yield k, pops
             t_prev = t
+        states[n_act:] = table[levels[n_act:]]
 
 
 def iter_ensemble(

@@ -2,8 +2,10 @@
 
 The program measures each checkpoint row as the readout yields it and then
 drops it, so no batch carries populations. Tests that need them tap the one
-readout loop, ``_Evolution._readout``, and see every row it yields, with the
-populations computed exactly as the measurement computes them.
+readout loop, ``_Evolution._readout``, and see the populations of every row
+it yields, exactly those the measurement reads. The readout yields its rows
+in first-jump order and reuses one buffer; the tap hands each checkpoint's
+rows on as a new array in trajectory-id order.
 """
 
 import contextlib
@@ -14,21 +16,19 @@ import pytest
 from qho_cal.trajectories import _Evolution, run_ensemble
 
 
-def populations(states):
-    """|psi|^2 per level, rounded as the readout's measurement rounds it."""
-    return states.real**2 + states.imag**2
-
-
 @contextlib.contextmanager
 def tapped_readout(tap):
     """While active, every checkpoint row that an ``_Evolution`` reads out
-    is first passed to ``tap(evolution, k, pops)``, pops (n, dim)."""
+    is first passed to ``tap(evolution, k, pops)``, pops (n, dim) in
+    trajectory-id order."""
     readout = _Evolution._readout
 
-    def tapped(self, *args):
-        for k, states in readout(self, *args):
-            tap(self, k, populations(states))
-            yield k, states
+    def tapped(self, order, *args):
+        for k, pops in readout(self, order, *args):
+            by_id = np.empty_like(pops)
+            by_id[order] = pops
+            tap(self, k, by_id)
+            yield k, pops
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_Evolution, "_readout", tapped)

@@ -360,6 +360,113 @@ class TestJumpRecord:
         np.testing.assert_allclose(np.linalg.norm(posts, axis=1), 1.0, rtol=0, atol=1e-12)
 
 
+def reference_readout(evolution):
+    """The all-rows readout that first-jump order replaced: per interval the
+    shared propagator for every row, then each row that jumped inside it
+    re-propagated from its last post-jump state there, then every row
+    normalized. The (K, n, dim) populations and the final states."""
+    ens, grid = evolution.ens, evolution.ens.grid
+    _, (rows, times, posts) = evolution._jump_record()
+    ck = np.searchsorted(grid, times)
+    states = np.eye(ens.dim, dtype=complex)[evolution.levels]
+    pops, t_prev = [], 0.0
+    for k, t in enumerate(grid):
+        states = trajectories._rows_times(states, ens.interval_t[t - t_prev])
+        sel = ck == k
+        states[rows[sel]] = ens.propagate(posts[sel], t - times[sel])
+        states /= np.sqrt(trajectories._norm2(states))[:, None]
+        pops.append(states.real**2 + states.imag**2)
+        t_prev = t
+    return np.stack(pops), states
+
+
+class TestReadout:
+    @pytest.mark.filterwarnings("ignore::qho_cal.errors.TruncationWarning")
+    @pytest.mark.parametrize(
+        "gamma, beta, dim, n, grid, level",
+        [
+            (0.001, 2.0, 10, 300, 21, None),
+            (0.1, 2.0, 10, 64, 21, None),
+            (0.0, 2.0, 10, 20, 6, None),
+            (0.02, 1.0, 10, 40, 1, None),
+            (0.02, 1.0, 10, 40, (0.0, 0.5, 1.0), None),
+            (0.02, 1.0, 10, 40, (0.25, 0.5, 1.0), None),
+            (0.02, 1.0, 10, 40, 11, 3),
+            (0.05, 5.0, 2, 40, 11, None),
+            (0.1, 2.0, 10, 1, 21, None),
+            (0.1, 2.0, 10, 2, 21, None),
+        ],
+        ids=[
+            "fig4", "fig5c", "gamma0", "t0-only", "from-t0", "after-t0", "level3",
+            "dim2", "batch1", "batch2",
+        ],
+    )
+    def test_matches_all_rows_reference(self, gamma, beta, dim, n, grid, level):
+        # reading the rows that have not jumped off the no-jump table and
+        # propagating only the jumped prefix gives the populations, work
+        # values, leak sums and final states of propagating every row, bit
+        # for bit
+        p = PhysicalParams(gamma=gamma, beta=beta, lambda0=0.01, dim=dim)
+        r = make_rates(p)
+        grid = (0.0,) if grid == 1 else grid
+        if isinstance(grid, int):
+            grid = grid_to(p.drive_time, grid)
+        else:
+            grid = tuple(f * p.drive_time for f in grid)
+        cfg = EnsembleConfig(checkpoint_grid=grid, master_seed=11, initial_level=level)
+        ens = trajectories._Ensemble(p, r, cfg)
+        evolution = _Evolution(ens, 5, n)
+        rows = []
+        with tapped_readout(lambda e, k, pops: rows.append(pops)):
+            batch = evolution.run()
+        ref_pops, ref_states = reference_readout(_Evolution(ens, 5, n))
+        assert np.array_equal(np.stack(rows), ref_pops)
+        assert np.array_equal(batch.states, ref_states)
+        assert np.array_equal(evolution.top, ref_pops[:, :, -1].sum(axis=1))
+        for k, pops in enumerate(ref_pops):
+            u = uniforms(ens.key, k + 1, MEASUREMENT, evolution.ids)
+            wp, wc = trajectories._measure(
+                pops, u, batch.levels, batch.heats[k], evolution.ell_i, ens.pf0
+            )
+            assert np.array_equal(batch.W_p[k], wp)
+            assert np.array_equal(batch.W_c[k], wc)
+
+    @pytest.mark.filterwarnings("ignore::qho_cal.errors.TruncationWarning")
+    def test_propagates_only_the_jumped_rows(self, monkeypatch):
+        # fig4 at 2048 trajectories x 101 checkpoints, where about one row in
+        # nine has jumped by an average checkpoint: the readout propagates
+        # the jumped rows, one dim-row table and each kept post-jump state
+        # (into and out of the eigenbasis), not every row at every checkpoint
+        p = PhysicalParams(gamma=0.001, beta=2.0, lambda0=0.01, dim=10)
+        r = make_rates(p)
+        cfg = EnsembleConfig(checkpoint_grid=grid_to(p.drive_time, 101), master_seed=1)
+        n, n_ck = 2048, len(cfg.checkpoint_grid)
+        counting, counted, kept = [True], [0], []
+        rows_times = trajectories._rows_times
+        jump_record = _Evolution._jump_record
+
+        def counted_rows_times(a, b):
+            counted[0] += len(a) if counting[0] else 0
+            return rows_times(a, b)
+
+        def uncounted_jump_record(self):
+            counting[0] = False
+            record = jump_record(self)
+            counting[0] = True
+            kept.append(len(record[1][0]))
+            return record
+
+        monkeypatch.setattr(trajectories, "_rows_times", counted_rows_times)
+        monkeypatch.setattr(_Evolution, "_jump_record", uncounted_jump_record)
+        batch = _Evolution(trajectories._Ensemble(p, r, cfg), 0, n).run()
+        n_jumps = np.diff(batch.jump_offsets)
+        first = np.full(n, np.inf)
+        first[n_jumps > 0] = batch.jumps["time"][batch.jump_offsets[:-1][n_jumps > 0]]
+        active = (first[None, :] <= np.array(cfg.checkpoint_grid)[:, None]).sum(axis=1)
+        assert counted[0] <= active.sum() + n_ck * p.dim + 2 * kept[0]
+        assert counted[0] < 0.35 * n * n_ck
+
+
 class TestPropagatorCheck:
     def test_whole_drive_span_is_checked_against_expm(self, monkeypatch):
         # the jump record propagates over spans up to the whole drive T, so
