@@ -47,7 +47,6 @@ from .trajectories import (
     EnsembleConfig,
     TrajectoryBatch,
     iter_ensemble,
-    run_ensemble,
 )
 from .work import (
     MomentSummary,

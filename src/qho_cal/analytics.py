@@ -52,9 +52,8 @@ import numpy as np
 
 from .errors import RegimeWarning, SimulationError
 from .fock import displacement_elements, displacement_matrix, quadratures
-from .model import PhysicalParams, Rates, bath_occupation
+from .model import PhysicalParams, Rates, bath_occupation, thermal_probabilities
 from .quadrature import gauss_legendre, write_csv
-from .trajectories import thermal_probabilities
 from .work import work_moments
 
 __all__ = [
@@ -124,7 +123,7 @@ def unitary_projective_moments(t: float, params: PhysicalParams) -> tuple[float,
     return m, 2.0 * (occ + 0.5) * m
 
 
-def unitary_table(t: float, lambda0: float, n_max: int = 1) -> np.ndarray:
+def unitary_table(t: float, lambda0: float, n_max: int) -> np.ndarray:
     """No-jump transfer table |<m|D(alpha(t))|n>|^2 for initial levels
     n <= n_max, shape (n_max + 1, M + 1, 1); the single heat column is Q = 0.
     Final levels reach M = ceil(mu + 12 sqrt(mu) + 25) + n_max, deep enough
@@ -218,7 +217,7 @@ def perturbative_matrix(
     t: float,
     params: PhysicalParams,
     rates: Rates,
-    dim: int | None = None,
+    dim: int,
 ) -> np.ndarray:
     """Matrix of amplitudes u(m, t | n) on a ``dim``-level truncation.
 
@@ -227,7 +226,7 @@ def perturbative_matrix(
     quadrature error to check.
     """
     _check_regime(t, rates)
-    return _pert_matrix_raw(t, params, rates, params.dim if dim is None else dim)
+    return _pert_matrix_raw(t, params, rates, dim)
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import SimulationError
-from .model import PhysicalParams, Rates, jump_operators, nh_generator
-from .quadrature import write_csv
-from .trajectories import thermal_probabilities
+from .model import PhysicalParams, Rates, jump_operators, nh_generator, thermal_probabilities
+from .quadrature import checked_grid, write_csv
 from .fock import matrix_exponential
 
 __all__ = [
@@ -67,9 +66,7 @@ def integrate(
     """
     dim = params.dim
     _validate_rho(rho0, dim)
-    grid = [float(t) for t in grid]
-    if any(b <= a for a, b in zip(grid, grid[1:])) or (grid and grid[0] < 0):
-        raise ValueError("grid must be strictly increasing and non-negative")
+    grid = checked_grid(grid)
 
     k, eye = nh_generator(params, rates), np.eye(dim)
     # row-major vec: vec(A rho B) = (A kron B^T) vec(rho)

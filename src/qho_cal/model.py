@@ -1,5 +1,5 @@
-"""Physical parameters, bath rates, jump operators, the no-jump generator
-and the guardian-photon measurement model.
+"""Physical parameters, bath rates, the truncated thermal distribution, jump
+operators, the no-jump generator and the guardian-photon measurement model.
 
 Everything lives in the interaction picture at resonance with the rotating
 wave approximation already applied: the free Hamiltonian never enters the
@@ -24,6 +24,7 @@ __all__ = [
     "PhysicalParams",
     "Rates",
     "bath_occupation",
+    "thermal_probabilities",
     "make_rates",
     "jump_operators",
     "nh_generator",
@@ -110,6 +111,15 @@ def bath_occupation(beta: float) -> float:
         return 1.0 / math.expm1(beta)
     except OverflowError:
         return 0.0
+
+
+def thermal_probabilities(beta: float, dim: int) -> np.ndarray:
+    """Thermal occupation probabilities renormalized on the truncation."""
+    if beta <= 0:
+        raise ValueError(f"beta must be positive, got {beta}")
+    logp = -beta * np.arange(dim)
+    p = np.exp(logp - logp.max())
+    return p / p.sum()
 
 
 def make_rates(params: PhysicalParams) -> Rates:

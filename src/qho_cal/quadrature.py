@@ -1,11 +1,11 @@
-"""Small numeric helpers: Gauss-Legendre nodes, stable CSV float formatting
-and the one CSV writer."""
+"""Small numeric helpers: Gauss-Legendre nodes, the one time-grid rule,
+stable CSV float formatting and the one CSV writer."""
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["gauss_legendre", "csv_float", "write_csv"]
+__all__ = ["gauss_legendre", "checked_grid", "csv_float", "write_csv"]
 
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -22,6 +22,15 @@ def gauss_legendre(n: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray
     mid = 0.5 * (hi + lo)
     half = 0.5 * (hi - lo)
     return mid + half * x, half * w
+
+
+def checked_grid(grid) -> tuple[float, ...]:
+    """The times of ``grid`` as floats, checked to be finite, non-negative
+    and strictly increasing."""
+    times = tuple(float(t) for t in grid)
+    if not (np.isfinite(times).all() and np.all(np.diff(times) > 0) and min(times, default=0) >= 0):
+        raise ValueError("grid times must be finite, non-negative and strictly increasing")
+    return times
 
 
 def csv_float(x: float) -> str:

@@ -29,9 +29,14 @@ from qho_cal.fock import (
     matrix_exponential,
     quadratures,
 )
-from qho_cal.model import PhysicalParams, bath_occupation, make_rates, nh_generator
+from qho_cal.model import (
+    PhysicalParams,
+    bath_occupation,
+    make_rates,
+    nh_generator,
+    thermal_probabilities,
+)
 from qho_cal.quadrature import gauss_legendre
-from qho_cal.trajectories import thermal_probabilities
 from qho_cal.work import work_moments
 
 pytestmark = pytest.mark.filterwarnings("ignore::qho_cal.errors.RegimeWarning")

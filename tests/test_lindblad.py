@@ -146,6 +146,13 @@ class TestIntegrate:
         rho0 = thermal_state(p.beta, p.dim)
         with pytest.raises(ValueError):
             integrate(rho0, p, r, [2.0, 1.0])
+        with pytest.raises(ValueError):
+            integrate(rho0, p, r, [-1.0, 1.0])
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                integrate(rho0, p, r, [0.0, bad])
+            with pytest.raises(ValueError, match="finite"):
+                integrate(rho0, p, r, [bad])
 
 
 def rk4_reference(rho0, params, rates, grid, dt):

@@ -12,21 +12,19 @@ from qho_cal import trajectories
 from qho_cal.errors import GridMismatchError, SimulationError, TruncationWarning
 from qho_cal.fock import matrix_exponential
 from qho_cal.lindblad import integrate
-from qho_cal.model import PhysicalParams, make_rates, nh_generator
+from qho_cal.model import PhysicalParams, make_rates, nh_generator, thermal_probabilities
 from qho_cal.trajectories import (
     DYNAMICS,
     MEASUREMENT,
     EnsembleConfig,
+    _draw,
     _Evolution,
-    inverse_cdf,
     iter_ensemble,
     philox4x32,
-    run_ensemble,
-    thermal_probabilities,
     uniforms,
 )
 from qho_cal.work import measure_ensemble
-from readout_tap import run_with_populations, tapped_readout
+from readout_tap import inverse_cdf, run_ensemble, run_with_populations, tapped_readout
 
 pytestmark = pytest.mark.filterwarnings("ignore::qho_cal.errors.RegimeWarning")
 
@@ -105,16 +103,45 @@ class TestSampleInitialLevel:
             assert abs(counts[level] - n_draws * p[level]) <= 4.0 * se
 
     def test_inverse_cdf_half_open_intervals(self):
-        # level m owns [cdf[m-1], cdf[m]): a uniform on a CDF value goes up,
-        # so a level of zero weight is never drawn, for a shared CDF and for
-        # one CDF per draw alike
-        cdf = np.array([0.25, 0.5, 1.0])
-        u = np.array([0.0, 0.25, 0.4999, 0.5, 0.9999])
-        assert inverse_cdf(cdf, u).tolist() == [0, 1, 1, 2, 2]
-        assert inverse_cdf(np.tile(cdf, (5, 1)), u).tolist() == [0, 1, 1, 2, 2]
-        assert inverse_cdf(np.array([0.0, 0.0, 1.0]), np.array([0.0])).tolist() == [2]
-        # round-off below 1 in the last entry keeps the draw in range
-        assert inverse_cdf(np.array([0.5, 1.0 - 1e-16]), np.array([1.0 - 1e-17])).tolist() == [1]
+        # the engine's one draw, with one row of probabilities per uniform;
+        # the tests-side inverse_cdf agrees on every case
+        cases = [
+            # level m owns [cdf[m-1], cdf[m]): a uniform on a CDF step goes up
+            ([0.25, 0.25, 0.5], [0.0, 0.25, 0.4999, 0.5, 0.9999], [0, 1, 1, 2, 2]),
+            # so a level of zero weight is never drawn, leading ones included
+            ([0.0, 0.0, 1.0], [0.0], [2]),
+            # round-off below 1 in the CDF's last entry keeps the largest
+            # uniform, 1 - 2**-53, at the top level
+            ([0.5, 0.5 - 1e-16], [1.0 - 2.0**-53], [1]),
+        ]
+        for probs, u, levels in cases:
+            probs, u = np.array(probs), np.array(u)
+            rows = np.tile(probs, (len(u), 1))
+            assert _draw(rows, np.stack([u, u], axis=1)).tolist() == levels
+            assert inverse_cdf(np.cumsum(probs), u).tolist() == levels
+
+    @pytest.mark.parametrize(
+        "beta, initial_level",
+        [(0.1, None), (2.0, None), (600.0, None), (2.0, 0), (2.0, 4), (2.0, 9)],
+        ids=["thermal-0.1", "thermal-2", "thermal-600", "fixed-0", "fixed-4", "fixed-9"],
+    )
+    def test_initial_levels_match_reference(self, beta, initial_level):
+        # the initial levels are the reference inverse-CDF draw of the
+        # thermal CDF, or the fixed level, on dynamics event 0's first uniforms
+        p = PhysicalParams(gamma=1e-3, beta=beta, dim=10)
+        r = make_rates(p)
+        cfg = EnsembleConfig((0.0,), n_traj=20_000, master_seed=11, initial_level=initial_level)
+        first_id = 2**32 - 5_000
+        levels = _Evolution(trajectories._Ensemble(p, r, cfg), first_id, cfg.n_traj).levels
+        key = np.random.SeedSequence(11).generate_state(2)
+        u = uniforms(key, 0, DYNAMICS, first_id + np.arange(cfg.n_traj))
+        if initial_level is None:
+            probs = thermal_probabilities(beta, p.dim)
+        else:
+            probs = np.eye(p.dim)[initial_level]
+        assert np.array_equal(levels, inverse_cdf(np.cumsum(probs), u[:, 0]))
+        if initial_level is not None:
+            assert np.all(levels == initial_level)
 
 
 class TestEnsembleConfig:
@@ -125,6 +152,11 @@ class TestEnsembleConfig:
             EnsembleConfig(checkpoint_grid=(0.0, 2.0, 1.0))
         with pytest.raises(ValueError):
             EnsembleConfig(checkpoint_grid=(-1.0, 2.0))
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                EnsembleConfig(checkpoint_grid=(0.0, bad))
+            with pytest.raises(ValueError, match="finite"):
+                EnsembleConfig(checkpoint_grid=(bad,))
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed"):

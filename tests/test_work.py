@@ -14,9 +14,7 @@ from qho_cal.trajectories import (
     EnsembleConfig,
     TrajectoryBatch,
     _measure,
-    inverse_cdf,
     iter_ensemble,
-    run_ensemble,
     uniforms,
 )
 from qho_cal.work import (
@@ -25,7 +23,7 @@ from qho_cal.work import (
     measure_ensemble,
     work_moments,
 )
-from readout_tap import run_with_populations
+from readout_tap import inverse_cdf, run_ensemble, run_with_populations
 
 pytestmark = pytest.mark.filterwarnings("ignore::qho_cal.errors.RegimeWarning")
 
