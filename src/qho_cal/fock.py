@@ -5,6 +5,10 @@ energy dropped, so level n carries energy n. States are complex vectors of
 length ``dim``; operators are dense ``dim x dim`` complex matrices. A
 normalized state has unit squared norm; conditional (no-jump) evolution
 produces subnormalized states whose squared norm is a trajectory probability.
+
+scipy is imported inside ``matrix_exponential`` and ``displacement_elements``,
+on their first call, not with this module: importing it takes most of a
+process's start-up, and the trajectory engine needs neither function.
 """
 
 from __future__ import annotations
@@ -12,8 +16,6 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-import scipy.linalg
-from scipy.special import eval_genlaguerre, gammaln
 
 from .errors import PrecisionLossWarning
 
@@ -64,9 +66,12 @@ def matrix_exponential(m: np.ndarray) -> np.ndarray:
     """exp(m) for a dense complex square matrix.
 
     Backed by scipy's scaling-and-squaring Pade implementation, which stays
-    accurate for the non-normal generators used here. Rejects non-finite
-    input instead of propagating NaNs.
+    accurate for the non-normal generators used here; ``scipy.linalg`` is
+    imported here, on the first call. Rejects non-finite input instead of
+    propagating NaNs.
     """
+    import scipy.linalg
+
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
@@ -87,6 +92,8 @@ def displacement_elements(m, n, alpha: complex) -> np.ndarray:
     is Laguerre-polynomial precision at extreme quantum numbers; one
     PrecisionLossWarning per call flags any m + n beyond it.
     """
+    from scipy.special import eval_genlaguerre, gammaln
+
     m, n = np.asarray(m), np.asarray(n)
     if (m < 0).any() or (n < 0).any():
         raise ValueError(f"Fock labels must be non-negative, got m={m}, n={n}")

@@ -50,7 +50,8 @@ def integrate(
     rates: Rates,
     grid: Sequence[float],
 ) -> list[np.ndarray]:
-    """Density matrices on ``grid`` (grid[0] may be > 0; evolution starts at 0).
+    """Density matrices on the non-empty ``grid`` (grid[0] may be > 0;
+    evolution starts at 0).
 
     Builds the Liouvillian L = -i(K x 1 - 1 x K^*) + sum_i C_i x C_i^* on the
     row-major vectorised density matrix once, from the trajectories' no-jump
@@ -67,6 +68,8 @@ def integrate(
     dim = params.dim
     _validate_rho(rho0, dim)
     grid = checked_grid(grid)
+    if not grid:
+        raise ValueError("grid must not be empty")
 
     k, eye = nh_generator(params, rates), np.eye(dim)
     # row-major vec: vec(A rho B) = (A kron B^T) vec(rho)
@@ -74,7 +77,7 @@ def integrate(
     for c in jump_operators(rates, dim):
         generator += np.kron(c, c.conj())
     propagators: dict[float, np.ndarray] = {}
-    same_length = 4.0 * np.spacing(grid[-1]) if grid else 0.0
+    same_length = 4.0 * np.spacing(grid[-1])
 
     def check(rho: np.ndarray, t: float) -> None:
         drift = abs(np.trace(rho).real - 1.0)
@@ -105,6 +108,8 @@ def integrate(
 
 def write_populations_csv(path, grid, rhos, header_lines: Sequence[str] = ()) -> None:
     """Populations over the grid: t, p0, ..., p_{D-1}."""
+    if len(rhos) == 0:
+        raise ValueError("no density matrices to write")
     columns = "t," + ",".join(f"p{m}" for m in range(rhos[0].shape[0]))
     rows = [(t, *np.real(np.diag(rho))) for t, rho in zip(grid, rhos)]
     write_csv(path, columns, rows, header_lines)

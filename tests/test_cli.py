@@ -1,10 +1,15 @@
 import hashlib
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qho_cal
 from qho_cal import __version__, analytics, cli
 from qho_cal.analytics import TruncationPolicy
 from qho_cal.cli import (
@@ -185,6 +190,27 @@ class TestRunSimulate:
         cfg = parse_config("preset=fig4\nntraj=2\ngrid=2")
         with pytest.raises(ConfigError, match="out"):
             run_simulate(cfg)
+
+    def test_loads_no_scipy(self, tmp_path):
+        # importing scipy takes most of a process's start-up and simulate
+        # needs none of its results: a fresh interpreter that imports the
+        # CLI and runs a simulate must not have loaded it
+        out = tmp_path / "sim.csv"
+        argv = ["simulate", "--preset", "fig4", "--ntraj", "64", "--grid", "3", "--out", str(out)]
+        code = (
+            "import sys\n"
+            "from qho_cal.cli import main\n"
+            f"assert main({argv!r}) == 0\n"
+            "print(sorted(name for name in sys.modules if name.startswith('scipy')))\n"
+        )
+        src = str(Path(qho_cal.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
+        assert out.exists()
 
 
 class TestRunAnalytic:

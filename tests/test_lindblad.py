@@ -5,7 +5,7 @@ import pytest
 from scipy.stats import poisson
 
 from qho_cal.fock import displacement_matrix, matrix_exponential, quadratures
-from qho_cal.lindblad import integrate, thermal_state
+from qho_cal.lindblad import integrate, thermal_state, write_populations_csv
 from qho_cal.model import PhysicalParams, bath_occupation, jump_operators, make_rates
 
 pytestmark = pytest.mark.filterwarnings("ignore::qho_cal.errors.RegimeWarning")
@@ -153,6 +153,14 @@ class TestIntegrate:
                 integrate(rho0, p, r, [0.0, bad])
             with pytest.raises(ValueError, match="finite"):
                 integrate(rho0, p, r, [bad])
+        with pytest.raises(ValueError, match="empty"):
+            integrate(rho0, p, r, [])
+
+    def test_csv_rejects_no_rows(self, tmp_path):
+        path = tmp_path / "pops.csv"
+        with pytest.raises(ValueError, match="no density matrices"):
+            write_populations_csv(path, [], [])
+        assert not path.exists()
 
 
 def rk4_reference(rho0, params, rates, grid, dt):
