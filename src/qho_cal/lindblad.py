@@ -62,8 +62,9 @@ def integrate(
     uniform grid costs a single ``expm``. The generator takes
     16 dim^4 bytes (160 kB at dim = 10, 41 MB at dim = 40) and each ``expm``
     costs O(dim^6) time and about ten times the generator in workspace:
-    milliseconds at dim = 10; at dim = 40 about 5 s (8 s on one BLAS thread)
-    and 0.4 GB peak resident memory on a 2-core x86-64 host.
+    milliseconds at dim = 10; at dim = 40 (fig5c, 11 points) 3-5 s on two
+    BLAS threads and 5.7 s on one, and 0.42 GB peak resident memory, on a
+    shared 2-core x86-64 host.
     """
     dim = params.dim
     _validate_rho(rho0, dim)

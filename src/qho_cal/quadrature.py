@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ConfigError
+
 __all__ = ["gauss_legendre", "checked_grid", "csv_float", "write_csv"]
 
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -41,9 +43,13 @@ def csv_float(x: float) -> str:
 def write_csv(path, columns: str, rows, header_lines=()) -> None:
     """``# `` provenance lines, the ``columns`` line, then one line per row:
     numbers through csv_float, strings as they are. Every line is formatted
-    before the file is opened, so a failing row leaves no file."""
+    before the file is opened, so a failing row leaves no file; a path that
+    cannot be written is a ConfigError."""
     lines = [f"# {line}\n" for line in header_lines] + [columns + "\n"]
     lines += [",".join(x if isinstance(x, str) else csv_float(x) for x in row) + "\n"
               for row in rows]
-    with open(path, "w") as fh:
-        fh.writelines(lines)
+    try:
+        with open(path, "w") as fh:
+            fh.writelines(lines)
+    except OSError as exc:
+        raise ConfigError(f"cannot write CSV {path}: {exc}") from exc

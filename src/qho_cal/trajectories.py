@@ -56,6 +56,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import SimulationError, TruncationWarning
+from .fock import matrix_exponential
 from .model import (
     PhysicalParams,
     Rates,
@@ -98,16 +99,6 @@ _PHILOX_M1 = np.uint64(0xCD9E8D57)
 _PHILOX_W = (0x9E3779B9, 0xBB67AE85)
 _LOW32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
-
-# Pade-13 numerator coefficients and the 1-norm up to which the degree-13
-# approximant is accurate to double precision (Higham, SIAM J. Matrix Anal.
-# Appl. 26, 1179 (2005), table 2.3)
-_PADE13 = (
-    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
-    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
-)
-_THETA13 = 5.371920351148152
 
 
 @dataclass(frozen=True)
@@ -200,33 +191,6 @@ def uniforms(key, event, stream: int, traj_ids) -> np.ndarray:
     return bits * 2.0**-53
 
 
-def matrix_exponential(m: np.ndarray) -> np.ndarray:
-    """exp(m) by numpy-only scaling and squaring of the [13/13] Pade
-    approximant (Higham 2005): m is scaled by 2^-s until its 1-norm is at
-    most theta_13, and the approximant is squared s times.
-
-    This is the no-jump propagator guard's reference, independent of the
-    eigendecomposition it checks. It is not fock.matrix_exponential, which
-    imports scipy: that import would cost every simulate run most of its
-    start-up, and nothing else on the trajectory path needs scipy.
-    """
-    s = int(np.ceil(np.log2(max(np.linalg.norm(m, 1) / _THETA13, 1.0))))
-    a = m / 2.0**s
-    b = _PADE13
-    eye = np.eye(len(a))
-    a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a4 @ a2
-    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
-    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
-    r = np.linalg.solve(v - u, v + u)
-    for _ in range(s):
-        r = r @ r
-    return r
-
-
 def _rows_times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a @ b`` for a stack of row vectors, rounded the same way for any
     number of rows, so that a trajectory does not depend on its batch. BLAS
@@ -282,7 +246,8 @@ class _Ensemble:
     or one at a fixed level), the guardian probabilities and the jump
     operators. ``K = V diag(k) V^-1`` once gives the closed-form no-jump
     evolution; every grid interval and the whole span T is checked against
-    matrix_exponential, this module's own ``expm``."""
+    fock.matrix_exponential, a Pade ``expm`` that shares nothing with the
+    eigendecomposition it checks."""
 
     def __init__(self, params: PhysicalParams, rates: Rates, config: EnsembleConfig) -> None:
         self.grid = grid = config.checkpoint_grid

@@ -192,25 +192,26 @@ class TestRunSimulate:
             run_simulate(cfg)
 
     def test_loads_no_scipy(self, tmp_path):
-        # importing scipy takes most of a process's start-up and simulate
-        # needs none of its results: a fresh interpreter that imports the
-        # CLI and runs a simulate must not have loaded it
-        out = tmp_path / "sim.csv"
-        argv = ["simulate", "--preset", "fig4", "--ntraj", "64", "--grid", "3", "--out", str(out)]
-        code = (
-            "import sys\n"
-            "from qho_cal.cli import main\n"
-            f"assert main({argv!r}) == 0\n"
-            "print(sorted(name for name in sys.modules if name.startswith('scipy')))\n"
-        )
+        # importing scipy takes most of a process's start-up, and neither
+        # simulate nor oracle needs any of its results: a fresh interpreter
+        # that imports the CLI and runs one of them must not have loaded it
         src = str(Path(qho_cal.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         env = {**os.environ, "PYTHONPATH": path}
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "[]"
-        assert out.exists()
+        for command, flags in (("simulate", ["--ntraj", "64"]), ("oracle", [])):
+            out = tmp_path / f"{command}.csv"
+            argv = [command, "--preset", "fig4", "--grid", "3", "--out", str(out), *flags]
+            code = (
+                "import sys\n"
+                "from qho_cal.cli import main\n"
+                f"assert main({argv!r}) == 0\n"
+                "print(sorted(name for name in sys.modules if name.startswith('scipy')))\n"
+            )
+            proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                  text=True, timeout=120)
+            assert proc.returncode == 0, (command, proc.stderr)
+            assert proc.stdout.splitlines()[-1] == "[]", command
+            assert out.exists()
 
 
 class TestRunAnalytic:
@@ -561,3 +562,15 @@ class TestMainEntry:
         sim = tmp_path / "nope.csv"
         code = main(["compare", str(sim), str(sim)])
         assert code in (2, 3)  # unreadable input: not a crash
+
+    @pytest.mark.parametrize("command", ["simulate", "analytic", "oracle"])
+    def test_unwritable_out_is_config_error(self, tmp_path, capsys, command):
+        # an --out that is a directory, or whose parent is missing, cannot
+        # take the CSV: a configuration error, not a traceback
+        for out in (tmp_path, tmp_path / "missing" / "out.csv"):
+            argv = [command, "--preset", "fig4", "--grid", "3", "--out", str(out)]
+            if command == "simulate":
+                argv += ["--ntraj", "8"]
+            assert main(argv) == 2
+            assert f"configuration error: cannot write CSV {out}: " in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []

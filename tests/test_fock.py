@@ -2,10 +2,13 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import poisson
 
+from qho_cal import fock, lindblad
+from qho_cal.cli import PRESETS, parse_config
 from qho_cal.errors import PrecisionLossWarning
 from qho_cal.fock import (
     displacement_elements,
@@ -14,6 +17,7 @@ from qho_cal.fock import (
     matrix_exponential,
     quadratures,
 )
+from qho_cal.model import make_rates, nh_generator
 
 
 def top_defect_identity(dim):
@@ -115,6 +119,33 @@ class TestMatrixExponential:
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
             matrix_exponential(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_matches_scipy_on_model_generators(self, preset, monkeypatch):
+        # the package's one expm against scipy's on what it is called with:
+        # the trajectory guard's -i s K, s from T/100 to T, and the oracle's
+        # Liouvillian s L at the interval spans of 5- to 101-point grids; the
+        # longest spans exceed theta_13, so the scaling-and-squaring branch runs
+        text = f"preset={preset}" + ("\nbeta=1" if "beta_choices" in PRESETS[preset] else "")
+        p = parse_config(text).params
+        r = make_rates(p)
+        k = nh_generator(p, r)
+        generators = [-1j * s * k for s in np.geomspace(p.drive_time / 100, p.drive_time, 9)]
+        n_guard = len(generators)
+
+        def recording(m):
+            generators.append(m)
+            return matrix_exponential(m)
+
+        monkeypatch.setattr(lindblad, "matrix_exponential", recording)
+        rho0 = lindblad.thermal_state(p.beta, p.dim)
+        for n_points in (5, 11, 21, 101):
+            lindblad.integrate(rho0, p, r, np.linspace(0.0, p.drive_time, n_points))
+        assert len(generators) > n_guard
+        for m in generators:
+            gap = np.abs(matrix_exponential(m) - scipy.linalg.expm(m)).max()
+            assert gap <= 1e-13, (m.shape, gap)
+        assert max(np.linalg.norm(m, 1) for m in generators) > fock._THETA13
 
 
 class TestDisplacementElement:

@@ -9,7 +9,6 @@ import pytest
 from scipy.stats import kstest
 
 from qho_cal import trajectories
-from qho_cal.cli import PRESETS, parse_config
 from qho_cal.errors import GridMismatchError, SimulationError, TruncationWarning
 from qho_cal.fock import matrix_exponential
 from qho_cal.lindblad import integrate
@@ -532,22 +531,6 @@ class TestPropagatorCheck:
         monkeypatch.setattr(trajectories, "matrix_exponential", perturbed)
         with pytest.raises(SimulationError, match="off by"):
             run_ensemble(p, r, cfg)
-
-    @pytest.mark.parametrize("preset", sorted(PRESETS))
-    def test_guard_expm_matches_fock(self, preset):
-        # the guard's numpy Pade-13 against the scipy-backed fock expm on
-        # -i s K, s from T/100 to T; the longest spans exceed theta_13, so
-        # the scaling-and-squaring branch runs
-        text = f"preset={preset}" + ("\nbeta=1" if "beta_choices" in PRESETS[preset] else "")
-        p = parse_config(text).params
-        k = nh_generator(p, make_rates(p))
-        norms = []
-        for s in np.geomspace(p.drive_time / 100, p.drive_time, 9):
-            m = -1j * s * k
-            norms.append(np.linalg.norm(m, 1))
-            gap = np.abs(trajectories.matrix_exponential(m) - matrix_exponential(m)).max()
-            assert gap <= 1e-13, (s, gap)
-        assert max(norms) > trajectories._THETA13
 
 
 class TestStationarity:
