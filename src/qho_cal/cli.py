@@ -20,6 +20,7 @@ import argparse
 import dataclasses
 import sys
 import time
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -179,8 +180,16 @@ def parse_config(text: str | None = None, overrides: dict | None = None) -> Expe
 
 
 def _require_out(cfg: ExperimentConfig) -> str:
+    """The output path, refused before any computation when it names a
+    directory or its parent directory does not exist. Other failures to
+    write still surface as a ConfigError from quadrature.write_csv."""
     if not cfg.out:
         raise ConfigError("an output path is required (--out or out=...)")
+    out = Path(cfg.out)
+    if out.is_dir():
+        raise ConfigError(f"cannot write CSV {cfg.out}: it is a directory")
+    if not out.parent.is_dir():
+        raise ConfigError(f"cannot write CSV {cfg.out}: no directory {out.parent}")
     return cfg.out
 
 

@@ -1,4 +1,7 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and the frame
+rule its warnings are attributed by."""
+
+import sys
 
 
 class QhoCalError(Exception):
@@ -32,3 +35,15 @@ class RegimeWarning(UserWarning):
 
 class PrecisionLossWarning(UserWarning):
     """Result may have lost precision (extreme quantum numbers)."""
+
+
+def outside_stacklevel() -> int:
+    """The ``warnings.warn`` stacklevel, for a warning raised by the caller of
+    this function, of the first stack frame outside this package. A package
+    function may be called by others in it, and a generator is resumed by
+    whoever calls next() on it, so a fixed stacklevel would attribute a
+    warning to a line of the package instead of to its user."""
+    frame, level = sys._getframe(1), 1
+    while frame is not None and frame.f_globals.get("__name__", "").split(".")[0] == __package__:
+        frame, level = frame.f_back, level + 1
+    return level

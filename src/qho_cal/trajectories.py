@@ -48,14 +48,13 @@ object per trajectory or per jump.
 
 from __future__ import annotations
 
-import sys
 import warnings
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from .errors import SimulationError, TruncationWarning
+from .errors import SimulationError, TruncationWarning, outside_stacklevel
 from .fock import matrix_exponential
 from .model import (
     PhysicalParams,
@@ -552,16 +551,6 @@ def iter_ensemble(
             f"mean top-level population {leak[k]:.2e} exceeds {_LEAK_WARN} at "
             f"t = {config.checkpoint_grid[k]}; moments may be truncation-limited",
             TruncationWarning,
-            stacklevel=_outside_stacklevel(),
+            stacklevel=outside_stacklevel(),
         )
 
-
-def _outside_stacklevel() -> int:
-    """The ``warnings.warn`` stacklevel, for a warning raised by the caller of
-    this function, of the first stack frame outside this package. A generator
-    is resumed by whoever calls next() on it, often code in this package, so
-    a fixed stacklevel would attribute its warnings there."""
-    frame, level = sys._getframe(1), 1
-    while frame is not None and frame.f_globals.get("__name__", "").split(".")[0] == __package__:
-        frame, level = frame.f_back, level + 1
-    return level

@@ -51,27 +51,35 @@ __all__ = [
 def work_moments(table: np.ndarray, weights: np.ndarray, rates: Rates) -> np.ndarray:
     """Mean and second moment of both work values from transfer weights.
 
-    ``table[n, m, j]`` is the weight of ending in level m with integer jump
-    heat Q = j - (J - 1)/2 from initial level n (J = table.shape[2] odd, so
-    the heat axis is centred on Q = 0); ``weights[n]`` are the initial-level
-    probabilities. Returns [<W_p>, <W_p^2>, <W_c>, <W_c^2>] with
-    W_p = m - n + Q and W_c as in model.calorimetric_value, the guardian photons
-    drawn independently given n and m.
+    ``table[..., n, m, j]`` is the weight of ending in level m with integer
+    jump heat Q = j - (J - 1)/2 from initial level n (J = table.shape[-1] odd,
+    so the heat axis is centred on Q = 0); ``weights[n]`` are the
+    initial-level probabilities. Returns [<W_p>, <W_p^2>, <W_c>, <W_c^2>] on
+    a last axis, shape (..., 4), one row per table of the leading axes, with
+    W_p = m - n + Q and W_c as in model.calorimetric_value, the guardian
+    photons drawn independently given n and m. Each table is summed in one
+    flat pass, so a row does not depend on the tables stacked with it.
     """
-    n_lv, m_lv, q_lv = table.shape
+    *stack, n_lv, m_lv, q_lv = table.shape
     ns, ms = np.arange(n_lv), np.arange(m_lv)
     heats = np.arange(q_lv) - q_lv // 2
     joint = np.asarray(weights, dtype=float)[:, None, None] * table
     pi0, _, _ = guardian_probs(ns, rates)
     _, pf0, _ = guardian_probs(ms, rates)
     wp = ms[None, :, None] - ns[:, None, None] + heats
-    out = np.array([np.sum(joint * wp), np.sum(joint * wp**2), 0.0, 0.0])
+
+    def total(x: np.ndarray) -> np.ndarray:
+        return x.reshape(*stack, -1).sum(axis=-1)
+
+    out = np.zeros((*stack, 4))
+    out[..., 0] = total(joint * wp)
+    out[..., 1] = total(joint * wp**2)
     for ell_i, p_i in ((0, pi0), (1, 1.0 - pi0)):
         for emitted, p_f in ((1, pf0), (0, 1.0 - pf0)):
             wc = calorimetric_value(emitted, ell_i, heats)
             branch = p_i[:, None, None] * p_f[None, :, None] * joint
-            out[2] += np.sum(branch * wc)
-            out[3] += np.sum(branch * wc**2)
+            out[..., 2] += total(branch * wc)
+            out[..., 3] += total(branch * wc**2)
     return out
 
 

@@ -603,6 +603,31 @@ class TestTransferTableGramWeights:
         monkeypatch.setattr(analytics, "_JUMP_NODES", 6)
         assert np.isfinite(perturbative_moments(p.drive_time, p, r)).all()
 
+    @pytest.mark.parametrize("preset", ["fig4", "fig5a", "fig5c"])
+    def test_block_matches_per_node_reference(self, preset):
+        # one block of several times, both node counts of the doubling check
+        p = parse_config(f"preset={preset}", {}).params
+        r = make_rates(p)
+        times = p.drive_time * np.array([0.0, 0.05, 0.3, 0.5, 1.0])
+        policy = TruncationPolicy(n_max=1, m_max=10, jumps_max=2)
+        tables = analytics._transfer_tables(times, p, r, policy, (32, 64))
+        assert tables.shape == (2, len(times), 2, 11, 5)
+        for (k, nodes), (b, t) in itertools.product(enumerate((32, 64)), enumerate(times)):
+            want = per_node_transfer_table(t, p, r, policy, nodes)
+            np.testing.assert_allclose(
+                tables[k, b], want, rtol=1e-13, atol=1e-13 * np.abs(want).max(),
+                err_msg=f"t={t} nodes={nodes}",
+            )
+
+    def test_node_doubling_check_raises_inside_a_block(self, monkeypatch, tmp_path):
+        # T is the last of three times in one block: the block still fails
+        p, r = fig4()
+        monkeypatch.setattr(analytics, "_JUMP_NODES", 4)
+        grid = (0.25 * p.drive_time, 0.5 * p.drive_time, p.drive_time)
+        with pytest.raises(SimulationError, match="not converged at 4 nodes"):
+            analytics.write_analytic_csv(tmp_path / "ana.csv", grid, p, r)
+        assert not (tmp_path / "ana.csv").exists()
+
     def test_no_coupling_fills_only_zero_heat(self):
         p = PhysicalParams(gamma=0.0, beta=2.0, lambda0=0.01, dim=10)
         r = make_rates(p)
@@ -614,6 +639,46 @@ class TestTransferTableGramWeights:
             )
             assert not got[:, :, [0, 1, 3, 4]].any()
             assert got[:, :, 2].any()
+
+
+@pytest.mark.parametrize("preset", ["fig4", "fig5a", "fig5c"])
+def test_rows_do_not_depend_on_the_block(preset, monkeypatch, tmp_path):
+    # each perturbative row is bitwise the same computed alone, in a grid
+    # shorter than one block, and in a grid that crosses a block boundary
+    p = parse_config(f"preset={preset}", {}).params
+    r = make_rates(p)
+    rows = {}
+    block = analytics._perturbative_block
+
+    def spy(times, *args):
+        out = block(times, *args)
+        rows.update(zip(times.tolist(), out))
+        return out
+
+    monkeypatch.setattr(analytics, "_perturbative_block", spy)
+    long_grid = np.linspace(0.0, p.drive_time, analytics._BLOCK + 5)
+    analytics.write_analytic_csv(tmp_path / "long.csv", long_grid, p, r)
+    crossing = dict(rows)
+    rows.clear()
+    short_grid = long_grid[analytics._BLOCK - 2 : analytics._BLOCK + 1]
+    analytics.write_analytic_csv(tmp_path / "short.csv", short_grid, p, r)
+    assert len(crossing) == len(long_grid) and len(rows) == len(short_grid)
+    for t in long_grid:
+        alone = perturbative_moments(t, p, r)
+        np.testing.assert_array_equal(crossing[t], alone, err_msg=f"t={t}")
+        if t in rows:
+            np.testing.assert_array_equal(rows[t], alone, err_msg=f"t={t}")
+
+
+def test_regime_warning_names_the_caller(tmp_path):
+    # one warning per call, attributed to the first frame outside the
+    # package (this file), not to a line of the library
+    p = parse_config("preset=fig5c", {}).params
+    r = make_rates(p)
+    with pytest.warns(RegimeWarning) as record:
+        analytics.write_analytic_csv(tmp_path / "ana.csv", (0.0, 10.0, 20.0), p, r)
+        perturbative_moments(20.0, p, r)
+    assert [w.filename for w in record] == [__file__, __file__]
 
 
 class TestTruncatedMoments:

@@ -259,23 +259,25 @@ class TestRunAnalytic:
             assert abs(var_c - math.exp(-2 * mu_t) * (math.exp(mu_t) - 1)) < 1e-6
 
     def test_failing_row_leaves_no_file(self, tmp_path, capsys, monkeypatch):
-        # every row is computed before the file is opened: a failure in the
-        # third perturbative row leaves no partial CSV behind
-        calls = []
-        moments = analytics.perturbative_moments
-
-        def failing(*args, **kwargs):
-            calls.append(args[0])
-            if len(calls) == 3:
-                raise SimulationError("jump-time quadrature not converged")
-            return moments(*args, **kwargs)
-
-        monkeypatch.setattr(analytics, "perturbative_moments", failing)
+        # every row is computed before the file is opened: a perturbative row
+        # that fails its node-doubling check (fig4 at T, the last grid time,
+        # with 4 jump-time nodes) leaves no partial CSV behind
+        monkeypatch.setattr(analytics, "_JUMP_NODES", 4)
         out = tmp_path / "ana.csv"
         assert main(["analytic", "--preset", "fig4", "--grid", "5", "--out", str(out)]) == 3
-        assert "numerical error" in capsys.readouterr().err
-        assert len(calls) == 3
+        assert "numerical error: jump-time quadrature not converged" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_csv_body_is_golden(self, tmp_path):
+        # the fig5a rows at 11 points (every line but the provenance header),
+        # as the code that built one time at a time wrote them
+        out = tmp_path / "ana.csv"
+        assert main(["analytic", "--preset", "fig5a", "--grid", "11", "--out", str(out)]) == 0
+        body = "".join(
+            line for line in out.read_text().splitlines(keepends=True) if not line.startswith("#")
+        )
+        digest = "ab11409b2ef04d7d582ac9fe8876c3c4a3713bbb3e3c27d7a26a8bca976e42a5"
+        assert hashlib.sha256(body.encode()).hexdigest() == digest
 
 
 class TestRunOracle:
@@ -564,9 +566,13 @@ class TestMainEntry:
         assert code in (2, 3)  # unreadable input: not a crash
 
     @pytest.mark.parametrize("command", ["simulate", "analytic", "oracle"])
-    def test_unwritable_out_is_config_error(self, tmp_path, capsys, command):
+    def test_unwritable_out_is_config_error(self, tmp_path, capsys, monkeypatch, command):
         # an --out that is a directory, or whose parent is missing, cannot
-        # take the CSV: a configuration error, not a traceback
+        # take the CSV: a configuration error, not a traceback, raised before
+        # anything is evolved, integrated or tabulated
+        compute = {"simulate": "iter_ensemble", "analytic": "write_analytic_csv",
+                   "oracle": "integrate"}[command]
+        monkeypatch.setattr(cli, compute, lambda *a, **k: pytest.fail(f"{compute} was called"))
         for out in (tmp_path, tmp_path / "missing" / "out.csv"):
             argv = [command, "--preset", "fig4", "--grid", "3", "--out", str(out)]
             if command == "simulate":

@@ -286,6 +286,18 @@ class TestWorkMoments:
         table[0, 2, 0] = 1.0
         assert work_moments(table, [1.0], r)[:2].tolist() == [2.0, 4.0]
 
+    def test_stacked_tables_give_one_row_each(self):
+        # a (2, 3, n, m, q) stack gives (2, 3, 4), each row bitwise the
+        # moments of its table alone
+        rng = np.random.default_rng(12)
+        tables = rng.random((2, 3, 2, 7, 5))
+        weights = rng.random(2)
+        r = rates_for(0.9)
+        stacked = work_moments(tables, weights, r)
+        assert stacked.shape == (2, 3, 4)
+        for k, b in np.ndindex(2, 3):
+            np.testing.assert_array_equal(stacked[k, b], work_moments(tables[k, b], weights, r))
+
 
 class TestCalorimetricWork:
     def test_unitary_bracket_values(self):
