@@ -42,8 +42,15 @@ def outside_stacklevel() -> int:
     this function, of the first stack frame outside this package. A package
     function may be called by others in it, and a generator is resumed by
     whoever calls next() on it, so a fixed stacklevel would attribute a
-    warning to a line of the package instead of to its user."""
+    warning to a line of the package instead of to its user. A module run
+    as ``python -m`` is named ``__main__``, so its ``__spec__`` is read too."""
     frame, level = sys._getframe(1), 1
-    while frame is not None and frame.f_globals.get("__name__", "").split(".")[0] == __package__:
+    while frame is not None and _in_package(frame.f_globals):
         frame, level = frame.f_back, level + 1
     return level
+
+
+def _in_package(module_globals: dict) -> bool:
+    spec = module_globals.get("__spec__")
+    names = (module_globals.get("__name__", ""), getattr(spec, "name", None) or "")
+    return any(name.split(".")[0] == __package__ for name in names)

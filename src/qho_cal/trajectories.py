@@ -15,14 +15,16 @@ checkpoint T, one round per jump: each round propagates every row still
 active from its last post-jump state to T, retires the rows whose norm stays
 at or above r there and makes the next jump of the others. It keeps only the
 post-jump states the second phase reads, each row's last in each checkpoint
-interval. The second reads the checkpoints off that record with the rows in
-first-jump order, so that the rows that have jumped by any checkpoint are a
-prefix. Per interval the shared propagator advances the jumped prefix and
-one normalized dim x dim table, whose row n stands for every row that has
-not jumped from level n; a row that jumped inside the interval restarts
-from its last post-jump state there. Every row is rounded as if all rows
-were propagated. Each checkpoint row is measured as soon as it exists (both
-work values, see work) and then dropped, so no batch ever holds the
+interval. The second reads the checkpoints off that record. It propagates
+the jumped rows in first-jump order, so that the rows that have jumped by
+any checkpoint are a prefix: per interval the shared propagator advances
+that prefix and one normalized dim x dim table, whose row n stands for every
+row that has not jumped from level n; a row that jumped inside the interval
+restarts from its last post-jump state there. Every row is rounded as if
+all rows were propagated. Each checkpoint's populations are laid out in
+trajectory-id order, every row read off the table and then the jumped
+prefix written over its own rows, and measured in place (both work values,
+see work), with no permutation, then dropped. So no batch ever holds the
 populations of all its checkpoints; a batch keeps the integer cumulative
 heats and the two work values per checkpoint. The jump solves see only T,
 so the points before it do not change a trajectory at all, and a grid that
@@ -374,10 +376,9 @@ class _Evolution:
         self.top = np.zeros(len(ens.grid))
 
     def run(self) -> TrajectoryBatch:
-        """The batch: its jump record, then its checkpoints read out in
-        first-jump order and measured, with every output array scattered
-        back to trajectory-id order (the leak sums too, so that they are
-        summed in the same order for every batch size)."""
+        """The batch: its jump record, then its checkpoints read out and
+        measured, every row in trajectory-id order (the leak sums too, so
+        that they are summed in the same order for every batch size)."""
         grid = self.ens.grid
         (rows, times, kinds), last = self._jump_record()
         # rounds run forward in time, so a stable sort keeps each row's jumps in order
@@ -391,31 +392,23 @@ class _Evolution:
         # checkpoint k closes the interval (t_{k-1}, t_k] that holds the jump
         heats = np.zeros((n_ck, self.n), dtype=np.int64)
         np.add.at(heats, (np.searchsorted(grid, times), rows), 1 - 2 * kinds)
-        np.cumsum(heats, axis=0, out=heats)
+        # row by row: numpy runs an axis-0 cumsum as a strided loop
+        for k in range(1, n_ck):
+            np.add(heats[k - 1], heats[k], out=heats[k])
         # first-jump order: the rows that have jumped by checkpoint k are the
-        # first active[k] rows of the readout
+        # first active[k] rows of the readout's propagation
         first = np.full(self.n, np.inf)
         jumped = n_jumps > 0
         first[jumped] = jumps["time"][offsets[:-1][jumped]]
         order = np.argsort(first, kind="stable")
         active = np.searchsorted(first[order], grid, side="right")
-        # Philox is elementwise in the id, so drawing on the permuted ids
-        # draws each trajectory's own uniforms
-        ids, levels, ell_i = self.ids[order], self.levels[order], self.ell_i[order]
         # |W| <= dim + the row's jump count, far below 2**31
         w_p = np.empty((n_ck, self.n), dtype=np.int32)
         w_c = np.empty((n_ck, self.n), dtype=np.int32)
-        top = np.empty(self.n)
-        states = np.empty((self.n, self.ens.dim), dtype=complex)
-        for k, pops in self._readout(order, active, states, *last):
-            top[order] = pops[:, -1]
-            self.top[k] = top.sum()
-            u = uniforms(self.ens.key, k + 1, MEASUREMENT, ids)
-            w_p[k, order], w_c[k, order] = _measure(
-                pops, u, levels, heats[k, order], ell_i, self.ens.pf0
-            )
-        final = np.empty_like(states)
-        final[order] = states
+        for k, pops in self._readout(order, active, *last):
+            self.top[k] = pops[:, -1].sum()
+            u = uniforms(self.ens.key, k + 1, MEASUREMENT, self.ids)
+            w_p[k], w_c[k] = _measure(pops, u, self.levels, heats[k], self.ell_i, self.ens.pf0)
         return TrajectoryBatch(
             times=np.array(grid),
             first_id=self.first_id,
@@ -423,7 +416,7 @@ class _Evolution:
             heats=heats,
             W_p=w_p,
             W_c=w_c,
-            states=final,
+            states=self.states,
             jumps=jumps,
             jump_offsets=offsets,
         )
@@ -488,23 +481,28 @@ class _Evolution:
         post /= np.linalg.norm(post, axis=1)[:, None]
         return kinds, post, draws[:, 1]
 
-    def _readout(self, order, active, states, rows, times, posts):
+    def _readout(self, order, active, rows, times, posts):
         """Yield ``(k, pops)`` per checkpoint: the populations (n, dim) at
-        ``grid[k]`` of the rows ``order`` (trajectory indices in first-jump
-        order), of which the first ``active[k]`` have jumped by then (see the
-        module docstring). ``rows``, ``times``, ``posts`` are each row's last
-        post-jump state per interval. ``pops`` is one buffer, overwritten at
-        each checkpoint; after the last, ``states`` holds the final states."""
+        ``grid[k]`` in trajectory-id order. The jumped rows are propagated
+        in first-jump order ``order`` (trajectory indices), of which the
+        first ``active[k]`` have jumped by then (see the module docstring);
+        every other row is its initial level's row of the no-jump table.
+        ``rows``, ``times``, ``posts`` are each row's last post-jump state per
+        interval. ``pops`` is one buffer, overwritten at each checkpoint;
+        after the last, ``self.states`` holds the final states, built only
+        then so that they are not alive while the checkpoints are measured."""
         ens, grid = self.ens, self.ens.grid
         slot = np.empty_like(order)
         slot[order] = np.arange(self.n)
         rows = slot[rows]
-        levels = self.levels[order]
         ck = np.searchsorted(grid, times)
         by_ck = np.argsort(ck, kind="stable")
         bounds = np.searchsorted(ck[by_ck], np.arange(len(grid) + 1))
         table = np.eye(ens.dim, dtype=complex)
-        pops = np.empty(states.shape)
+        # the jumped prefix never outgrows the rows that have jumped by T
+        states = np.empty((active[-1], ens.dim), dtype=complex)
+        jumped = np.empty(states.shape)
+        pops = np.empty((self.n, ens.dim))
         t_prev, n_act = 0.0, 0
         for k, t in enumerate(grid):
             u_t = ens.interval_t[t - t_prev]
@@ -514,11 +512,12 @@ class _Evolution:
             if sel.size:
                 states[rows[sel]] = ens.propagate(posts[sel], t - times[sel])
             n_act = active[k]
-            _populations(_normalized(states[:n_act]), out=pops[:n_act])
-            np.take(_populations(table), levels[n_act:], axis=0, out=pops[n_act:])
+            np.take(_populations(table), self.levels, axis=0, out=pops)
+            pops[order[:n_act]] = _populations(_normalized(states[:n_act]), out=jumped[:n_act])
             yield k, pops
             t_prev = t
-        states[n_act:] = table[levels[n_act:]]
+        self.states = table[self.levels]
+        self.states[order[:n_act]] = states[:n_act]
 
 
 def iter_ensemble(

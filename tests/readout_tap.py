@@ -8,8 +8,8 @@ The program measures each checkpoint row as the readout yields it and then
 drops it, so no batch carries populations. Tests that need them tap the one
 readout loop, ``_Evolution._readout``, and see the populations of every row
 it yields, exactly those the measurement reads. The readout yields its rows
-in first-jump order and reuses one buffer; the tap hands each checkpoint's
-rows on as a new array in trajectory-id order.
+in trajectory-id order and reuses one buffer; the tap hands each
+checkpoint's rows on as a new array.
 """
 
 import contextlib
@@ -48,9 +48,7 @@ def tapped_readout(tap):
 
     def tapped(self, order, *args):
         for k, pops in readout(self, order, *args):
-            by_id = np.empty_like(pops)
-            by_id[order] = pops
-            tap(self, k, by_id)
+            tap(self, k, pops.copy())
             yield k, pops
 
     with pytest.MonkeyPatch.context() as mp:

@@ -425,6 +425,21 @@ class TestMainEntry:
             assert re.fullmatch(pattern, summary)
             assert " s ->" not in out.read_text()
 
+    def test_module_run_warning_names_no_library_line(self, tmp_path):
+        # under python -m the CLI module is named __main__; its RegimeWarning
+        # must still name a line outside the package, as the console script's does
+        package = Path(qho_cal.__file__).resolve().parent
+        path = os.pathsep.join(filter(None, [str(package.parent), os.environ.get("PYTHONPATH")]))
+        out = tmp_path / "fig5c.csv"
+        argv = ["analytic", "--preset", "fig5c", "--grid", "5", "--out", str(out)]
+        proc = subprocess.run([sys.executable, "-m", "qho_cal.cli", *argv],
+                              env={**os.environ, "PYTHONPATH": path}, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        [line] = [ln for ln in proc.stderr.splitlines() if "RegimeWarning" in ln]
+        filename = line.split(": RegimeWarning")[0].rsplit(":", 1)[0]
+        assert not Path(filename).resolve().is_relative_to(package), line
+
     @pytest.mark.parametrize(
         "flags, config_text",
         [

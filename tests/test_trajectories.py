@@ -263,6 +263,21 @@ class TestEvolveTrajectory:
             for k, tau in enumerate(grid):
                 assert batch.heats[k, i] == signed_heat(jumps[jumps["time"] <= tau])
 
+    @pytest.mark.filterwarnings("ignore::qho_cal.errors.TruncationWarning")
+    def test_heats_are_cumulative_interval_counts(self):
+        # fig4 on 101 checkpoints: each heat row is the running sum over the
+        # checkpoint intervals (t_{k-1}, t_k] of the signed jump counts in them
+        p = PhysicalParams(gamma=0.001, beta=2.0, lambda0=0.01, dim=10)
+        grid = grid_to(p.drive_time, 101)
+        cfg = EnsembleConfig(checkpoint_grid=grid, n_traj=2048, master_seed=3)
+        batch = run_ensemble(p, make_rates(p), cfg)
+        rows = np.repeat(np.arange(2048), np.diff(batch.jump_offsets))
+        counts = np.zeros((len(grid), 2048), dtype=np.int64)
+        signed = 1 - 2 * batch.jumps["kind"].astype(np.int64)
+        np.add.at(counts, (np.searchsorted(grid, batch.jumps["time"]), rows), signed)
+        assert np.count_nonzero(counts) > 100
+        assert np.array_equal(batch.heats, np.cumsum(counts, axis=0))
+
     def test_jump_times_strictly_increasing(self):
         # dim 20 keeps eight hot trajectories clear of the leak guard
         p = PhysicalParams(gamma=0.08, beta=0.5, lambda0=0.01, dim=20)
@@ -415,29 +430,31 @@ def reference_readout(evolution):
 class TestReadout:
     @pytest.mark.filterwarnings("ignore::qho_cal.errors.TruncationWarning")
     @pytest.mark.parametrize(
-        "gamma, beta, dim, n, grid, level",
+        "gamma, beta, dim, n, grid, level, jumped",
         [
-            (0.001, 2.0, 10, 300, 21, None),
-            (0.1, 2.0, 10, 64, 21, None),
-            (0.0, 2.0, 10, 20, 6, None),
-            (0.02, 1.0, 10, 40, 1, None),
-            (0.02, 1.0, 10, 40, (0.0, 0.5, 1.0), None),
-            (0.02, 1.0, 10, 40, (0.25, 0.5, 1.0), None),
-            (0.02, 1.0, 10, 40, 11, 3),
-            (0.05, 5.0, 2, 40, 11, None),
-            (0.1, 2.0, 10, 1, 21, None),
-            (0.1, 2.0, 10, 2, 21, None),
+            (0.001, 2.0, 10, 300, 21, None, None),
+            (0.1, 2.0, 10, 64, 21, None, None),
+            (0.0, 2.0, 10, 20, 6, None, 0),
+            (0.02, 1.0, 10, 40, 1, None, None),
+            (0.02, 1.0, 10, 40, (0.0, 0.5, 1.0), None, None),
+            (0.02, 1.0, 10, 40, (0.25, 0.5, 1.0), None, None),
+            (0.02, 1.0, 10, 40, 11, 3, None),
+            (0.05, 5.0, 2, 40, 11, None, None),
+            (0.1, 2.0, 10, 1, 21, None, None),
+            (0.1, 2.0, 10, 2, 21, None, None),
+            (0.3, 2.0, 10, 48, 11, None, 48),
         ],
         ids=[
             "fig4", "fig5c", "gamma0", "t0-only", "from-t0", "after-t0", "level3",
-            "dim2", "batch1", "batch2",
+            "dim2", "batch1", "batch2", "all-jumped",
         ],
     )
-    def test_matches_all_rows_reference(self, gamma, beta, dim, n, grid, level):
+    def test_matches_all_rows_reference(self, gamma, beta, dim, n, grid, level, jumped):
         # reading the rows that have not jumped off the no-jump table and
         # propagating only the jumped prefix gives the populations, work
         # values, leak sums and final states of propagating every row, bit
-        # for bit
+        # for bit; "gamma0" leaves the jumped rows' staging buffer empty and
+        # "all-jumped" fills it
         p = PhysicalParams(gamma=gamma, beta=beta, lambda0=0.01, dim=dim)
         r = make_rates(p)
         grid = (0.0,) if grid == 1 else grid
@@ -452,6 +469,9 @@ class TestReadout:
         with tapped_readout(lambda e, k, pops: rows.append(pops)):
             batch = evolution.run()
         ref_pops, ref_states = reference_readout(_Evolution(ens, 5, n))
+        if jumped is not None:
+            # active[-1], the rows that have jumped by T
+            assert np.count_nonzero(np.diff(batch.jump_offsets)) == jumped
         assert np.array_equal(np.stack(rows), ref_pops)
         assert np.array_equal(batch.states, ref_states)
         assert np.array_equal(evolution.top, ref_pops[:, :, -1].sum(axis=1))
