@@ -108,6 +108,7 @@ class ExperimentConfig:
 
 def _parse_file(text: str) -> dict:
     values: dict = {}
+    line_of: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -119,6 +120,9 @@ def _parse_file(text: str) -> dict:
         val = val.strip()
         if key not in _FILE_KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in line_of:
+            raise ConfigError(f"line {lineno}: {key} is already set on line {line_of[key]}")
+        line_of[key] = lineno
         try:
             values[key] = _FILE_KEYS[key](val)
         except ValueError as exc:

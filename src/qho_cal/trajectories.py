@@ -15,20 +15,22 @@ checkpoint T, one round per jump: each round propagates every row still
 active from its last post-jump state to T, retires the rows whose norm stays
 at or above r there and makes the next jump of the others. It keeps only the
 post-jump states the second phase reads, each row's last in each checkpoint
-interval. The second reads the checkpoints off that record. It propagates
-the jumped rows in first-jump order, so that the rows that have jumped by
-any checkpoint are a prefix: per interval the shared propagator advances
-that prefix and one normalized dim x dim table, whose row n stands for every
-row that has not jumped from level n; a row that jumped inside the interval
-restarts from its last post-jump state there. Every row is rounded as if
-all rows were propagated. Each checkpoint's populations are laid out in
-trajectory-id order, every row read off the table and then the jumped
-prefix written over its own rows, and measured in place (both work values,
-see work), with no permutation, then dropped. So no batch ever holds the
-populations of all its checkpoints; a batch keeps the integer cumulative
-heats and the two work values per checkpoint. The jump solves see only T,
-so the points before it do not change a trajectory at all, and a grid that
-ends earlier changes its jump times only within the root tolerance.
+interval, with the row's cumulative heat there (emissions minus absorptions,
+an exact integer). The second reads the checkpoints off that record. It
+propagates the jumped rows in first-jump order, so that the rows that have
+jumped by any checkpoint are a prefix: per interval the shared propagator
+advances that prefix and one normalized dim x dim table, whose row n stands
+for every row that has not jumped from level n; a row that jumped inside the
+interval restarts from its last post-jump state there and takes its heat.
+Every row is rounded as if all rows were propagated. Each checkpoint's
+populations are laid out in trajectory-id order, every row read off the
+table and then the jumped prefix written over its own rows, and measured in
+place with the heats, kept in the same order (both work values, see work),
+with no permutation, then dropped. So no batch ever holds the populations
+of all its checkpoints; a batch keeps the two work values per checkpoint.
+The jump solves see only T, so the points before it do not change a
+trajectory at all, and a grid that ends earlier changes its jump times only
+within the root tolerance.
 
 Random numbers are counter based (Philox4x32-10; Salmon, Moraes, Dror &
 Shaw, SC11): each uniform is a pure function of the ensemble key, two words
@@ -135,19 +137,16 @@ class TrajectoryBatch:
     """n trajectories with ids ``first_id .. first_id + n - 1`` on the K
     checkpoint ``times``.
 
-    ``levels[i]`` is trajectory i's initial level, ``heats[k, i]`` its
-    cumulative heat up to ``times[k]`` as an exact integer (emissions minus
-    absorptions, in units of hbar*omega0), ``W_p[k, i]`` and ``W_c[k, i]``
-    its projective and calorimetric work at ``times[k]`` (see work) and
-    ``states[i]`` its final normalized state. Its jumps, in time order, are
-    ``jumps[jump_offsets[i]:jump_offsets[i + 1]]`` with fields ``time`` and
-    ``kind`` (0: emission into the bath by C0, 1: absorption by C1).
+    ``levels[i]`` is trajectory i's initial level, ``W_p[k, i]`` and
+    ``W_c[k, i]`` its projective and calorimetric work at ``times[k]`` (see
+    work) and ``states[i]`` its final normalized state. Its jumps, in time
+    order, are ``jumps[jump_offsets[i]:jump_offsets[i + 1]]`` with fields
+    ``time`` and ``kind`` (0: emission by C0, 1: absorption by C1).
     """
 
     times: np.ndarray
     first_id: int
     levels: np.ndarray
-    heats: np.ndarray
     W_p: np.ndarray
     W_c: np.ndarray
     states: np.ndarray
@@ -388,13 +387,6 @@ class _Evolution:
         jumps = np.empty(len(rows), dtype=JUMP_DTYPE)
         jumps["time"] = times[by_row]
         jumps["kind"] = kinds[by_row]
-        n_ck = len(grid)
-        # checkpoint k closes the interval (t_{k-1}, t_k] that holds the jump
-        heats = np.zeros((n_ck, self.n), dtype=np.int64)
-        np.add.at(heats, (np.searchsorted(grid, times), rows), 1 - 2 * kinds)
-        # row by row: numpy runs an axis-0 cumsum as a strided loop
-        for k in range(1, n_ck):
-            np.add(heats[k - 1], heats[k], out=heats[k])
         # first-jump order: the rows that have jumped by checkpoint k are the
         # first active[k] rows of the readout's propagation
         first = np.full(self.n, np.inf)
@@ -403,17 +395,16 @@ class _Evolution:
         order = np.argsort(first, kind="stable")
         active = np.searchsorted(first[order], grid, side="right")
         # |W| <= dim + the row's jump count, far below 2**31
-        w_p = np.empty((n_ck, self.n), dtype=np.int32)
-        w_c = np.empty((n_ck, self.n), dtype=np.int32)
-        for k, pops in self._readout(order, active, *last):
+        w_p = np.empty((len(grid), self.n), dtype=np.int32)
+        w_c = np.empty((len(grid), self.n), dtype=np.int32)
+        for k, pops, heat in self._readout(order, active, *last):
             self.top[k] = pops[:, -1].sum()
             u = uniforms(self.ens.key, k + 1, MEASUREMENT, self.ids)
-            w_p[k], w_c[k] = _measure(pops, u, self.levels, heats[k], self.ell_i, self.ens.pf0)
+            w_p[k], w_c[k] = _measure(pops, u, self.levels, heat, self.ell_i, self.ens.pf0)
         return TrajectoryBatch(
             times=np.array(grid),
             first_id=self.first_id,
             levels=self.levels,
-            heats=heats,
             W_p=w_p,
             W_c=w_c,
             states=self.states,
@@ -424,8 +415,8 @@ class _Evolution:
     def _jump_record(self):
         """Every jump up to the last checkpoint T, in the order of the rounds
         that made them (rows, times, kinds), and the normalized post-jump
-        state of each row's last jump in each checkpoint interval (rows,
-        times, states), the only ones the readout propagates from.
+        state of each row's last jump in each checkpoint interval and its
+        cumulative heat (rows, times, states, heats), all the readout reads.
 
         Round j makes jump j + 1 of the rows whose norm, propagated from
         their last post-jump state (the initial level for j = 0) to T, falls
@@ -439,10 +430,11 @@ class _Evolution:
         states = np.eye(ens.dim, dtype=complex)[self.levels[rows]]
         t_last = np.zeros(rows.size)
         r = self.thresholds[rows]
+        q = np.zeros(rows.size, dtype=np.int64)
         # an empty first entry leaves round j's jumps at log[j + 1], which
         # spend dynamics event j + 1
         log = [(rows[:0], t_last[:0], rows[:0])]
-        last = [(rows[:0], t_last[:0], states[:0])]
+        last = [(rows[:0], t_last[:0], states[:0], q[:0])]
         while rows.size:
             tau, psi = ens.jump_states(states, np.log(r), end_t - t_last)
             t_jump = np.minimum(t_last + tau, end_t)
@@ -450,13 +442,14 @@ class _Evolution:
                 # a post-jump state is the last of its interval unless the
                 # row's next jump falls in the same one
                 moved = np.searchsorted(grid, t_jump) > np.searchsorted(grid, t_last)
-                last.append((rows[moved], t_last[moved], states[moved]))
+                last.append((rows[moved], t_last[moved], states[moved], q[moved]))
             t_last = t_jump
             kinds, states, r = self._jump(rows, psi, len(log))
+            q += 1 - 2 * kinds
             log.append((rows, t_last, kinds))
             go = _norm2(ens.propagate(states, end_t - t_last)) < r
-            last.append((rows[~go], t_last[~go], states[~go]))
-            rows, states, t_last, r = rows[go], states[go], t_last[go], r[go]
+            last.append((rows[~go], t_last[~go], states[~go], q[~go]))
+            rows, states, t_last, r, q = rows[go], states[go], t_last[go], r[go], q[go]
         return (tuple(np.concatenate(col) for col in zip(*log)),
                 tuple(np.concatenate(col) for col in zip(*last)))
 
@@ -481,20 +474,20 @@ class _Evolution:
         post /= np.linalg.norm(post, axis=1)[:, None]
         return kinds, post, draws[:, 1]
 
-    def _readout(self, order, active, rows, times, posts):
-        """Yield ``(k, pops)`` per checkpoint: the populations (n, dim) at
-        ``grid[k]`` in trajectory-id order. The jumped rows are propagated
-        in first-jump order ``order`` (trajectory indices), of which the
-        first ``active[k]`` have jumped by then (see the module docstring);
-        every other row is its initial level's row of the no-jump table.
-        ``rows``, ``times``, ``posts`` are each row's last post-jump state per
-        interval. ``pops`` is one buffer, overwritten at each checkpoint;
-        after the last, ``self.states`` holds the final states, built only
+    def _readout(self, order, active, rows, times, posts, post_heats):
+        """Yield ``(k, pops, heat)`` per checkpoint: the populations (n, dim)
+        and cumulative heats (n,) at ``grid[k]`` in trajectory-id order, one
+        buffer each. The jumped rows are propagated in first-jump order
+        ``order``, of which the first ``active[k]`` have jumped by then, each
+        restarting from its last post-jump state in an interval, with its
+        heat there (``rows``, ``times``, ``posts``, ``post_heats``); every
+        other row is its initial level's row of the no-jump table. After the
+        last checkpoint, ``self.states`` holds the final states, built only
         then so that they are not alive while the checkpoints are measured."""
         ens, grid = self.ens, self.ens.grid
         slot = np.empty_like(order)
         slot[order] = np.arange(self.n)
-        rows = slot[rows]
+        slots = slot[rows]
         ck = np.searchsorted(grid, times)
         by_ck = np.argsort(ck, kind="stable")
         bounds = np.searchsorted(ck[by_ck], np.arange(len(grid) + 1))
@@ -503,6 +496,7 @@ class _Evolution:
         states = np.empty((active[-1], ens.dim), dtype=complex)
         jumped = np.empty(states.shape)
         pops = np.empty((self.n, ens.dim))
+        heat = np.zeros(self.n, dtype=np.int64)
         t_prev, n_act = 0.0, 0
         for k, t in enumerate(grid):
             u_t = ens.interval_t[t - t_prev]
@@ -510,11 +504,12 @@ class _Evolution:
             states[:n_act] = _rows_times(states[:n_act], u_t)
             sel = by_ck[bounds[k]:bounds[k + 1]]
             if sel.size:
-                states[rows[sel]] = ens.propagate(posts[sel], t - times[sel])
+                states[slots[sel]] = ens.propagate(posts[sel], t - times[sel])
+                heat[rows[sel]] = post_heats[sel]
             n_act = active[k]
             np.take(_populations(table), self.levels, axis=0, out=pops)
             pops[order[:n_act]] = _populations(_normalized(states[:n_act]), out=jumped[:n_act])
-            yield k, pops
+            yield k, pops, heat
             t_prev = t
         self.states = table[self.levels]
         self.states[order[:n_act]] = states[:n_act]

@@ -107,7 +107,7 @@ def fig4_bundle():
     nbar_sumsqs: dict = {}
     narr = np.arange(p.dim, dtype=float)
 
-    def tap(evolution, k, pops):
+    def tap(evolution, k, pops, heat):
         # one checkpoint row (n, dim) of one batch, as it is read out
         for n0 in np.unique(evolution.levels).tolist():
             p2 = pops[evolution.levels == n0]  # (count, dim)
@@ -446,18 +446,19 @@ def test_criterion_8_property_suites(tmp_path):
     rs = make_rates(ps)
     grid = tuple(np.linspace(0.0, ps.drive_time, 5))
     cfg = EnsembleConfig(checkpoint_grid=grid, n_traj=50, master_seed=606)
-    batch, pops = run_with_populations(ps, rs, cfg)
+    batch, pops, heats = run_with_populations(ps, rs, cfg)
     wp, wc = batch.W_p, batch.W_c
-    final_level = wp - batch.heats + batch.levels
+    final_level = wp - heats + batch.levels
     drawn = np.take_along_axis(pops, final_level[:, :, None], axis=2)
     assert np.all(drawn > 0)
-    assert set(np.unique(wc - batch.heats).tolist()) <= {-1, 0, 1}
+    assert set(np.unique(wc - heats).tolist()) <= {-1, 0, 1}
+    assert heats.dtype == np.int64
     assert len(batch.jumps) > 0
     for i in range(cfg.n_traj):
         jumps = batch.jumps[batch.jump_offsets[i]:batch.jump_offsets[i + 1]]
         for k, tau in enumerate(grid):
             early = jumps["kind"][jumps["time"] <= tau].astype(np.int64)
-            assert batch.heats[k, i] == np.sum(1 - 2 * early)
+            assert heats[k, i] == np.sum(1 - 2 * early)
     details.append("first law + integer heat exact")
 
     # detailed balance at machine precision

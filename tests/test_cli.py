@@ -78,6 +78,13 @@ class TestParseConfig:
         cfg = parse_config("# a comment\n\ngamma=0.01  # trailing\nbeta=1.0\n")
         assert cfg.params.gamma == 0.01
 
+    def test_repeated_key_rejected_with_both_lines(self):
+        with pytest.raises(ConfigError, match="line 3: grid is already set on line 2"):
+            parse_config("preset=fig4\ngrid=5\ngrid=7\n")
+        # a flag still overrides a key that the file sets once
+        cfg = parse_config("preset=fig4\ngrid=5\n", {"grid": 7})
+        assert len(cfg.ensemble.checkpoint_grid) == 7
+
     def test_flag_overrides_win(self):
         cfg = parse_config("preset=fig4\nntraj=5\n", {"ntraj": 7, "seed": 3})
         assert cfg.ensemble.n_traj == 7
@@ -382,6 +389,14 @@ class TestMainEntry:
     def test_config_error_exit_code(self, tmp_path, capsys):
         assert main(["simulate", "--preset", "fig9"]) == 2
         assert "configuration error" in capsys.readouterr().err
+
+    def test_repeated_config_key_exits_2_without_csv(self, tmp_path, capsys):
+        config = tmp_path / "exp.cfg"
+        config.write_text("preset=fig4\ngrid=5\ngrid=7\n")
+        out = tmp_path / "ana.csv"
+        assert main(["analytic", "--config", str(config), "--out", str(out)]) == 2
+        assert "line 3: grid is already set on line 2" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_end_to_end_simulate_and_compare(self, tmp_path, capsys):
         # tiny but complete pipeline through the console entry point

@@ -24,7 +24,13 @@ from qho_cal.trajectories import (
     uniforms,
 )
 from qho_cal.work import measure_ensemble
-from readout_tap import inverse_cdf, run_ensemble, run_with_populations, tapped_readout
+from readout_tap import (
+    cumulative_heats,
+    inverse_cdf,
+    run_ensemble,
+    run_with_populations,
+    tapped_readout,
+)
 
 pytestmark = pytest.mark.filterwarnings("ignore::qho_cal.errors.RegimeWarning")
 
@@ -209,19 +215,19 @@ class TestEvolveTrajectory:
         p = PhysicalParams(gamma=0.5, beta=600.0, lambda0=0.0, drive_time=40.0, dim=6)
         r = make_rates(p)
         cfg = EnsembleConfig(checkpoint_grid=grid_to(40.0), n_traj=5, master_seed=0)
-        batch, pops = run_with_populations(p, r, cfg)
+        batch, pops, heats = run_with_populations(p, r, cfg)
         assert not batch.levels.any()
         assert len(batch.jumps) == 0
-        assert not batch.heats.any()
+        assert not heats.any()
         np.testing.assert_allclose(pops[:, :, 0], 1.0, rtol=0, atol=1e-12)
 
     def test_no_coupling_never_jumps(self):
         # gamma = 0: no jump channel, unitary driven evolution
         p = PhysicalParams(gamma=0.0, beta=2.0, lambda0=0.01, dim=10)
         cfg = EnsembleConfig(checkpoint_grid=grid_to(p.drive_time), n_traj=50, master_seed=4)
-        batch, pops = run_with_populations(p, make_rates(p), cfg)
+        batch, pops, heats = run_with_populations(p, make_rates(p), cfg)
         assert len(batch.jumps) == 0
-        assert not batch.heats.any()
+        assert not heats.any()
         np.testing.assert_allclose(pops.sum(axis=2), 1.0, atol=1e-12)
         np.testing.assert_allclose(np.linalg.norm(batch.states, axis=1), 1.0, atol=1e-12)
 
@@ -245,7 +251,7 @@ class TestEvolveTrajectory:
         p = PhysicalParams(gamma=0.02, beta=1.0, lambda0=0.01, dim=10)
         r = make_rates(p)
         cfg = EnsembleConfig(checkpoint_grid=grid_to(p.drive_time), n_traj=20, master_seed=3)
-        batch, pops = run_with_populations(p, r, cfg)
+        batch, pops, _ = run_with_populations(p, r, cfg)
         np.testing.assert_allclose(pops.sum(axis=2), 1.0, atol=1e-10)
         np.testing.assert_allclose(np.linalg.norm(batch.states, axis=1), 1.0, atol=1e-10)
         np.testing.assert_allclose(np.abs(batch.states) ** 2, pops[-1], rtol=0, atol=1e-15)
@@ -255,28 +261,31 @@ class TestEvolveTrajectory:
         r = make_rates(p)
         grid = grid_to(p.drive_time, 7)
         cfg = EnsembleConfig(checkpoint_grid=grid, n_traj=10, master_seed=0)
-        batch = run_ensemble(p, r, cfg)
-        assert batch.heats.dtype == np.int64
+        batch, _, heats = run_with_populations(p, r, cfg)
+        assert heats.dtype == np.int64
         assert len(batch.jumps) > 10
         for i in range(10):
             jumps = jumps_of(batch, i)
             for k, tau in enumerate(grid):
-                assert batch.heats[k, i] == signed_heat(jumps[jumps["time"] <= tau])
+                assert heats[k, i] == signed_heat(jumps[jumps["time"] <= tau])
 
     @pytest.mark.filterwarnings("ignore::qho_cal.errors.TruncationWarning")
     def test_heats_are_cumulative_interval_counts(self):
-        # fig4 on 101 checkpoints: each heat row is the running sum over the
-        # checkpoint intervals (t_{k-1}, t_k] of the signed jump counts in them
+        # fig4 on 101 checkpoints: each heat row the readout measures with is
+        # the running sum over the checkpoint intervals (t_{k-1}, t_k] of the
+        # signed jump counts in them
         p = PhysicalParams(gamma=0.001, beta=2.0, lambda0=0.01, dim=10)
         grid = grid_to(p.drive_time, 101)
         cfg = EnsembleConfig(checkpoint_grid=grid, n_traj=2048, master_seed=3)
-        batch = run_ensemble(p, make_rates(p), cfg)
-        rows = np.repeat(np.arange(2048), np.diff(batch.jump_offsets))
-        counts = np.zeros((len(grid), 2048), dtype=np.int64)
-        signed = 1 - 2 * batch.jumps["kind"].astype(np.int64)
-        np.add.at(counts, (np.searchsorted(grid, batch.jumps["time"]), rows), signed)
-        assert np.count_nonzero(counts) > 100
-        assert np.array_equal(batch.heats, np.cumsum(counts, axis=0))
+        heats = []
+        with tapped_readout(lambda e, k, pops, heat: heats.append(heat)):
+            batch = run_ensemble(p, make_rates(p), cfg)
+        heats = np.stack(heats)
+        reference = cumulative_heats(batch)
+        # the grid opens with the empty interval at t = 0
+        assert np.count_nonzero(np.diff(reference, axis=0)) > 100
+        assert heats.dtype == np.int64
+        assert np.array_equal(heats, reference)
 
     def test_jump_times_strictly_increasing(self):
         # dim 20 keeps eight hot trajectories clear of the leak guard
@@ -352,12 +361,14 @@ class TestGridIndependence:
             EnsembleConfig(checkpoint_grid=g, n_traj=16, master_seed=41)
             for g in (fine, fine[::5])
         ]
-        (a, pops_a), (b, pops_b) = (run_with_populations(p, r, cfg) for cfg in cfgs)
+        (a, pops_a, heats_a), (b, pops_b, heats_b) = (
+            run_with_populations(p, r, cfg) for cfg in cfgs
+        )
         assert len(a.jumps) > 100
         np.testing.assert_array_equal(a.levels, b.levels)
         np.testing.assert_array_equal(a.jump_offsets, b.jump_offsets)
         np.testing.assert_array_equal(a.jumps, b.jumps)
-        np.testing.assert_array_equal(a.heats[::5], b.heats)
+        np.testing.assert_array_equal(heats_a[::5], heats_b)
         np.testing.assert_allclose(pops_a[::5], pops_b, rtol=0, atol=1e-9)
         np.testing.assert_allclose(a.states, b.states, rtol=0, atol=1e-9)
 
@@ -372,7 +383,9 @@ class TestGridIndependence:
             EnsembleConfig(checkpoint_grid=g, n_traj=16, master_seed=41)
             for g in (fine, fine[:6])
         ]
-        (a, pops_a), (b, pops_b) = (run_with_populations(p, r, cfg) for cfg in cfgs)
+        (a, pops_a, heats_a), (b, pops_b, heats_b) = (
+            run_with_populations(p, r, cfg) for cfg in cfgs
+        )
         assert b.times[-1] == pytest.approx(p.drive_time / 2)
         assert len(b.jumps) > 50
         early = [jumps_of(a, i)[jumps_of(a, i)["time"] <= b.times[-1]] for i in range(16)]
@@ -380,20 +393,23 @@ class TestGridIndependence:
         early = np.concatenate(early)
         np.testing.assert_array_equal(early["kind"], b.jumps["kind"])
         np.testing.assert_allclose(early["time"], b.jumps["time"], rtol=1e-9)
-        np.testing.assert_array_equal(a.heats[:6], b.heats)
+        np.testing.assert_array_equal(heats_a[:6], heats_b)
         np.testing.assert_allclose(pops_a[:6], pops_b, rtol=0, atol=1e-9)
 
 
 class TestJumpRecord:
     def test_keeps_only_each_rows_last_post_jump_state_per_interval(self):
         # the readout propagates from each row's last jump in each checkpoint
-        # interval, so those are the only post-jump states the record keeps
+        # interval, so those are the only post-jump states the record keeps,
+        # each with the row's cumulative heat after that jump
         p = PhysicalParams(gamma=0.1, beta=2.0, lambda0=0.01, dim=10)
         r = make_rates(p)
         cfg = EnsembleConfig(checkpoint_grid=grid_to(p.drive_time, 21), master_seed=1)
         grid = cfg.checkpoint_grid
         evolution = _Evolution(trajectories._Ensemble(p, r, cfg), 0, 64)
-        (rows, times, _), (kept_rows, kept_times, posts) = evolution._jump_record()
+        (rows, times, kinds), (kept_rows, kept_times, posts, kept_heats) = (
+            evolution._jump_record()
+        )
 
         def cells(rows, times):
             return zip(rows.tolist(), np.searchsorted(grid, times).tolist(), times.tolist())
@@ -405,6 +421,11 @@ class TestJumpRecord:
         assert kept == sorted((row, ck, t) for (row, ck), t in last.items())
         assert len(kept_rows) < len(rows)
         np.testing.assert_allclose(np.linalg.norm(posts, axis=1), 1.0, rtol=0, atol=1e-12)
+        assert kept_heats.dtype == np.int64
+        signed = 1 - 2 * kinds
+        for row, t, q in zip(kept_rows.tolist(), kept_times.tolist(), kept_heats.tolist()):
+            assert q == signed[(rows == row) & (times <= t)].sum()
+        assert np.any(kept_heats < 0) and np.any(kept_heats > 1)
 
 
 def reference_readout(evolution):
@@ -413,7 +434,7 @@ def reference_readout(evolution):
     re-propagated from its last post-jump state there, then every row
     normalized. The (K, n, dim) populations and the final states."""
     ens, grid = evolution.ens, evolution.ens.grid
-    _, (rows, times, posts) = evolution._jump_record()
+    _, (rows, times, posts, _) = evolution._jump_record()
     ck = np.searchsorted(grid, times)
     states = np.eye(ens.dim, dtype=complex)[evolution.levels]
     pops, t_prev = [], 0.0
@@ -465,8 +486,13 @@ class TestReadout:
         cfg = EnsembleConfig(checkpoint_grid=grid, master_seed=11, initial_level=level)
         ens = trajectories._Ensemble(p, r, cfg)
         evolution = _Evolution(ens, 5, n)
-        rows = []
-        with tapped_readout(lambda e, k, pops: rows.append(pops)):
+        rows, heats = [], []
+
+        def tap(e, k, pops, heat):
+            rows.append(pops)
+            heats.append(heat)
+
+        with tapped_readout(tap):
             batch = evolution.run()
         ref_pops, ref_states = reference_readout(_Evolution(ens, 5, n))
         if jumped is not None:
@@ -475,10 +501,12 @@ class TestReadout:
         assert np.array_equal(np.stack(rows), ref_pops)
         assert np.array_equal(batch.states, ref_states)
         assert np.array_equal(evolution.top, ref_pops[:, :, -1].sum(axis=1))
+        ref_heats = cumulative_heats(batch)
+        assert np.array_equal(np.stack(heats), ref_heats)
         for k, pops in enumerate(ref_pops):
             u = uniforms(ens.key, k + 1, MEASUREMENT, evolution.ids)
             wp, wc = trajectories._measure(
-                pops, u, batch.levels, batch.heats[k], evolution.ell_i, ens.pf0
+                pops, u, batch.levels, ref_heats[k], evolution.ell_i, ens.pf0
             )
             assert np.array_equal(batch.W_p[k], wp)
             assert np.array_equal(batch.W_c[k], wc)
@@ -560,7 +588,7 @@ class TestStationarity:
         r = make_rates(p)
         grid = tuple(np.linspace(50.0, 400.0, 8))
         cfg = EnsembleConfig(checkpoint_grid=grid, n_traj=600, master_seed=5)
-        _, pops = run_with_populations(p, r, cfg)
+        _, pops, _ = run_with_populations(p, r, cfg)
         peq = thermal_probabilities(p.beta, p.dim)
         time_avg = pops.mean(axis=0)  # (n, dim)
         for level in range(4):
@@ -574,9 +602,12 @@ class TestEnsemble:
         p = PhysicalParams(gamma=0.01, beta=1.5, lambda0=0.01, dim=8)
         r = make_rates(p)
         cfg = EnsembleConfig(checkpoint_grid=grid_to(p.drive_time, 6), n_traj=2, master_seed=9)
-        (a, pops_a), (b, pops_b) = (run_with_populations(p, r, cfg) for _ in range(2))
+        (a, pops_a, heats_a), (b, pops_b, heats_b) = (
+            run_with_populations(p, r, cfg) for _ in range(2)
+        )
         assert np.array_equal(pops_a, pops_b)
-        for name in ("levels", "heats", "W_p", "W_c", "states", "jumps", "jump_offsets"):
+        assert np.array_equal(heats_a, heats_b)
+        for name in ("levels", "W_p", "W_c", "states", "jumps", "jump_offsets"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
 
     @pytest.mark.parametrize("batch_size", [7, 16, 64])
@@ -590,16 +621,21 @@ class TestEnsemble:
         cut = EnsembleConfig(
             checkpoint_grid=grid, n_traj=64, master_seed=13, batch_size=batch_size
         )
-        whole, pops = run_with_populations(p, r, cut)
+        whole, pops, heats = run_with_populations(p, r, cut)
         assert len(whole.levels) == 64 and len(whole.jumps) > 0
-        # each batch's checkpoint rows, by first id
-        rows = {}
-        with tapped_readout(lambda e, k, row: rows.setdefault(e.first_id, []).append(row)):
+        # each batch's checkpoint rows and heat rows, by first id
+        rows, heat_rows = {}, {}
+
+        def tap(e, k, row, heat):
+            rows.setdefault(e.first_id, []).append(row)
+            heat_rows.setdefault(e.first_id, []).append(heat)
+
+        with tapped_readout(tap):
             batches = list(iter_ensemble(p, r, cut))
         for b in batches:
             ids = slice(b.first_id, b.first_id + len(b.levels))
             assert np.array_equal(b.levels, whole.levels[ids])
-            assert np.array_equal(b.heats, whole.heats[:, ids])
+            assert np.array_equal(np.stack(heat_rows[b.first_id]), heats[:, ids])
             assert np.array_equal(np.stack(rows[b.first_id]), pops[:, ids])
             assert np.array_equal(b.W_p, whole.W_p[:, ids])
             assert np.array_equal(b.W_c, whole.W_c[:, ids])
@@ -672,6 +708,24 @@ class TestEnsemble:
         full = 101 * 2048 * p.dim * np.dtype(float).itemsize
         assert peak < full / 2, f"peak {peak / 2**20:.1f} MiB"
 
+    @pytest.mark.filterwarnings("ignore::qho_cal.errors.TruncationWarning")
+    def test_no_heat_array_on_any_path(self):
+        # fig4 at 8192 trajectories x 101 checkpoints: a (K, n) int64 heat
+        # array takes 6.3 MiB, and measuring peaked at 17.4 MiB while each
+        # batch kept one (numpy 2.4, x86-64). The readout keeps one heat row,
+        # taken from the jump record, and measuring peaks near 11.1 MiB
+        p = PhysicalParams(gamma=0.001, beta=2.0, lambda0=0.01, dim=10)
+        cfg = EnsembleConfig(
+            checkpoint_grid=grid_to(p.drive_time, 101), n_traj=8192, master_seed=5
+        )
+        tracemalloc.start()
+        try:
+            measure_ensemble(iter_ensemble(p, make_rates(p), cfg))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
     def test_trajectory_count_and_ids(self):
         p = PhysicalParams(gamma=1e-3, beta=2.0)
         r = make_rates(p)
@@ -711,7 +765,7 @@ class TestEnsemble:
         # over those 32000 trajectories the largest |z| of the 40 cells is
         # 2.69. 17 is the first seed of the declared list 17, 18, ...
         cfg = EnsembleConfig(checkpoint_grid=grid, n_traj=4000, master_seed=17)
-        batch, pops = run_with_populations(p, r, cfg)
+        batch, pops, _ = run_with_populations(p, r, cfg)
         oracle = np.zeros((p.dim, len(grid) - 1, p.dim))
         for n in np.unique(batch.levels):
             rho0 = np.zeros((p.dim, p.dim), dtype=complex)

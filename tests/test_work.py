@@ -23,7 +23,13 @@ from qho_cal.work import (
     measure_ensemble,
     work_moments,
 )
-from readout_tap import inverse_cdf, run_ensemble, run_with_populations
+from readout_tap import (
+    cumulative_heats,
+    inverse_cdf,
+    run_ensemble,
+    run_with_populations,
+    tapped_readout,
+)
 
 pytestmark = pytest.mark.filterwarnings("ignore::qho_cal.errors.RegimeWarning")
 
@@ -70,7 +76,6 @@ def make_batch(levels, heats, states, rates, times=None, seed=0):
         times=np.arange(float(k_n)) if times is None else np.asarray(times, dtype=float),
         first_id=0,
         levels=levels,
-        heats=np.asarray(heats, dtype=np.int64).reshape(k_n, -1) + np.zeros((k_n, n), np.int64),
         W_p=wp,
         W_c=wc,
         states=np.asarray(states, dtype=complex)[-1],
@@ -87,8 +92,8 @@ def basis_state(n, dim):
 
 class TestHeat:
     # the cumulative heat of each checkpoint row enters both work values
-    # additively; the heat counts themselves are checked against the jump
-    # log in test_trajectories
+    # additively; the heat rows the readout measures with are checked
+    # against the jump log here and in test_trajectories
 
     def test_partial_sums(self):
         # emissions at 1 and 2, an absorption at 3: heats 0, 1, 2, 1 at the
@@ -106,11 +111,11 @@ class TestHeat:
         p = PhysicalParams(gamma=0.1, beta=0.8, lambda0=0.01, dim=12)
         horizon = 0.5 * p.drive_time
         cfg = EnsembleConfig(checkpoint_grid=(0.0, 0.25 * horizon, horizon), n_traj=6)
-        batch = run_ensemble(p, make_rates(p), cfg)
+        batch, _, heats = run_with_populations(p, make_rates(p), cfg)
         assert len(batch.jumps) > 0
         assert batch.jumps["time"].max() <= horizon
         kinds = batch.jumps["kind"].astype(np.int64)
-        assert batch.heats[-1].sum() == np.sum(1 - 2 * kinds)
+        assert heats[-1].sum() == np.sum(1 - 2 * kinds)
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 2**32 - 1))
@@ -122,13 +127,15 @@ class TestHeat:
         # has its own tests in TestTruncationGuard
         p = PhysicalParams(gamma=0.2, beta=0.5, lambda0=0.01, drive_time=60.0, dim=20)
         cfg = EnsembleConfig(checkpoint_grid=(20.0, 60.0), n_traj=3, master_seed=seed)
-        batch = next(iter_ensemble(p, make_rates(p), cfg))
+        heats = []
+        with tapped_readout(lambda e, k, pops, heat: heats.append(heat)):
+            batch = next(iter_ensemble(p, make_rates(p), cfg))
         signed = 1 - 2 * batch.jumps["kind"].astype(np.int64)
         for i in range(3):
             lo, hi = batch.jump_offsets[i], batch.jump_offsets[i + 1]
             early = batch.jumps["time"][lo:hi] <= 20.0
-            assert batch.heats[0, i] == signed[lo:hi][early].sum()
-            assert batch.heats[1, i] == signed[lo:hi].sum()
+            assert heats[0][i] == signed[lo:hi][early].sum()
+            assert heats[1][i] == signed[lo:hi].sum()
 
 
 class TestProjectiveWork:
@@ -397,14 +404,15 @@ def reference_work(batch, pops, rates, seed):
     key = np.random.SeedSequence(seed).generate_state(2)
     ids = batch.first_id + np.arange(len(batch.levels))
     ell_i = initial_guardian(key, ids, batch.levels, pi0)
+    heats = cumulative_heats(batch)
     wp = np.empty((k_n, n), dtype=np.int64)
     wc = np.empty((k_n, n), dtype=np.int64)
     for k, row in enumerate(pops):
         u = uniforms(key, k + 1, MEASUREMENT, ids)
         m = inverse_cdf(np.cumsum(row, axis=1), u[:, 0])
-        wp[k] = m - batch.levels + batch.heats[k]
+        wp[k] = m - batch.levels + heats[k]
         final_emission = (u[:, 1] < np.einsum("ij,j->i", row, pf0)).astype(np.int64)
-        wc[k] = final_emission - ell_i + batch.heats[k]
+        wc[k] = final_emission - ell_i + heats[k]
     return wp, wc
 
 
@@ -423,7 +431,7 @@ class TestStreamedMeasurement:
         r = make_rates(p)
         grid = tuple(np.linspace(0.0, p.drive_time, points))
         cfg = EnsembleConfig(checkpoint_grid=grid, n_traj=n_traj, master_seed=seed)
-        batch, pops = run_with_populations(p, r, cfg)
+        batch, pops, _ = run_with_populations(p, r, cfg)
         wp, wc = reference_work(batch, pops, r, seed)
         assert np.array_equal(batch.W_p, wp)
         assert np.array_equal(batch.W_c, wc)
