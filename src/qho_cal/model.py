@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RegimeWarning
+from .errors import RegimeWarning, outside_stacklevel
 # matrix_exponential is unused here; benchmark/tracing.py hooks it (ROADMAP item 3)
 from .fock import ladder_operators, matrix_exponential, quadratures  # noqa: F401
 
@@ -72,14 +72,14 @@ class PhysicalParams:
                 f"lambda0 = {self.lambda0} is not small against omega0 = 1; "
                 "the weak-driving (rotating wave) assumption degrades",
                 RegimeWarning,
-                stacklevel=2,
+                stacklevel=outside_stacklevel(),
             )
         if self.gamma > 0.1:
             warnings.warn(
                 f"gamma = {self.gamma} is not small against omega0 = 1; "
                 "the weak-coupling (Lindblad) assumption degrades",
                 RegimeWarning,
-                stacklevel=2,
+                stacklevel=outside_stacklevel(),
             )
 
 

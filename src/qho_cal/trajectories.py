@@ -39,8 +39,14 @@ stream, trajectory id low word, high word). The DYNAMICS stream spends event
 0 on the initial level and the first threshold and event j on jump j's type
 and the next threshold; the MEASUREMENT stream, read during the readout,
 spends event 0 on the pre-drive guardian photon and event k + 1 on
-checkpoint k. No generator object exists per trajectory, and results are
-bitwise identical for every batch size.
+checkpoint k. A call to uniforms has a fixed cost of about 60 us and then
+about 40 ns per block from 4096 blocks up (150 ns at 512), so each stream
+draws a block of events per call, about _BLOCK blocks: the readout
+``_BLOCK // n`` checkpoints of the batch's n rows, the jump rounds
+``_BLOCK // rows`` events of the rows still jumping, at least one event
+either way. A block depends only on its counter, so this changes no draw.
+No generator object exists per trajectory, and results are bitwise
+identical for every batch size.
 
 Ensembles are columnar and serial: iter_ensemble checks and builds what
 every batch shares once (the key, the initial-level probabilities, the
@@ -90,6 +96,9 @@ _EIG_TOL = 1e-8
 # a jump instant is accepted when log ||psi||^2 is this close to log r
 _ROOT_TOL = 1e-13
 _ROOT_MAX_ITER = 200
+# about this many Philox blocks per uniforms call: each stream draws
+# max(1, _BLOCK // rows) events of its rows at a time (see the module notes)
+_BLOCK = 4096
 
 JUMP_DTYPE = np.dtype([("time", float), ("kind", np.int8)])
 
@@ -182,7 +191,9 @@ def philox4x32(counter, key) -> np.ndarray:
 def uniforms(key, event, stream: int, traj_ids) -> np.ndarray:
     """Two uniforms in [0, 1) with 53 random bits per trajectory id, shape
     (n, 2): one Philox block at counter (event, stream, id low, id high).
-    ``event`` is one index for all ids or one per id."""
+    ``event`` is one index for all ids or one per id, or a column (b, 1) of
+    indices, which gives (b, n, 2): the b single-event draws, event-major,
+    in one call (see _BLOCK)."""
     ids = np.asarray(traj_ids, dtype=np.uint64)
     x = philox4x32((event, stream, ids & _LOW32, ids >> _SHIFT32), key)
     x >>= np.uint64(5)
@@ -397,9 +408,13 @@ class _Evolution:
         # |W| <= dim + the row's jump count, far below 2**31
         w_p = np.empty((len(grid), self.n), dtype=np.int32)
         w_c = np.empty((len(grid), self.n), dtype=np.int32)
+        block = max(1, _BLOCK // self.n)
         for k, pops, heat in self._readout(order, active, *last):
             self.top[k] = pops[:, -1].sum()
-            u = uniforms(self.ens.key, k + 1, MEASUREMENT, self.ids)
+            if k % block == 0:
+                events = np.arange(k + 1, min(k + block, len(grid)) + 1)[:, None]
+                drawn = uniforms(self.ens.key, events, MEASUREMENT, self.ids)
+            u = drawn[k % block]
             w_p[k], w_c[k] = _measure(pops, u, self.levels, heat, self.ell_i, self.ens.pf0)
         return TrajectoryBatch(
             times=np.array(grid),
@@ -421,7 +436,10 @@ class _Evolution:
         Round j makes jump j + 1 of the rows whose norm, propagated from
         their last post-jump state (the initial level for j = 0) to T, falls
         below their threshold; the others retire. So there are as many
-        rounds as the most jumps of any row.
+        rounds as the most jumps of any row. Its uniforms, dynamics event
+        j + 1, come from ``drawn``: events ``first ..`` of the rows active
+        when it was drawn, row ``slot`` for each row still active (rows
+        retire only between rounds, so the slots stay valid).
         """
         ens, grid = self.ens, self.ens.grid
         end_t = grid[-1]
@@ -435,6 +453,7 @@ class _Evolution:
         # spend dynamics event j + 1
         log = [(rows[:0], t_last[:0], rows[:0])]
         last = [(rows[:0], t_last[:0], states[:0], q[:0])]
+        first, drawn = 0, ()
         while rows.size:
             tau, psi = ens.jump_states(states, np.log(r), end_t - t_last)
             t_jump = np.minimum(t_last + tau, end_t)
@@ -444,26 +463,31 @@ class _Evolution:
                 moved = np.searchsorted(grid, t_jump) > np.searchsorted(grid, t_last)
                 last.append((rows[moved], t_last[moved], states[moved], q[moved]))
             t_last = t_jump
-            kinds, states, r = self._jump(rows, psi, len(log))
+            event = len(log)
+            if event >= first + len(drawn):
+                first, slot = event, np.arange(rows.size)
+                events = np.arange(event, event + max(1, _BLOCK // rows.size))[:, None]
+                drawn = uniforms(ens.key, events, DYNAMICS, self.ids[rows])
+            kinds, states, r = self._jump(rows, psi, drawn[event - first, slot])
             q += 1 - 2 * kinds
             log.append((rows, t_last, kinds))
             go = _norm2(ens.propagate(states, end_t - t_last)) < r
             last.append((rows[~go], t_last[~go], states[~go], q[~go]))
             rows, states, t_last, r, q = rows[go], states[go], t_last[go], r[go], q[go]
+            slot = slot[go]
         return (tuple(np.concatenate(col) for col in zip(*log)),
                 tuple(np.concatenate(col) for col in zip(*last)))
 
-    def _jump(self, rows: np.ndarray, psi: np.ndarray, event: int):
+    def _jump(self, rows: np.ndarray, psi: np.ndarray, draws: np.ndarray):
         """Kinds, normalized post-jump states and next thresholds of the rows
-        whose pre-jump states are ``psi``: the two uniforms of dynamics event
-        ``event``, the row's jump number."""
+        whose pre-jump states are ``psi``, from ``draws`` (n, 2), each row's
+        two uniforms of the dynamics event that is its jump number."""
         p2 = _populations(psi)
         w0 = np.einsum("ij,j->i", p2, self.ens.w0)
         total = w0 + np.einsum("ij,j->i", p2, self.ens.w1)
         if not np.all(total > 0):
             bad = self.first_id + int(rows[np.argmin(total)])
             raise SimulationError(f"jump without a jump rate in trajectory {bad}")
-        draws = uniforms(self.ens.key, event, DYNAMICS, self.ids[rows])
         kinds = (draws[:, 0] * total >= w0).astype(np.int64)
         post = np.where(
             (kinds == 0)[:, None],

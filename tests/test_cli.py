@@ -171,6 +171,8 @@ class TestRunSimulate:
             ("fig4", 4096, 21, "9e52667e053277ab1e999d6cf3366abad076c9c557244c59be44bd390e72f34c"),
             ("fig4", 8192, 101, "73b65a5529ae2247ecd15141a783d7544fd57af341eab026e154932f9ef63185"),
             ("fig5c", 256, 11, "b9b078124b566b97e8fc4df98ef67e5fa2013304d1e11751620b3d1340ee927a"),
+            # the benchmark's shape: 21 checkpoints cross two measurement blocks
+            ("fig5c", 512, 21, "1417e4c682589a643db4473f8cf4f2bb17c6554a359d594bfdeb2f10561e0425"),
         ],
     )
     def test_csv_body_is_golden(self, tmp_path, preset, ntraj, grid, digest):

@@ -74,6 +74,14 @@ class TestPhysicalParams:
         with pytest.warns(RegimeWarning):
             params_for(gamma=0.2)
 
+    def test_regime_warnings_name_the_callers_line(self):
+        # both warnings name the line that built the parameters, not a line
+        # of the package or of the dataclass-generated __init__
+        for changes in ({"lambda0": 0.5}, {"gamma": 0.2}):
+            with pytest.warns(RegimeWarning) as caught:
+                PhysicalParams(beta=1.0, **{"gamma": 0.01, **changes})
+            assert [w.filename for w in caught] == [__file__]
+
     def test_overdamped_fig5_regime_is_silent(self):
         import warnings
 

@@ -85,6 +85,13 @@ class TestPhilox:
         # per-id events give the same block as a shared event
         events = np.full(len(ids), 3)
         assert np.array_equal(uniforms(key, events, DYNAMICS, ids), dyn)
+        # a column of events gives the per-event calls stacked event-major
+        events = np.array([0, 3, 4, 9])
+        column = uniforms(key, events[:, None], MEASUREMENT, ids)
+        assert column.shape == (len(events), len(ids), 2)
+        assert np.array_equal(
+            column, np.stack([uniforms(key, e, MEASUREMENT, ids) for e in events])
+        )
 
 
 class TestSampleInitialLevel:
@@ -426,6 +433,61 @@ class TestJumpRecord:
         for row, t, q in zip(kept_rows.tolist(), kept_times.tolist(), kept_heats.tolist()):
             assert q == signed[(rows == row) & (times <= t)].sum()
         assert np.any(kept_heats < 0) and np.any(kept_heats > 1)
+
+
+BATCH_FIELDS = ("levels", "W_p", "W_c", "states", "jumps", "jump_offsets")
+
+
+class TestDrawBlocks:
+    """Each stream draws the uniforms of a block of events per call; a
+    Philox block is a pure function of its counter, so how the events are
+    split into calls changes no draw."""
+
+    @pytest.mark.filterwarnings("ignore::qho_cal.errors.TruncationWarning")
+    @pytest.mark.parametrize(
+        "gamma, n_traj, grid, seed, batch_size",
+        [(0.1, 512, 21, 1, 8192), (0.001, 300, 21, 7, 7), (0.1, 40, 11, 9, 1)],
+        ids=["fig5c", "fig4-batch-7", "fig5c-batch-1"],
+    )
+    @pytest.mark.parametrize("block", [1, 3])
+    def test_block_size_changes_no_draw(self, monkeypatch, gamma, n_traj, grid, seed,
+                                        batch_size, block):
+        # against the default blocks: a block of 1 is one event per call; a
+        # block of 3 draws 3 events for a single row, so at batch size 1 it
+        # splits the 11 checkpoints 3 + 3 + 3 + 2 and a row's jumps in threes
+        p = PhysicalParams(gamma=gamma, beta=2.0, lambda0=0.01, dim=10)
+        r = make_rates(p)
+        cfg = EnsembleConfig(
+            checkpoint_grid=grid_to(p.drive_time, grid), n_traj=n_traj, master_seed=seed,
+            batch_size=batch_size,
+        )
+        default = list(iter_ensemble(p, r, cfg))
+        monkeypatch.setattr(trajectories, "_BLOCK", block)
+        blocked = list(iter_ensemble(p, r, cfg))
+        assert len(blocked) == len(default)
+        assert sum(len(b.jumps) for b in default) > 0
+        for a, b in zip(default, blocked):
+            for name in BATCH_FIELDS:
+                assert np.array_equal(getattr(a, name), getattr(b, name))
+
+    def test_fig5c_philox_calls(self, monkeypatch):
+        # 512 trajectories jumping about 12 times each on 21 checkpoints: one
+        # call per event made 63 Philox calls; blocks of 4096 make 8 (two
+        # initial, three for the checkpoints, three for the jumps)
+        calls = []
+        philox = trajectories.philox4x32
+
+        def counted(counter, key):
+            calls.append(1)
+            return philox(counter, key)
+
+        monkeypatch.setattr(trajectories, "philox4x32", counted)
+        p = PhysicalParams(gamma=0.1, beta=2.0, lambda0=0.01, dim=10)
+        cfg = EnsembleConfig(
+            checkpoint_grid=grid_to(p.drive_time, 21), n_traj=512, master_seed=1
+        )
+        measure_ensemble(iter_ensemble(p, make_rates(p), cfg))
+        assert len(calls) <= 10
 
 
 def reference_readout(evolution):
