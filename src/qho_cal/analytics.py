@@ -171,11 +171,11 @@ def unitary_calorimetric_moment(
     t: float,
     params: PhysicalParams,
     rates: Rates,
-    n_max: int = 1,
+    n_max: int = TruncationPolicy.n_max,
 ) -> float:
     """k-th (k = 1, 2) calorimetric work moment in the unitary limit, thermally
     averaged over the initial levels n <= n_max (weights renormalized), in
-    units of (hbar*omega0)^k. The default keeps the two lowest levels."""
+    units of (hbar*omega0)^k. n_max defaults to TruncationPolicy.n_max."""
     i = _moment_index(k, 2)
     table = unitary_table(t, params.lambda0, n_max)
     weights = thermal_probabilities(params.beta, n_max + 1)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import re
 import sys
 import time
 from pathlib import Path
@@ -110,7 +111,8 @@ def _parse_file(text: str) -> dict:
     values: dict = {}
     line_of: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        # "#" opens a comment only at a line's start or after whitespace: out=a#1.csv keeps it
+        line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:

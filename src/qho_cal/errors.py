@@ -3,6 +3,10 @@ rule its warnings are attributed by."""
 
 import sys
 
+__all__ = ["QhoCalError", "ConfigError", "SimulationError", "GridMismatchError",
+           "InsufficientDataError", "TruncationWarning", "RegimeWarning",
+           "PrecisionLossWarning", "outside_stacklevel"]
+
 
 class QhoCalError(Exception):
     """Base class for all package-specific errors."""

@@ -69,8 +69,6 @@ def integrate(
     dim = params.dim
     _validate_rho(rho0, dim)
     grid = checked_grid(grid)
-    if not grid:
-        raise ValueError("grid must not be empty")
 
     k, eye = nh_generator(params, rates), np.eye(dim)
     # row-major vec: vec(A rho B) = (A kron B^T) vec(rho)

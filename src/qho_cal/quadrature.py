@@ -27,10 +27,12 @@ def gauss_legendre(n: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray
 
 
 def checked_grid(grid) -> tuple[float, ...]:
-    """The times of ``grid`` as floats, checked to be finite, non-negative
-    and strictly increasing."""
+    """The times of ``grid`` as floats, checked to be non-empty, finite,
+    non-negative and strictly increasing."""
     times = tuple(float(t) for t in grid)
-    if not (np.isfinite(times).all() and np.all(np.diff(times) > 0) and min(times, default=0) >= 0):
+    if not times:
+        raise ValueError("grid must not be empty")
+    if not (np.isfinite(times).all() and np.all(np.diff(times) > 0) and min(times) >= 0):
         raise ValueError("grid times must be finite, non-negative and strictly increasing")
     return times
 

@@ -117,7 +117,7 @@ _SHIFT32 = np.uint64(32)
 class EnsembleConfig:
     """Ensemble controls.
 
-    ``checkpoint_grid`` is a non-empty quadrature.checked_grid inside
+    ``checkpoint_grid`` is a quadrature.checked_grid, never empty, inside
     [0, drive_time]. ``initial_level`` of None samples levels from the
     truncated thermal distribution.
     """
@@ -131,8 +131,6 @@ class EnsembleConfig:
     def __post_init__(self) -> None:
         grid = checked_grid(self.checkpoint_grid)
         object.__setattr__(self, "checkpoint_grid", grid)
-        if not grid:
-            raise ValueError("checkpoint grid must not be empty")
         if self.n_traj < 1:
             raise ValueError(f"n_traj must be positive, got {self.n_traj}")
         if self.master_seed < 0:

@@ -78,6 +78,14 @@ class TestParseConfig:
         cfg = parse_config("# a comment\n\ngamma=0.01  # trailing\nbeta=1.0\n")
         assert cfg.params.gamma == 0.01
 
+    def test_hash_inside_a_value_is_kept(self):
+        # "#" opens a comment only at the start of a line or after whitespace
+        cfg = parse_config("preset=fig4\nout=/tmp/run#3.csv\t# trailing\n")
+        assert cfg.out == "/tmp/run#3.csv"
+        assert parse_config("preset=fig4\nout=run#3.csv\n").out == "run#3.csv"
+        with pytest.raises(ConfigError, match="bad value for gamma"):
+            parse_config("preset=fig4\ngamma=0.01#no space\n")
+
     def test_repeated_key_rejected_with_both_lines(self):
         with pytest.raises(ConfigError, match="line 3: grid is already set on line 2"):
             parse_config("preset=fig4\ngrid=5\ngrid=7\n")

@@ -159,8 +159,9 @@ class TestSampleInitialLevel:
 
 class TestEnsembleConfig:
     def test_grid_validation(self):
-        with pytest.raises(ValueError):
-            EnsembleConfig(checkpoint_grid=())
+        for empty in ((), np.linspace(0.0, 1.0, 0)):
+            with pytest.raises(ValueError, match="grid must not be empty"):
+                EnsembleConfig(checkpoint_grid=empty)
         with pytest.raises(ValueError):
             EnsembleConfig(checkpoint_grid=(0.0, 2.0, 1.0))
         with pytest.raises(ValueError):
