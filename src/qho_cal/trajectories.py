@@ -22,12 +22,12 @@ jumped by any checkpoint are a prefix: per interval the shared propagator
 advances that prefix and one normalized dim x dim table, whose row n stands
 for every row that has not jumped from level n; a row that jumped inside the
 interval restarts from its last post-jump state there and takes its heat.
-Every row is rounded as if all rows were propagated. Each checkpoint's
-populations are laid out in trajectory-id order, every row read off the
-table and then the jumped prefix written over its own rows, and measured in
-place with the heats, kept in the same order (both work values, see work),
-with no permutation, then dropped. So no batch ever holds the populations
-of all its checkpoints; a batch keeps the two work values per checkpoint.
+Every row is rounded as if all rows were propagated. Each checkpoint is
+measured (both work values, see work) by initial level, latest first jump
+first: a level's rows that have not jumped lead its group, with heat 0, and
+are measured off its table row; only the jumped prefix is measured row by
+row. So no batch lays out populations per row or holds those of all its
+checkpoints; it keeps the two work values per checkpoint, in id order.
 The jump solves see only T, so the points before it do not change a
 trajectory at all, and a grid that ends earlier changes its jump times only
 within the root tolerance.
@@ -234,11 +234,11 @@ def _populations(states: np.ndarray, out=None) -> np.ndarray:
 
 
 def _draw(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """The engine's one level draw: per row i of the level probabilities
-    ``probs`` (n, dim), the level m with ``cdf[m-1] <= u[i, 0] < cdf[m]``.
-    The cumulative sums run level by level, as ``np.cumsum`` does; the draw
-    is capped at the top level, where round-off can leave ``cdf[-1]`` below 1.
-    """
+    """The engine's level draw (_outcomes repeats it off the no-jump table):
+    per row i of the level probabilities ``probs`` (n, dim), the level m with
+    ``cdf[m-1] <= u[i, 0] < cdf[m]``. The cumulative sums run level by level,
+    as ``np.cumsum`` does; the draw is capped at the top level, where
+    round-off can leave ``cdf[-1]`` below 1."""
     # contiguous, since the loop compares it with every column
     u0 = u[:, 0].copy()
     cdf = probs[:, 0].copy()
@@ -348,18 +348,25 @@ class _Ensemble:
         raise SimulationError(f"jump-time root solve did not converge for {act.size} trajectories")
 
 
-def _measure(pops, u, levels, heats, ell_i, pf0):
-    """Both work values (n,) of n trajectories at one checkpoint, from
-    their populations ``pops`` (n, dim) and measurement uniforms ``u`` (n, 2).
-
-    The final level m is _draw's (W_p = m - n + Q). The final guardian
-    photon is an emission when ``u[:, 1]`` falls below ``pops . pf0`` (W_c
-    as in model.calorimetric_value); einsum, not gemv, so that a row's
-    rounding does not depend on its batch.
-    """
-    m = _draw(pops, u)
-    emitted = u[:, 1] < np.einsum("ij,j->i", pops, pf0)
-    return m - levels + heats, calorimetric_value(emitted, ell_i, heats)
+def _outcomes(table, pops, pos, u, spans, pf0):
+    """Final levels and guardian emissions (n,) of n rows in group order,
+    from their uniforms ``u`` (n, 2). The jumped rows ``pos``, populations
+    ``pops``, are drawn by _draw and emit when ``u[:, 1]`` falls below
+    ``pops . pf0`` (einsum, not gemv: a row's rounding must not depend on
+    its batch); the unjumped rows s of each (l, s) in ``spans`` are
+    measured off ``table[l]``, with the same sums and comparisons."""
+    final, emitted = np.empty(len(u), dtype=np.int32), np.empty(len(u), dtype=bool)
+    # np.cumsum adds level by level, as _draw does, capped at the top level
+    cdf = np.cumsum(table[:, :-1], axis=1)[:, :, None]
+    emission = np.einsum("ij,j->i", table, pf0)
+    u0 = u[:, 0].copy()  # contiguous: each level compares it with dim - 1 sums
+    for level, s in spans:
+        np.add.reduce(cdf[level] <= u0[s], axis=0, out=final[s])
+        np.less(u[s, 1], emission[level], out=emitted[s])
+    u = u.take(pos, axis=0)
+    final[pos] = _draw(pops, u)
+    emitted[pos] = u[:, 1] < np.einsum("ij,j->i", pops, pf0)
+    return final, emitted
 
 
 class _Evolution:
@@ -385,8 +392,8 @@ class _Evolution:
 
     def run(self) -> TrajectoryBatch:
         """The batch: its jump record, then its checkpoints read out and
-        measured, every row in trajectory-id order (the leak sums too, so
-        that they are summed in the same order for every batch size)."""
+        measured, written in trajectory-id order (the leak sums summed in it
+        too, so that they are summed in the same order for every batch size)."""
         grid = self.ens.grid
         (rows, times, kinds), last = self._jump_record()
         # rounds run forward in time, so a stable sort keeps each row's jumps in order
@@ -403,17 +410,32 @@ class _Evolution:
         first[jumped] = jumps["time"][offsets[:-1][jumped]]
         order = np.argsort(first, kind="stable")
         active = np.searchsorted(first[order], grid, side="right")
+        # group order, by initial level and latest first jump first: the
+        # unjumped rows of level l at checkpoint k are s for (l, s) in spans[k]
+        group = np.lexsort((-first, self.levels))
+        at = np.argsort(group)
+        ids, levels, ell, late = (x[group] for x in (self.ids, self.levels, self.ell_i, -first))
+        starts = np.searchsorted(levels, np.arange(self.ens.dim + 1)).tolist()
+        ends = np.transpose([a + np.searchsorted(late[a:b], np.negative(grid))
+                             for a, b in zip(starts, starts[1:])]).tolist()
+        spans = [[(l, slice(a, e)) for l, (a, e) in enumerate(zip(starts, r)) if e > a]
+                 for r in ends]
+        heats, top = np.zeros(self.n, dtype=np.int32), np.empty(self.n)
         # |W| <= dim + the row's jump count, far below 2**31
-        w_p = np.empty((len(grid), self.n), dtype=np.int32)
-        w_c = np.empty((len(grid), self.n), dtype=np.int32)
+        w_p, w_c = np.empty((2, len(grid), self.n), dtype=np.int32)
         block = max(1, _BLOCK // self.n)
-        for k, pops, heat in self._readout(order, active, *last):
-            self.top[k] = pops[:, -1].sum()
+        for k, table, pops, rows, heat in self._readout(order, active, *last):
+            np.take(table[:, -1], self.levels, out=top)
+            top[rows] = pops[:, -1]
+            self.top[k] = top.sum()
             if k % block == 0:
                 events = np.arange(k + 1, min(k + block, len(grid)) + 1)[:, None]
-                drawn = uniforms(self.ens.key, events, MEASUREMENT, self.ids)
-            u = drawn[k % block]
-            w_p[k], w_c[k] = _measure(pops, u, self.levels, heat, self.ell_i, self.ens.pf0)
+                drawn = uniforms(self.ens.key, events, MEASUREMENT, ids)
+            pos = at[rows]
+            final, emitted = _outcomes(table, pops, pos, drawn[k % block], spans[k], self.ens.pf0)
+            heats[pos] = heat
+            np.take(final - levels + heats, at, out=w_p[k])
+            np.take(calorimetric_value(emitted, ell, heats), at, out=w_c[k])
         return TrajectoryBatch(
             times=np.array(grid),
             first_id=self.first_id,
@@ -497,15 +519,15 @@ class _Evolution:
         return kinds, post, draws[:, 1]
 
     def _readout(self, order, active, rows, times, posts, post_heats):
-        """Yield ``(k, pops, heat)`` per checkpoint: the populations (n, dim)
-        and cumulative heats (n,) at ``grid[k]`` in trajectory-id order, one
-        buffer each. The jumped rows are propagated in first-jump order
-        ``order``, of which the first ``active[k]`` have jumped by then, each
-        restarting from its last post-jump state in an interval, with its
-        heat there (``rows``, ``times``, ``posts``, ``post_heats``); every
-        other row is its initial level's row of the no-jump table. After the
-        last checkpoint, ``self.states`` holds the final states, built only
-        then so that they are not alive while the checkpoints are measured."""
+        """Yield ``(k, table, pops, jumped, heat)`` per checkpoint: at grid[k],
+        the no-jump table's populations (dim, dim), row l for each row that
+        has not jumped from level l, and the populations (m, dim) and heats
+        (m,) of the rows ``jumped``, the first m = active[k] of the first-jump
+        order ``order``, propagated in it and each restarting from its last
+        post-jump state in an interval with its heat there (``rows``,
+        ``times``, ``posts``, ``post_heats``). After the last checkpoint,
+        ``self.states`` holds the final states, built only then so that they
+        are not alive while the checkpoints are measured."""
         ens, grid = self.ens, self.ens.grid
         slot = np.empty_like(order)
         slot[order] = np.arange(self.n)
@@ -516,9 +538,8 @@ class _Evolution:
         table = np.eye(ens.dim, dtype=complex)
         # the jumped prefix never outgrows the rows that have jumped by T
         states = np.empty((active[-1], ens.dim), dtype=complex)
-        jumped = np.empty(states.shape)
-        pops = np.empty((self.n, ens.dim))
-        heat = np.zeros(self.n, dtype=np.int64)
+        pops = np.empty(states.shape)
+        heat = np.zeros(active[-1], dtype=np.int64)
         t_prev, n_act = 0.0, 0
         for k, t in enumerate(grid):
             u_t = ens.interval_t[t - t_prev]
@@ -527,11 +548,10 @@ class _Evolution:
             sel = by_ck[bounds[k]:bounds[k + 1]]
             if sel.size:
                 states[slots[sel]] = ens.propagate(posts[sel], t - times[sel])
-                heat[rows[sel]] = post_heats[sel]
+                heat[slots[sel]] = post_heats[sel]
             n_act = active[k]
-            np.take(_populations(table), self.levels, axis=0, out=pops)
-            pops[order[:n_act]] = _populations(_normalized(states[:n_act]), out=jumped[:n_act])
-            yield k, pops, heat
+            jumped = _populations(_normalized(states[:n_act]), out=pops[:n_act])
+            yield k, _populations(table), jumped, order[:n_act], heat[:n_act]
             t_prev = t
         self.states = table[self.levels]
         self.states[order[:n_act]] = states[:n_act]

@@ -2,15 +2,20 @@
 
 ``run_ensemble`` runs a whole ensemble as one batch, through the
 truncation guard. ``inverse_cdf`` is the reference level draw that the
-engine's own draw must equal, and ``cumulative_heats`` the reference heats,
-counted off a batch's jump log.
+engine's own draw must equal, ``cumulative_heats`` the reference heats,
+counted off a batch's jump log, and ``measure_all_rows`` the reference
+measurement of every row from its own populations.
 
-The program measures each checkpoint row as the readout yields it and then
+The program measures each checkpoint as the readout yields it and then
 drops it, so no batch carries populations or heats. Tests that need them tap
 the one readout loop, ``_Evolution._readout``, and see the populations and
-cumulative heats of every row it yields, exactly those the measurement
-reads. The readout yields its rows in trajectory-id order and reuses one
-buffer for each; the tap hands each checkpoint's rows on as new arrays.
+cumulative heats of every row, exactly those the measurement reads. The
+readout yields the no-jump table, whose row l every row that has not jumped
+from level l shares with heat 0, and the populations and heats of the
+jumped rows, reusing one buffer for each; the tap rebuilds each
+checkpoint's (n, dim) populations and (n,) heats in trajectory-id order as
+new arrays, each row its level's table row with the jumped rows written
+over their own.
 """
 
 import contextlib
@@ -19,7 +24,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qho_cal.trajectories import _Evolution, iter_ensemble
+from qho_cal.model import calorimetric_value
+from qho_cal.trajectories import _draw, _Evolution, iter_ensemble
 
 
 def run_ensemble(params, rates, config):
@@ -52,17 +58,38 @@ def cumulative_heats(batch):
     return np.cumsum(counts, axis=0)
 
 
+def measure_all_rows(pops, u, levels, heats, ell_i, pf0):
+    """Both work values (n,) of n trajectories at one checkpoint, from
+    their populations ``pops`` (n, dim) and measurement uniforms ``u`` (n, 2),
+    every row drawn from its own populations: the all-rows reference that
+    the engine, which measures the rows that have not jumped off its no-jump
+    table, must equal bit for bit.
+
+    The final level m is _draw's (W_p = m - n + Q). The final guardian
+    photon is an emission when ``u[:, 1]`` falls below ``pops . pf0`` (W_c
+    as in model.calorimetric_value); einsum, not gemv, so that a row's
+    rounding does not depend on its batch.
+    """
+    m = _draw(pops, u)
+    emitted = u[:, 1] < np.einsum("ij,j->i", pops, pf0)
+    return m - levels + heats, calorimetric_value(emitted, ell_i, heats)
+
+
 @contextlib.contextmanager
 def tapped_readout(tap):
-    """While active, every checkpoint row that an ``_Evolution`` reads out
-    is first passed to ``tap(evolution, k, pops, heat)``, pops (n, dim) and
-    heat (n,) in trajectory-id order."""
+    """While active, every checkpoint that an ``_Evolution`` reads out is
+    first passed to ``tap(evolution, k, pops, heat)``, pops (n, dim) and
+    heat (n,) in trajectory-id order, rebuilt from what the readout yields."""
     readout = _Evolution._readout
 
     def tapped(self, order, *args):
-        for k, pops, heat in readout(self, order, *args):
-            tap(self, k, pops.copy(), heat.copy())
-            yield k, pops, heat
+        for k, table, pops, jumped, heat in readout(self, order, *args):
+            rows = table[self.levels]
+            rows[jumped] = pops
+            heats = np.zeros(self.n, dtype=heat.dtype)
+            heats[jumped] = heat
+            tap(self, k, rows, heats)
+            yield k, table, pops, jumped, heat
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_Evolution, "_readout", tapped)

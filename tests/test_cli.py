@@ -181,12 +181,22 @@ class TestRunSimulate:
             ("fig5c", 256, 11, "b9b078124b566b97e8fc4df98ef67e5fa2013304d1e11751620b3d1340ee927a"),
             # the benchmark's shape: 21 checkpoints cross two measurement blocks
             ("fig5c", 512, 21, "1417e4c682589a643db4473f8cf4f2bb17c6554a359d594bfdeb2f10561e0425"),
+            # weak damping at beta 5: nearly every row is measured off the
+            # no-jump table at every checkpoint
+            ("fig3 beta=5", 4096, 21,
+             "11f9d034db34dec5988eff173becb6976ae764006a75d2d001f36824ed363e45"),
+            # rows measured off the table and jumped rows mix
+            ("fig5b", 1024, 21, "a3d2f71a8e2ff2960c6c969428644f617af992f18d4dda41deca57c41aad115b"),
         ],
     )
     def test_csv_body_is_golden(self, tmp_path, preset, ntraj, grid, digest):
-        # the estimator rows (every line but the provenance header) at seed 7
+        # the estimator rows (every line but the provenance header) at seed 7;
+        # settings after the preset name go in through a --config file
         out = tmp_path / "sim.csv"
-        argv = ["simulate", "--preset", preset, "--ntraj", str(ntraj), "--grid", str(grid)]
+        preset, *settings = preset.split()
+        (tmp_path / "run.cfg").write_text("".join(f"{line}\n" for line in settings))
+        argv = ["simulate", "--preset", preset, "--ntraj", str(ntraj), "--grid", str(grid),
+                "--config", str(tmp_path / "run.cfg")]
         assert main(argv + ["--seed", "7", "--out", str(out)]) == 0
         body = "".join(
             line for line in out.read_text().splitlines(keepends=True) if not line.startswith("#")

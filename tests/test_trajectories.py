@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.stats import kstest
 
 from qho_cal import trajectories
@@ -27,6 +29,7 @@ from qho_cal.work import measure_ensemble
 from readout_tap import (
     cumulative_heats,
     inverse_cdf,
+    measure_all_rows,
     run_ensemble,
     run_with_populations,
     tapped_readout,
@@ -568,7 +571,7 @@ class TestReadout:
         assert np.array_equal(np.stack(heats), ref_heats)
         for k, pops in enumerate(ref_pops):
             u = uniforms(ens.key, k + 1, MEASUREMENT, evolution.ids)
-            wp, wc = trajectories._measure(
+            wp, wc = measure_all_rows(
                 pops, u, batch.levels, ref_heats[k], evolution.ell_i, ens.pf0
             )
             assert np.array_equal(batch.W_p[k], wp)
@@ -608,6 +611,116 @@ class TestReadout:
         active = (first[None, :] <= np.array(cfg.checkpoint_grid)[:, None]).sum(axis=1)
         assert counted[0] <= active.sum() + n_ck * p.dim + 2 * kept[0]
         assert counted[0] < 0.35 * n * n_ck
+
+    @pytest.mark.filterwarnings("ignore::qho_cal.errors.TruncationWarning")
+    def test_draws_only_the_jumped_rows(self, monkeypatch):
+        # fig4 at 2048 trajectories x 101 checkpoints: the per-row level draw
+        # sees each checkpoint's jumped rows and no other; the rows that have
+        # not jumped are measured off the no-jump table, never gathered
+        p = PhysicalParams(gamma=0.001, beta=2.0, lambda0=0.01, dim=10)
+        cfg = EnsembleConfig(checkpoint_grid=grid_to(p.drive_time, 101), master_seed=1)
+        n = 2048
+        evolution = _Evolution(trajectories._Ensemble(p, make_rates(p), cfg), 0, n)
+        seen = []
+        draw = trajectories._draw
+
+        def counted_draw(probs, u):
+            seen.append(len(probs))
+            return draw(probs, u)
+
+        monkeypatch.setattr(trajectories, "_draw", counted_draw)
+        batch = evolution.run()
+        first = first_jump_times(batch)
+        active = (first[None, :] <= np.array(cfg.checkpoint_grid)[:, None]).sum(axis=1)
+        assert len(seen) == len(cfg.checkpoint_grid)
+        assert 0 < sum(seen) <= active.sum()
+        assert active.sum() < 0.2 * n * len(seen)
+
+
+def grouped_outcomes(table, pops, sizes, still, pos, u, pf0):
+    """_outcomes on rows grouped by initial level, ``sizes[l]`` of level l,
+    of which the first ``still[l]`` have not jumped, and the reference: _draw
+    and the per-row einsum on every row's own populations, the unjumped
+    rows' gathered from ``table``. Both as (final, emitted)."""
+    starts = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
+    spans = [(l, slice(a, a + c)) for l, (a, c) in enumerate(zip(starts, still)) if c]
+    rows = table[np.repeat(np.arange(len(sizes)), sizes)]
+    rows[pos] = pops
+    reference = _draw(rows, u), u[:, 1] < np.einsum("ij,j->i", rows, pf0)
+    return trajectories._outcomes(table, pops, pos, u, spans, pf0), reference
+
+
+class TestTableMeasurement:
+    """The rows that have not jumped are measured off their level's row of
+    the no-jump table; each gets exactly the final level and guardian
+    emission that _draw and the per-row einsum give its own populations."""
+
+    @pytest.mark.parametrize(
+        "case", ["on-a-sum", "short-row", "zeros", "dim2-one-row", "none-jumped", "all-jumped"]
+    )
+    def test_cases(self, case):
+        table = np.array([[0.25, 0.25, 0.5], [0.0, 0.0, 1.0], [0.5, 0.5 - 1e-16, 0.0]])
+        pf0 = np.array([0.0, 0.5, 1.0])
+        sizes, still, pos, pops = [2, 1, 2], [1, 1, 2], [1], np.array([[0.0, 1.0, 0.0]])
+        u0 = [0.25, 0.5, 0.9, 0.5, 1.0 - 2.0**-53]
+        if case == "on-a-sum":
+            # a uniform on a cumulative sum goes to the next level
+            u0, want = [0.5, 0.25, 0.0, 0.5, 0.5], [2, 1, 2, 1, 1]
+        elif case == "short-row":
+            # the last cumulative sum below the uniform: capped at the top
+            table[2] = [0.5, 0.25, 0.0]
+            u0, want = [0.25, 0.5, 0.9, 0.8, 1.0 - 2.0**-53], [1, 1, 2, 2, 2]
+        elif case == "zeros":
+            # a level of zero weight is never drawn, leading ones included
+            u0, want = [0.0, 0.5, 0.0, 0.75, 0.0], [0, 1, 2, 1, 0]
+        elif case == "dim2-one-row":
+            table, pf0 = np.array([[0.75, 0.25], [0.0, 1.0]]), np.array([0.2, 0.9])
+            sizes, still, pos, pops = [1, 1], [1, 1], [], np.empty((0, 2))
+            u0, want = [0.75, 0.74], [1, 1]
+        elif case == "none-jumped":
+            still, pos, pops, want = sizes, [], np.empty((0, 3)), [1, 2, 2, 1, 2]
+        else:
+            still, pos, want = [0, 0, 0], [3, 0, 4, 2, 1], [1, 2, 2, 1, 2]
+            pops = table[[2, 0, 2, 1, 0]]
+        n = len(u0)
+        u = np.stack([u0, np.linspace(0.0, 1.0, n, endpoint=False)], axis=1)
+        (final, emitted), (ref_final, ref_emitted) = grouped_outcomes(
+            table, pops, sizes, still, np.array(pos, dtype=np.int64), u, pf0
+        )
+        assert final.tolist() == ref_final.tolist() == want
+        assert np.array_equal(emitted, ref_emitted)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_matches_the_per_row_draw(self, data):
+        dim = data.draw(st.integers(2, 6), label="dim")
+        weight = st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.sampled_from([0.1, 0.2, 0.3]))
+        row = st.lists(weight, min_size=dim, max_size=dim)
+        # rows are not normalized, so a last cumulative sum may fall short
+        table = np.array(data.draw(st.lists(row, min_size=dim, max_size=dim), label="table"))
+        pf0 = np.array(data.draw(row, label="pf0"))
+        sizes = data.draw(st.lists(st.integers(0, 3), min_size=dim, max_size=dim), label="sizes")
+        assume(sum(sizes) > 0)
+        still = [data.draw(st.integers(0, size)) for size in sizes]
+        starts = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
+        unjumped = {i for a, c in zip(starts, still) for i in range(a, a + c)}
+        pos = data.draw(st.permutations(sorted(set(range(sum(sizes))) - unjumped)), label="pos")
+        pops = np.array(data.draw(st.lists(row, min_size=len(pos), max_size=len(pos))),
+                        dtype=float).reshape(len(pos), dim)
+        rows = table[np.repeat(np.arange(dim), sizes)]
+        rows[pos] = pops
+        # uniforms anywhere, on a cumulative sum or on the emission threshold
+        anywhere = st.floats(0.0, 1.0, exclude_max=True)
+        u = np.array([
+            [data.draw(st.one_of(anywhere, st.sampled_from(np.cumsum(r).tolist()))),
+             data.draw(st.one_of(anywhere, st.just(float(e))))]
+            for r, e in zip(rows, np.einsum("ij,j->i", rows, pf0))
+        ])
+        (final, emitted), (ref_final, ref_emitted) = grouped_outcomes(
+            table, pops, sizes, still, np.array(pos, dtype=np.int64), u, pf0
+        )
+        assert np.array_equal(final, ref_final)
+        assert np.array_equal(emitted, ref_emitted)
 
 
 class TestPropagatorCheck:

@@ -13,7 +13,7 @@ from qho_cal.trajectories import (
     MEASUREMENT,
     EnsembleConfig,
     TrajectoryBatch,
-    _measure,
+    _outcomes,
     iter_ensemble,
     uniforms,
 )
@@ -26,6 +26,7 @@ from qho_cal.work import (
 from readout_tap import (
     cumulative_heats,
     inverse_cdf,
+    measure_all_rows,
     run_ensemble,
     run_with_populations,
     tapped_readout,
@@ -44,7 +45,7 @@ def initial_guardian(key, ids, levels, pi0):
 
 
 def sample_work(levels, heats, states, rates, seed=0):
-    """W_p and W_c (K, n) that the readout's measurement kernel draws on
+    """W_p and W_c (K, n) that the all-rows reference measurement draws on
     hand-made checkpoint ``states``, (K, dim) shared by all trajectories or
     (K, n, dim), with initial ``levels`` (n,) and cumulative ``heats`` (K,)
     or (K, n), from the measurement streams of master seed ``seed``."""
@@ -60,7 +61,9 @@ def sample_work(levels, heats, states, rates, seed=0):
     pi0, pf0, _ = guardian_probs(np.arange(dim), rates)
     ell_i = initial_guardian(key, ids, levels, pi0)
     rows = [
-        _measure(np.abs(s) ** 2, uniforms(key, k + 1, MEASUREMENT, ids), levels, q, ell_i, pf0)
+        measure_all_rows(
+            np.abs(s) ** 2, uniforms(key, k + 1, MEASUREMENT, ids), levels, q, ell_i, pf0
+        )
         for k, (s, q) in enumerate(zip(states, heats))
     ]
     return np.array([wp for wp, _ in rows]), np.array([wc for _, wc in rows])
@@ -160,11 +163,18 @@ class TestProjectiveWork:
 
     def test_draw_capped_at_top_level(self):
         # round-off can leave the last cumulative sum below the uniform;
-        # the draw stays at the top level, as inverse_cdf's does
+        # the draw stays at the top level, as inverse_cdf's does, both for a
+        # jumped row and for one measured off the no-jump table
         pops = np.array([[0.5, 0.5 - 1e-16]])
         zero = np.zeros(1, dtype=np.int64)
-        wp, _ = _measure(pops, np.array([[1.0 - 1e-17, 0.5]]), zero, zero, zero, np.zeros(2))
+        u = np.array([[1.0 - 1e-17, 0.5]])
+        wp, _ = measure_all_rows(pops, u, zero, zero, zero, np.zeros(2))
         assert wp.tolist() == [1]
+        table = np.array([[1.0, 0.0], pops[0]])
+        for pos, spans in (([0], []), ([], [(1, slice(0, 1))])):
+            final, _ = _outcomes(table, pops[pos], np.array(pos, dtype=np.int64), u, spans,
+                                 np.zeros(2))
+            assert final.tolist() == [1]
 
     def test_first_law_identity(self):
         # W_p - Q = m - n with m a populated level: from |1>, one emission
