@@ -123,11 +123,12 @@ def mu(t: float, lambda0: float) -> float:
     quanta injected by the bare drive from vacuum."""
     if t < 0:
         raise ValueError(f"time must be non-negative, got {t}")
-    return (lambda0 * t / 2.0) ** 2
+    return drive_displacement(t, lambda0) ** 2
 
 
-def drive_displacement(t: float, lambda0: float) -> float:
-    """Displacement amplitude alpha(t) = lambda0 t / 2 accumulated by the drive."""
+def drive_displacement(t, lambda0: float):
+    """Displacement amplitude alpha(t) = lambda0 t / 2 accumulated by the
+    drive, at a time or elementwise over an array of times."""
     return lambda0 * t / 2.0
 
 
@@ -199,7 +200,7 @@ def _pert_matrix_raw(t: float, params: PhysicalParams, rates: Rates, dim: int) -
     basis = (np.diag(np.arange(dim, dtype=float)), np.eye(dim), np.asarray(x).real)
 
     def coeffs(s: np.ndarray) -> np.ndarray:
-        mu_s = (lam * s / 2.0) ** 2
+        mu_s = drive_displacement(s, lam) ** 2
         return np.stack([np.ones_like(s), rates.gamma1 / gs + mu_s, lam * s / np.sqrt(2)])
 
     # the f_k have degree <= 2 in s, so the inner integrals have degree <= 3
@@ -260,8 +261,8 @@ def _jump_factor(i: int, s, params: PhysicalParams, rates: Rates) -> tuple[np.nd
     sign = -1.0 if i == 0 else 1.0
     gs, s = rates.gamma_sigma, np.asarray(s, dtype=float)
     a = np.exp(sign * gs * s / 2.0)
-    # b -> lambda0 s / 2 without coupling, where the rate product is zero
-    b = sign * params.lambda0 * (a - 1.0) / gs if gs > 0 else params.lambda0 * s / 2.0
+    # b -> alpha(s) without coupling, where the rate product is zero
+    b = sign * params.lambda0 * (a - 1.0) / gs if gs > 0 else drive_displacement(s, params.lambda0)
     return b, a
 
 

@@ -290,7 +290,8 @@ def run_compare(sim_path: str, analytic_path: str) -> int:
     Pass/fail at z <= 3 over each method's validity window: the whole
     grid for the unitary curves, t <= half the final grid time for the
     perturbative ones (beyond that, discarded higher jump numbers bite).
-    Returns 0 on pass, 4 on failure.
+    Returns 0 on pass, 4 on failure. The two CSVs must share their time
+    grid to 1e-9 absolute, or GridMismatchError is raised.
     """
     sim_cols, sim, _ = _read_csv(sim_path, ["t", *(c for pair in _COMPARED for c in pair)])
     ana_cols, ana, methods = _read_csv(analytic_path, ["t", *(v for v, _ in _COMPARED), "method"])
@@ -301,7 +302,7 @@ def run_compare(sim_path: str, analytic_path: str) -> int:
         rows = [i for i, m in enumerate(methods) if m == method]
         ana_t = ana[rows, ana_cols["t"]]
         sim_t = sim[:, sim_cols["t"]]
-        if ana_t.shape != sim_t.shape or not np.allclose(ana_t, sim_t, atol=1e-9):
+        if ana_t.shape != sim_t.shape or not np.allclose(ana_t, sim_t, rtol=0, atol=1e-9):
             raise GridMismatchError(
                 f"time grids differ between {sim_path} and {analytic_path}"
             )

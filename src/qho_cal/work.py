@@ -20,11 +20,11 @@ tables.
 The sampling happens during the trajectory readout (trajectories): each
 checkpoint row is measured as soon as it exists, so a TrajectoryBatch
 arrives carrying its (K, n) work arrays W_p and W_c, and measure_ensemble,
-which reads nothing but the batches, counts each row into exact histograms
-with bincount.
+which reads nothing but the batches, counts each row with one bincount into
+one count table per estimator.
 
-All work values are exact integers in units of hbar*omega0, so moment
-accumulation is an exact value -> count histogram.
+All work values are exact integers in units of hbar*omega0, so the moments
+are read off exact (K, B) value counts.
 """
 
 from __future__ import annotations
@@ -87,27 +87,11 @@ def work_moments(table: np.ndarray, weights: np.ndarray, rates: Rates) -> np.nda
 # moment statistics
 
 
-def _central_moments(counts: dict[int, int]) -> tuple[int, float, float, float]:
-    n = sum(counts.values())
-    vals = np.array(sorted(counts), dtype=float)
-    cs = np.array([counts[int(v)] for v in vals], dtype=float)
-    mean = float((vals * cs).sum() / n)
-    d = vals - mean
-    m2 = float((cs * d**2).sum() / n)
-    m4 = float((cs * d**4).sum() / n)
-    return n, mean, m2, m4
-
-
-def _variance_se_moments(n: int, m2: float, m4: float) -> float:
-    s2 = m2 * n / (n - 1)
-    var_of_var = (m4 - s2 * s2 * (n - 3) / (n - 1)) / n
-    return float(np.sqrt(max(var_of_var, 0.0)))
-
-
 @dataclass
 class MomentSummary:
-    """Ensemble mean/variance with standard errors and the exact value
-    histogram per checkpoint time. The variance standard error is the
+    """Ensemble mean/variance with standard errors, and the exact value
+    counts per checkpoint time: ``histograms[k, j]`` samples took the value
+    ``lowest + j`` at ``times[k]``. The variance standard error is the
     moment estimate sqrt((m4 - s^4 (n-3)/(n-1)) / n) from the fourth central
     moment m4 and the sample variance s^2."""
 
@@ -116,36 +100,41 @@ class MomentSummary:
     variance: np.ndarray
     stderr_mean: np.ndarray
     stderr_variance: np.ndarray
-    histograms: list[dict[int, int]]
+    histograms: np.ndarray
+    lowest: int
     n_traj: int
 
     @classmethod
     def from_counts(
-        cls, times: Sequence[float], histograms: list[dict[int, int]]
+        cls, times: Sequence[float], lowest: int, counts: np.ndarray
     ) -> "MomentSummary":
-        times = np.asarray([float(t) for t in times])
-        if len(histograms) != times.size:
-            raise ValueError("one histogram per time required")
-        n_ref = None
-        mean = np.empty(times.size)
-        var = np.empty(times.size)
-        se_m = np.empty(times.size)
-        se_v = np.empty(times.size)
-        for k, counts in enumerate(histograms):
-            n, mu_k, m2, m4 = _central_moments(counts)
-            if n < 2:
-                raise InsufficientDataError(
-                    f"need at least 2 samples per time, got {n} at t = {times[k]}"
-                )
-            if n_ref is None:
-                n_ref = n
-            elif n != n_ref:
-                raise ValueError("histograms carry different sample counts")
-            mean[k] = mu_k
-            var[k] = m2 * n / (n - 1)
-            se_m[k] = np.sqrt(var[k] / n)
-            se_v[k] = _variance_se_moments(n, m2, m4)
-        return cls(times, mean, var, se_m, se_v, [dict(h) for h in histograms], n_ref)
+        times = np.array(times, dtype=float)
+        if len(counts) != times.size:
+            raise ValueError("one count row per time required")
+        totals = counts.sum(axis=1)
+        if np.any(totals < 2):
+            k = int(np.argmax(totals < 2))
+            raise InsufficientDataError(
+                f"need at least 2 samples per time, got {totals[k]} at t = {times[k]}"
+            )
+        if np.any(totals != totals[0]):
+            raise ValueError("count rows carry different sample counts")
+        n = int(totals[0])
+        mean, m2, m4 = np.empty((3, times.size))
+        for k, row in enumerate(counts):
+            # the nonzero bins only, in value order: the sums do not depend
+            # on the table's range, and so not on the batch cut
+            bins = np.flatnonzero(row)
+            vals, cs = (lowest + bins).astype(float), row[bins].astype(float)
+            mean[k] = (vals * cs).sum() / n
+            d = vals - mean[k]
+            m2[k], m4[k] = (cs * d**2).sum() / n, (cs * d**4).sum() / n
+        var = m2 * n / (n - 1)
+        var_of_var = (m4 - var * var * (n - 3) / (n - 1)) / n
+        return cls(
+            times, mean, var, np.sqrt(var / n), np.sqrt(np.maximum(var_of_var, 0.0)),
+            counts, int(lowest), n,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -158,39 +147,41 @@ class EnsembleWorkResult:
     calorimetric: MomentSummary
 
 
-def _add_counts(hist: dict[int, int], values: np.ndarray) -> None:
-    lo = int(values.min())
-    counts = np.bincount(values - lo)
-    for v in np.flatnonzero(counts):
-        hist[lo + int(v)] = hist.get(lo + int(v), 0) + int(counts[v])
-
-
 def measure_ensemble(batches: Iterable[TrajectoryBatch]) -> EnsembleWorkResult:
-    """Both work values of every (trajectory, checkpoint) pair, reduced per
-    checkpoint to exact histograms. The result does not depend on how the
-    ensemble is cut into batches. Only the batches are read: each arrives
-    measured (see TrajectoryBatch).
+    """Both work values of every (trajectory, checkpoint) pair, counted per
+    checkpoint into one (2, K, B) table: bin j is the value ``lowest + j``,
+    with ``lowest`` and B from the smallest and largest value of either
+    estimator, so the result does not depend on how the ensemble is cut into
+    batches. Only the batches are read: each arrives measured (see
+    TrajectoryBatch).
     """
     times: np.ndarray | None = None
     for batch in batches:
+        values = (batch.W_p, batch.W_c)
+        lo = min(int(w.min()) for w in values)
+        hi = max(int(w.max()) for w in values)
         if times is None:
             times = batch.times
-            k_n = len(times)
-            counts_p: list[dict[int, int]] = [{} for _ in range(k_n)]
-            counts_c: list[dict[int, int]] = [{} for _ in range(k_n)]
+            lowest, counts = lo, np.zeros((2, len(times), 0), dtype=np.int64)
         elif not np.array_equal(batch.times, times):
             raise GridMismatchError("batches carry different checkpoint grids")
-        for k in range(k_n):
-            _add_counts(counts_p[k], batch.W_p[k])
-            _add_counts(counts_c[k], batch.W_c[k])
+        # widen the table to this batch's values
+        below = max(lowest - lo, 0)
+        above = max(hi - lowest - counts.shape[2] + 1, 0)
+        if below or above:
+            counts = np.pad(counts, ((0, 0), (0, 0), (below, above)))
+            lowest -= below
+        for table, rows in zip(counts, values):
+            for k, row in enumerate(rows):
+                table[k] += np.bincount(row - lowest, minlength=counts.shape[2])
         # free this batch before the next is evolved
-        del batch
+        del batch, values
 
     if times is None:
         raise InsufficientDataError("no trajectories given")
     return EnsembleWorkResult(
-        projective=MomentSummary.from_counts(times, counts_p),
-        calorimetric=MomentSummary.from_counts(times, counts_c),
+        projective=MomentSummary.from_counts(times, lowest, counts[0]),
+        calorimetric=MomentSummary.from_counts(times, lowest, counts[1]),
     )
 
 

@@ -404,6 +404,20 @@ class TestRunCompare:
         with pytest.raises(GridMismatchError):
             run_compare(sim, ana)
 
+    def test_nearby_drive_time_is_a_grid_mismatch(self, tmp_path, capsys):
+        # fig4's T = pi / lambda0 = 314.159265... against drive_time=314.16:
+        # the grids end 7e-4 apart, far outside the 1e-9 a shared grid
+        # allows, so compare exits 3 instead of scoring them
+        config = tmp_path / "dt.cfg"
+        config.write_text("preset=fig4\ndrive_time=314.16\n")
+        sim, ana = tmp_path / "sim.csv", tmp_path / "ana.csv"
+        base = ["--grid", "5", "--out"]
+        assert main(["simulate", "--preset", "fig4", "--ntraj", "200", *base, str(sim)]) == 0
+        assert main(["analytic", "--config", str(config), *base, str(ana)]) == 0
+        capsys.readouterr()
+        assert main(["compare", str(sim), str(ana)]) == 3
+        assert "time grids differ" in capsys.readouterr().err
+
 
 class TestMainEntry:
     def test_config_error_exit_code(self, tmp_path, capsys):

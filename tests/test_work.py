@@ -3,8 +3,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qho_cal.errors import InsufficientDataError
 from qho_cal.model import PhysicalParams, make_rates
@@ -105,8 +106,10 @@ class TestHeat:
         batch = make_batch(
             [0] * 5, [0, 1, 2, 1], [basis_state(0, 4)] * 4, r, times=[0.0, 1.5, 2.5, 4.0]
         )
-        result = measure_ensemble([batch])
-        assert result.projective.histograms == [{0: 5}, {1: 5}, {2: 5}, {1: 5}]
+        p = measure_ensemble([batch]).projective
+        expected = np.zeros_like(p.histograms)
+        expected[np.arange(4), np.array([0, 1, 2, 1]) - p.lowest] = 5
+        assert np.array_equal(p.histograms, expected)
 
     def test_outside_horizon(self):
         # no jump beyond the last checkpoint is logged or counted, and the
@@ -346,23 +349,34 @@ class TestCalorimetricWork:
         assert set((wc[1] - 2).tolist()) == {-1, 0, 1}
 
 
-def histogram_of(values):
-    return dict(zip(*np.unique(np.asarray(values, dtype=np.int64), return_counts=True)))
+def count_table(*estimators):
+    """Reference counts of integer work values: ``table[e, k, j]`` is how
+    often estimator e's (K, n) values took ``lowest + j`` in row k, from
+    np.unique per row, with ``lowest`` and B from the smallest and largest
+    value of all the estimators."""
+    lowest = min(int(np.min(w)) for w in estimators)
+    width = max(int(np.max(w)) for w in estimators) - lowest + 1
+    table = np.zeros((len(estimators), len(estimators[0]), width), dtype=np.int64)
+    for e, w in enumerate(estimators):
+        for k, row in enumerate(w):
+            vals, cs = np.unique(row, return_counts=True)
+            table[e, k, vals - lowest] = cs
+    return lowest, table
 
 
 def summary_of(*columns):
     """MomentSummary of integer work values, one column per checkpoint."""
-    hists = [histogram_of(c) for c in columns]
-    return MomentSummary.from_counts(np.arange(float(len(columns))), hists)
+    lowest, table = count_table(np.array(columns))
+    return MomentSummary.from_counts(np.arange(float(len(columns))), lowest, table[0])
 
 
-def variance_se_jackknife(counts):
-    """Leave-one-out jackknife standard error of the sample variance of a
-    value -> count histogram: an independent reference for the moment
-    estimate MomentSummary reports."""
-    n = sum(counts.values())
-    vals = np.array(sorted(counts), dtype=float)
-    cs = np.array([counts[int(v)] for v in vals], dtype=float)
+def variance_se_jackknife(values):
+    """Leave-one-out jackknife standard error of the sample variance of
+    integer values: an independent reference for the moment estimate
+    MomentSummary reports."""
+    vals, cs = np.unique(values, return_counts=True)
+    vals, cs = vals.astype(float), cs.astype(float)
+    n = cs.sum()
     s1 = float((vals * cs).sum())
     s2 = float((vals**2 * cs).sum())
     loo = ((s2 - vals**2) - (s1 - vals) ** 2 / (n - 1)) / (n - 2)
@@ -371,13 +385,29 @@ def variance_se_jackknife(counts):
     return float(np.sqrt((n - 1) / n * ss))
 
 
+def valued_batch(w_p, w_c, first_id=0):
+    """A batch that carries the given (K, n) work values, on times 0..K-1."""
+    k_n, n = np.shape(w_p)
+    return TrajectoryBatch(
+        times=np.arange(float(k_n)),
+        first_id=first_id,
+        levels=np.zeros(n, dtype=np.int64),
+        W_p=np.asarray(w_p),
+        W_c=np.asarray(w_c),
+        states=np.zeros((n, 2), dtype=complex),
+        jumps=np.empty(0, dtype=JUMP_DTYPE),
+        jump_offsets=np.zeros(n + 1, dtype=np.int64),
+    )
+
+
 class TestSummarize:
     def test_constant_samples(self):
         s = summary_of([2] * 50)
         assert s.mean[0] == 2.0
         assert s.variance[0] == 0.0
         assert s.stderr_mean[0] == 0.0
-        assert s.histograms[0] == {2: 50}
+        assert s.lowest == 2
+        assert np.array_equal(s.histograms, [[50]])
 
     def test_symmetric_pair(self):
         n = 40
@@ -400,8 +430,18 @@ class TestSummarize:
         rng = np.random.default_rng(9)
         vals = rng.integers(-3, 4, size=5000)
         assert summary_of(vals).stderr_variance[0] == pytest.approx(
-            variance_se_jackknife(histogram_of(vals)), rel=0.05
+            variance_se_jackknife(vals), rel=0.05
         )
+
+    def test_row_with_one_sample_names_its_time(self):
+        with pytest.raises(InsufficientDataError, match=r"got 1 at t = 0\.5"):
+            MomentSummary.from_counts([0.0, 0.5], -1, np.array([[2, 0, 1], [0, 1, 0]]))
+        with pytest.raises(InsufficientDataError, match=r"got 1 at t = 0\.0"):
+            measure_ensemble([valued_batch([[3]], [[3]])])
+
+    def test_rows_with_different_totals(self):
+        with pytest.raises(ValueError, match="different sample counts"):
+            MomentSummary.from_counts([0.0, 1.0], 0, np.array([[2, 1], [1, 1]]))
 
 
 def reference_work(batch, pops, rates, seed):
@@ -446,8 +486,10 @@ class TestStreamedMeasurement:
         assert np.array_equal(batch.W_p, wp)
         assert np.array_equal(batch.W_c, wc)
         streamed = measure_ensemble(iter_ensemble(p, r, replace(cfg, batch_size=128)))
-        assert streamed.projective.histograms == [histogram_of(v) for v in wp]
-        assert streamed.calorimetric.histograms == [histogram_of(v) for v in wc]
+        lowest, table = count_table(wp, wc)
+        for e, s in enumerate((streamed.projective, streamed.calorimetric)):
+            assert s.lowest == lowest
+            assert np.array_equal(s.histograms, table[e])
 
 
 class TestMeasureEnsemble:
@@ -489,5 +531,51 @@ class TestMeasureEnsemble:
         p, r, batch = self._small_run()
         a = measure_ensemble([batch])
         b = measure_ensemble([batch])
-        assert a.projective.histograms == b.projective.histograms
-        assert a.calorimetric.histograms == b.calorimetric.histograms
+        for sa, sb in ((a.projective, b.projective), (a.calorimetric, b.calorimetric)):
+            assert sa.lowest == sb.lowest
+            assert np.array_equal(sa.histograms, sb.histograms)
+
+
+def shifted_values(k_n):
+    """(2, K, n) int32 work values of a few trajectories, moved by an offset
+    drawn per batch, so that the range grows downward or upward from one
+    batch to the next."""
+    return st.tuples(st.integers(-40, 40), st.integers(1, 6)).flatmap(
+        lambda s: arrays(np.int32, (2, k_n, s[1]), elements=st.integers(-3, 3)).map(
+            lambda a: a + np.int32(s[0])
+        )
+    )
+
+
+class TestCountTable:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_matches_unique_counts_over_batch_cuts(self, data):
+        # every cut of the ensemble gives the np.unique counts of all its
+        # values per checkpoint, with the same lowest value and bin count
+        k_n = data.draw(st.integers(1, 4), label="K")
+        parts = data.draw(st.lists(shifted_values(k_n), min_size=1, max_size=5), label="batches")
+        whole = np.concatenate(parts, axis=2)
+        assume(whole.shape[2] >= 2)
+        starts = np.cumsum([0] + [a.shape[2] for a in parts])
+        result = measure_ensemble(valued_batch(*a, first_id=i) for a, i in zip(parts, starts))
+        lowest, table = count_table(*whole)
+        for e, s in enumerate((result.projective, result.calorimetric)):
+            assert s.lowest == lowest
+            assert s.histograms.dtype == np.int64
+            assert np.array_equal(s.histograms, table[e])
+            assert s.n_traj == whole.shape[2]
+
+    def test_widens_down_and_up(self):
+        # values 0..2, then -5..-3 below them, then 7..9 above: one table
+        # from -5 to 9, the same as one batch of all of them
+        parts = [np.full((2, 1, 2), v, dtype=np.int32) + [[[0, 2]]] for v in (0, -5, 7)]
+        result = measure_ensemble(valued_batch(*a) for a in parts)
+        p = result.projective
+        assert p.lowest == -5
+        assert p.histograms.shape == (1, 15)
+        assert np.flatnonzero(p.histograms[0]).tolist() == [0, 2, 5, 7, 12, 14]
+        whole = measure_ensemble([valued_batch(*np.concatenate(parts, axis=2))]).projective
+        assert whole.lowest == p.lowest
+        assert np.array_equal(whole.histograms, p.histograms)
+        assert whole.mean[0] == p.mean[0] and whole.variance[0] == p.variance[0]
