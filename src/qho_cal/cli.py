@@ -167,8 +167,6 @@ def parse_config(text: str | None = None, overrides: dict | None = None) -> Expe
             raise ConfigError(f"{key} is required (set it or pick a preset)")
 
     n_points = values.get("grid", _DEFAULT_GRID_POINTS)
-    if n_points < 1:
-        raise ConfigError(f"grid must have at least 1 point, got {n_points}")
     try:
         params = _build(PhysicalParams, values)
         grid = tuple(np.linspace(0.0, params.drive_time, n_points))

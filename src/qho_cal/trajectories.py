@@ -23,11 +23,11 @@ advances that prefix and one normalized dim x dim table, whose row n stands
 for every row that has not jumped from level n; a row that jumped inside the
 interval restarts from its last post-jump state there and takes its heat.
 Every row is rounded as if all rows were propagated. Each checkpoint is
-measured (both work values, see work) by initial level, latest first jump
-first: a level's rows that have not jumped lead its group, with heat 0, and
-are measured off its table row; only the jumped prefix is measured row by
-row. So no batch lays out populations per row or holds those of all its
-checkpoints; it keeps the two work values per checkpoint, in id order.
+measured (both work values, see work) with the rows grouped by initial
+level: every row is measured off its level's table row, with heat 0, and
+then the jumped prefix is measured row by row, replacing those values. So no
+batch lays out populations per row or holds those of all its checkpoints; it
+keeps the two work values per checkpoint, in id order.
 The jump solves see only T, so the points before it do not change a
 trajectory at all, and a grid that ends earlier changes its jump times only
 within the root tolerance.
@@ -353,8 +353,9 @@ def _outcomes(table, pops, pos, u, spans, pf0):
     from their uniforms ``u`` (n, 2). The jumped rows ``pos``, populations
     ``pops``, are drawn by _draw and emit when ``u[:, 1]`` falls below
     ``pops . pf0`` (einsum, not gemv: a row's rounding must not depend on
-    its batch); the unjumped rows s of each (l, s) in ``spans`` are
-    measured off ``table[l]``, with the same sums and comparisons."""
+    its batch). The rows s of each (l, s) in ``spans`` are measured off
+    ``table[l]`` with the same sums and comparisons, first, so that the
+    jumped rows among them take their own draws."""
     final, emitted = np.empty(len(u), dtype=np.int32), np.empty(len(u), dtype=bool)
     # np.cumsum adds level by level, as _draw does, capped at the top level
     cdf = np.cumsum(table[:, :-1], axis=1)[:, :, None]
@@ -410,16 +411,12 @@ class _Evolution:
         first[jumped] = jumps["time"][offsets[:-1][jumped]]
         order = np.argsort(first, kind="stable")
         active = np.searchsorted(first[order], grid, side="right")
-        # group order, by initial level and latest first jump first: the
-        # unjumped rows of level l at checkpoint k are s for (l, s) in spans[k]
-        group = np.lexsort((-first, self.levels))
+        # group order, by initial level: the rows of level l are s for (l, s) in spans
+        group = np.argsort(self.levels, kind="stable")
         at = np.argsort(group)
-        ids, levels, ell, late = (x[group] for x in (self.ids, self.levels, self.ell_i, -first))
+        ids, levels, ell = (x[group] for x in (self.ids, self.levels, self.ell_i))
         starts = np.searchsorted(levels, np.arange(self.ens.dim + 1)).tolist()
-        ends = np.transpose([a + np.searchsorted(late[a:b], np.negative(grid))
-                             for a, b in zip(starts, starts[1:])]).tolist()
-        spans = [[(l, slice(a, e)) for l, (a, e) in enumerate(zip(starts, r)) if e > a]
-                 for r in ends]
+        spans = [(l, slice(a, b)) for l, (a, b) in enumerate(zip(starts, starts[1:])) if b > a]
         heats, top = np.zeros(self.n, dtype=np.int32), np.empty(self.n)
         # |W| <= dim + the row's jump count, far below 2**31
         w_p, w_c = np.empty((2, len(grid), self.n), dtype=np.int32)
@@ -432,7 +429,7 @@ class _Evolution:
                 events = np.arange(k + 1, min(k + block, len(grid)) + 1)[:, None]
                 drawn = uniforms(self.ens.key, events, MEASUREMENT, ids)
             pos = at[rows]
-            final, emitted = _outcomes(table, pops, pos, drawn[k % block], spans[k], self.ens.pf0)
+            final, emitted = _outcomes(table, pops, pos, drawn[k % block], spans, self.ens.pf0)
             heats[pos] = heat
             np.take(final - levels + heats, at, out=w_p[k])
             np.take(calorimetric_value(emitted, ell, heats), at, out=w_c[k])

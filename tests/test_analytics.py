@@ -642,30 +642,21 @@ class TestTransferTableGramWeights:
 
 
 @pytest.mark.parametrize("preset", ["fig4", "fig5a", "fig5c"])
-def test_rows_do_not_depend_on_the_block(preset, monkeypatch, tmp_path):
+def test_rows_do_not_depend_on_the_block(preset):
     # each perturbative row is bitwise the same computed alone, in a grid
     # shorter than one block, and in a grid that crosses a block boundary
     p = parse_config(f"preset={preset}", {}).params
     r = make_rates(p)
-    rows = {}
-    block = analytics._perturbative_block
-
-    def spy(times, *args):
-        out = block(times, *args)
-        rows.update(zip(times.tolist(), out))
-        return out
-
-    monkeypatch.setattr(analytics, "_perturbative_block", spy)
     long_grid = np.linspace(0.0, p.drive_time, analytics._BLOCK + 5)
-    analytics.write_analytic_csv(tmp_path / "long.csv", long_grid, p, r)
-    crossing = dict(rows)
-    rows.clear()
     short_grid = long_grid[analytics._BLOCK - 2 : analytics._BLOCK + 1]
-    analytics.write_analytic_csv(tmp_path / "short.csv", short_grid, p, r)
-    assert len(crossing) == len(long_grid) and len(rows) == len(short_grid)
-    for t in long_grid:
+    crossing = perturbative_moments(long_grid, p, r)
+    short = perturbative_moments(short_grid, p, r)
+    assert crossing.shape == (len(long_grid), 4) and short.shape == (len(short_grid), 4)
+    rows = dict(zip(short_grid.tolist(), short))
+    for t, row in zip(long_grid.tolist(), crossing):
         alone = perturbative_moments(t, p, r)
-        np.testing.assert_array_equal(crossing[t], alone, err_msg=f"t={t}")
+        assert alone.shape == (4,)
+        np.testing.assert_array_equal(row, alone, err_msg=f"t={t}")
         if t in rows:
             np.testing.assert_array_equal(rows[t], alone, err_msg=f"t={t}")
 

@@ -432,6 +432,17 @@ class TestMainEntry:
         assert "line 3: grid is already set on line 2" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "points, message", [(0, "grid must not be empty"), (-1, "must be non-negative")]
+    )
+    def test_grid_without_points_exits_2_without_csv(self, tmp_path, capsys, points, message):
+        # quadrature.checked_grid owns the empty-grid rule; numpy's linspace
+        # refuses a negative count; either is a configuration error
+        out = tmp_path / "ana.csv"
+        assert main(["analytic", "--preset", "fig4", "--grid", str(points), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_end_to_end_simulate_and_compare(self, tmp_path, capsys):
         # tiny but complete pipeline through the console entry point
         config = tmp_path / "exp.cfg"

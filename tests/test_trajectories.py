@@ -639,9 +639,10 @@ class TestReadout:
 
 def grouped_outcomes(table, pops, sizes, still, pos, u, pf0):
     """_outcomes on rows grouped by initial level, ``sizes[l]`` of level l,
-    of which the first ``still[l]`` have not jumped, and the reference: _draw
-    and the per-row einsum on every row's own populations, the unjumped
-    rows' gathered from ``table``. Both as (final, emitted)."""
+    whose first ``still[l]`` the spans cover (they must cover every row not
+    in ``pos``), and the reference: _draw and the per-row einsum on every
+    row's own populations, the unjumped rows' gathered from ``table``. Both
+    as (final, emitted)."""
     starts = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
     spans = [(l, slice(a, a + c)) for l, (a, c) in enumerate(zip(starts, still)) if c]
     rows = table[np.repeat(np.arange(len(sizes)), sizes)]
@@ -704,6 +705,11 @@ class TestTableMeasurement:
         still = [data.draw(st.integers(0, size)) for size in sizes]
         starts = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
         unjumped = {i for a, c in zip(starts, still) for i in range(a, a + c)}
+        # as the engine calls it: the spans cover every row of each level and
+        # the jumped rows, anywhere in their group, are drawn over the table's
+        if data.draw(st.booleans(), label="spans cover the jumped rows"):
+            still = sizes
+            unjumped = data.draw(st.sets(st.integers(0, sum(sizes) - 1)), label="unjumped")
         pos = data.draw(st.permutations(sorted(set(range(sum(sizes))) - unjumped)), label="pos")
         pops = np.array(data.draw(st.lists(row, min_size=len(pos), max_size=len(pos))),
                         dtype=float).reshape(len(pos), dim)
