@@ -41,16 +41,15 @@ its Gram is a sum over the outer nodes s2 of the Kronecker product of a
 2x2 inner Gram H(s2) = sum_s1 w1 c_1 c_1^T with w2 c_2 c_2^T; each jump
 factor is evaluated once per jump kind and node set, not once per sequence.
 
-perturbative_moments takes a time or a whole grid and builds its tables a
-block of up to _BLOCK times at a time, stacked on a leading axis: the
-Gauss-Legendre rules, the jump factors, the Grams, the densities and the
-moments each take one pass per block, and the no-jump amplitudes u and the
-branch amplitudes u V_p, which do not depend on the jump-time rules, are
-built once per time. Each row comes out bitwise the same whether its time
-is computed alone or in a grid. Node doubling checks the four moments of
-every time; it concerns only the jump-time rules, since the no-jump
-expansion integrands are polynomials that a fixed 3-node rule integrates
-exactly.
+perturbative_moments takes a time or a whole grid, like every kernel on the
+CSV path, and builds its tables a block of up to _BLOCK times at a time,
+stacked on a leading axis: the amplitudes u and u V_p, which both jump-time
+rules share, are built once per block, and the Gauss-Legendre rules, the
+jump factors, the Grams, the densities and the moments take one pass per
+block. Each row comes out bitwise the same whether its time is computed
+alone or in a grid. Node doubling checks the four moments of every time; it
+concerns only the jump-time rules, since the no-jump expansion integrands
+are polynomials that a fixed 3-node rule integrates exactly.
 """
 
 from __future__ import annotations
@@ -119,11 +118,11 @@ class TruncationPolicy:
             )
 
 
-def mu(t: float, lambda0: float) -> float:
-    """Dimensionless drive strength (lambda0 t / 2)^2: the mean number of
-    quanta injected by the bare drive from vacuum."""
-    if t < 0:
-        raise ValueError(f"time must be non-negative, got {t}")
+def mu(t, lambda0: float):
+    """Dimensionless drive strength (lambda0 t / 2)^2, elementwise over a time
+    or an array of times: the mean number of quanta the bare drive injects."""
+    if (np.asarray(t) < 0).any():
+        raise ValueError(f"time must be non-negative, got {np.min(t)}")
     return drive_displacement(t, lambda0) ** 2
 
 
@@ -133,26 +132,27 @@ def drive_displacement(t, lambda0: float):
     return lambda0 * t / 2.0
 
 
-def unitary_projective_moments(t: float, params: PhysicalParams) -> tuple[float, float]:
-    """Unitary-limit projective work mean mu(t) and variance 2(N+1/2) mu(t),
-    in units of hbar*omega0 and its square."""
+def unitary_projective_moments(t, params: PhysicalParams) -> tuple:
+    """Unitary-limit projective work mean mu(t) and variance 2(N+1/2) mu(t) at
+    a time or over an array of times, in units of hbar*omega0 and its square."""
     m = mu(t, params.lambda0)
-    occ = bath_occupation(params.beta)
-    return m, 2.0 * (occ + 0.5) * m
+    return m, 2.0 * (bath_occupation(params.beta) + 0.5) * m
 
 
-def unitary_table(t: float, lambda0: float, n_max: int) -> np.ndarray:
+def unitary_table(t, lambda0: float, n_max: int) -> np.ndarray:
     """No-jump transfer table |<m|D(alpha(t))|n>|^2 for initial levels
-    n <= n_max, shape (n_max + 1, M + 1, 1); the single heat column is Q = 0.
-    Final levels reach M = ceil(mu + 12 sqrt(mu) + 25) + n_max, deep enough
-    into the Poisson-like tail that the moments do not see the cut."""
+    n <= n_max at times of shape (...), shape (..., n_max + 1, M + 1, 1); the
+    single heat column is Q = 0. Final levels reach M = ceil(mu + 12 sqrt(mu)
+    + 25) + n_max at the largest time of the call, deep enough into the tail
+    that the moments do not see the cut; as work_moments sums that tail too,
+    a time's moments alone and in a grid may differ in the last ulp."""
     if n_max < 0:
         raise ValueError(f"n_max must be non-negative, got {n_max}")
-    mu_t = mu(t, lambda0)
-    m_top = int(math.ceil(mu_t + 12.0 * math.sqrt(mu_t) + 25.0)) + n_max
-    alpha = drive_displacement(t, lambda0)
+    mu_top = float(np.max(mu(t, lambda0)))
+    m_top = int(math.ceil(mu_top + 12.0 * math.sqrt(mu_top) + 25.0)) + n_max
+    alpha = np.asarray(drive_displacement(t, lambda0))[..., None, None]
     amp = displacement_elements(np.arange(m_top + 1), np.arange(n_max + 1)[:, None], alpha)
-    return (np.abs(amp) ** 2)[:, :, None]
+    return (np.abs(amp) ** 2)[..., None]
 
 
 # The per-moment readers (unitary_calorimetric_moment here, the truncated_*
@@ -188,33 +188,33 @@ def unitary_calorimetric_moment(
 # second-order no-jump amplitude
 
 
-def _pert_matrix_raw(t: float, params: PhysicalParams, rates: Rates, dim: int) -> np.ndarray:
-    lam = params.lambda0
+def _pert_matrix_raw(t, params: PhysicalParams, rates: Rates, dim: int) -> np.ndarray:
+    lam, t = params.lambda0, np.asarray(t, dtype=float)
     u0 = np.asarray(displacement_matrix(drive_displacement(t, lam), dim))
     gs = rates.gamma_sigma
-    if gs == 0.0 or t == 0.0:
+    if gs == 0.0:
         return u0.copy()
-    x, _ = quadratures(dim)
     # gen(s) = sum_k f_k(s) G_k with G = (n, 1, X), so the first- and
     # second-order integrals of gen reduce to the scalar sums
     # single[k] = int_0^t f_k and double[k, j] = int_0^t f_k(s) int_0^s f_j
-    basis = (np.diag(np.arange(dim, dtype=float)), np.eye(dim), np.asarray(x).real)
+    basis = (np.diag(np.arange(dim, dtype=float)), np.eye(dim), quadratures(dim)[0].real)
 
     def coeffs(s: np.ndarray) -> np.ndarray:
         mu_s = drive_displacement(s, lam) ** 2
-        return np.stack([np.ones_like(s), rates.gamma1 / gs + mu_s, lam * s / np.sqrt(2)])
+        return np.stack([np.ones_like(s), rates.gamma1 / gs + mu_s, lam * s / np.sqrt(2)], axis=-2)
 
     # the f_k have degree <= 2 in s, so the inner integrals have degree <= 3
     # and the outer integrands degree <= 5: 3 Gauss-Legendre nodes are exact
-    s2, w2 = gauss_legendre(3, 0.0, t)
-    s1, w1 = gauss_legendre(3, 0.0, s2[:, None])  # one inner rule per outer node
+    # (zero weights at t = 0); stacked matmuls give each time its bits alone
+    s2, w2 = gauss_legendre(3, 0.0, t[..., None])
+    s1, w1 = gauss_legendre(3, 0.0, s2[..., None])  # one inner rule per outer node
     f2 = coeffs(s2)
-    single = f2 @ w2
-    double = (f2 * w2) @ (coeffs(s1) * w1).sum(axis=-1).T
-    core = basis[1] - (gs / 2.0) * sum(c * g for c, g in zip(single, basis))
+    single = (f2 @ w2[..., None])[..., 0]
+    double = (f2 * w2[..., None, :]) @ (coeffs(s1) * w1[..., None, :]).sum(axis=-1)
+    core = basis[1] - (gs / 2.0) * sum(single[..., k, None, None] * g for k, g in enumerate(basis))
     for k, gk in enumerate(basis):
         for j, gj in enumerate(basis):
-            core += (gs**2 / 4.0) * double[k, j] * (gk @ gj)
+            core += (gs**2 / 4.0) * double[..., k, j, None, None] * (gk @ gj)
     return u0 @ core.astype(complex)
 
 
@@ -234,17 +234,15 @@ def _check_regime(times, rates: Rates) -> None:
 
 
 def perturbative_matrix(
-    t: float,
+    t,
     params: PhysicalParams,
     rates: Rates,
     dim: int,
 ) -> np.ndarray:
-    """Matrix of amplitudes u(m, t | n) on a ``dim``-level truncation.
-
-    The expansion integrals are polynomials in the integration times, which
-    a fixed 3-node Gauss-Legendre rule integrates exactly, so there is no
-    quadrature error to check.
-    """
+    """Amplitudes u(m, t | n) on a ``dim``-level truncation, shape
+    (..., dim, dim) at a time or an array of times of shape (...). The
+    expansion integrals are polynomials in the integration times, which a
+    fixed 3-node Gauss-Legendre rule integrates exactly: no quadrature error."""
     _check_regime(t, rates)
     return _pert_matrix_raw(t, params, rates, dim)
 
@@ -384,7 +382,7 @@ def _transfer_tables(
     dim = policy.m_max + 7
     jumps_max = policy.jumps_max if rates.gamma_sigma > 0 else 0
     sequences = [seq for seq in _SEQUENCES if len(seq) <= jumps_max]
-    u = np.stack([_pert_matrix_raw(t, params, rates, dim)[: policy.m_max + 1] for t in times])
+    u = _pert_matrix_raw(times, params, rates, dim)[:, : policy.m_max + 1]
     levels = range(policy.n_max + 1)
     vectors = np.concatenate([_branch_vectors(levels, seq, dim) for seq in sequences], axis=1)
     amp = vectors @ u.swapaxes(-1, -2)[:, None]
@@ -505,13 +503,12 @@ def write_analytic_csv(
     closed forms over the untruncated thermal distribution; every other
     column averages over the initial levels n <= policy.n_max (weights
     renormalized) and is read from one table per time."""
+    times = np.asarray(grid, dtype=float)
     weights = thermal_probabilities(params.beta, policy.n_max + 1)
-    rows = []
-    for t in grid:
-        mean_p, var_p = unitary_projective_moments(t, params)
-        table = unitary_table(t, params.lambda0, policy.n_max)
-        _, _, m1, m2 = work_moments(table, weights, rates)
-        rows.append((t, mean_p, var_p, m1, m2 - m1 * m1, "unitary"))
+    means, variances = unitary_projective_moments(times, params)
+    unitary = work_moments(unitary_table(times, params.lambda0, policy.n_max), weights, rates)
+    rows = [(t, mean_p, var_p, m1, m2 - m1 * m1, "unitary")
+            for t, mean_p, var_p, (_, _, m1, m2) in zip(grid, means, variances, unitary)]
     if rates.gamma_sigma > 0:
         moments = perturbative_moments(grid, params, rates, policy)
         for t, (m1p, m2p, m1c, m2c) in zip(grid, moments):

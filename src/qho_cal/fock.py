@@ -17,7 +17,7 @@ import warnings
 
 import numpy as np
 
-from .errors import PrecisionLossWarning
+from .errors import PrecisionLossWarning, outside_stacklevel
 
 __all__ = [
     "ladder_operators",
@@ -106,46 +106,47 @@ def matrix_exponential(m: np.ndarray) -> np.ndarray:
     return r
 
 
-def displacement_elements(m, n, alpha: complex) -> np.ndarray:
+def displacement_elements(m, n, alpha) -> np.ndarray:
     """Exact matrix elements <m|exp(alpha a^+ - alpha* a)|n> of the
     displacement operator on the untruncated Fock basis, for integer level
-    arrays ``m`` and ``n`` that broadcast against each other.
+    arrays ``m``, ``n`` and an amplitude or amplitude array ``alpha`` that
+    broadcast together.
 
     Closed form for m >= n:
         sqrt(n!/m!) alpha^(m-n) exp(-|alpha|^2/2) L_n^(m-n)(|alpha|^2),
-    with the m < n case obtained from the adjoint relation. Factorial
-    ratios are evaluated in the log domain, so the only practical limit
-    is Laguerre-polynomial precision at extreme quantum numbers; one
-    PrecisionLossWarning per call flags any m + n beyond it.
+    with the m < n case from the adjoint relation; exactly the identity at
+    alpha = 0. Factorial ratios are evaluated in the log domain, so the only
+    practical limit is Laguerre-polynomial precision at extreme quantum
+    numbers; one PrecisionLossWarning per call flags any m + n beyond it.
     """
     from scipy.special import eval_genlaguerre, gammaln
 
     m, n = np.asarray(m), np.asarray(n)
     if (m < 0).any() or (n < 0).any():
         raise ValueError(f"Fock labels must be non-negative, got m={m}, n={n}")
-    alpha = complex(alpha)
-    if not np.isfinite(abs(alpha) ** 2):
+    alpha = np.asarray(alpha, dtype=complex)
+    x = np.abs(alpha) ** 2
+    if not np.isfinite(x).all():
         raise ValueError("displacement amplitude must be finite")
     if (m + n).max(initial=0) > _PRECISION_LEVEL_LIMIT:
         warnings.warn(
             f"displacement element at m+n={(m + n).max()} > {_PRECISION_LEVEL_LIMIT}: "
             "possible loss of precision",
             PrecisionLossWarning,
-            stacklevel=2,
+            stacklevel=outside_stacklevel(),
         )
-    if alpha == 0:
-        return (m == n).astype(complex)
     lo, hi = np.minimum(m, n), np.maximum(m, n)
-    x = abs(alpha) ** 2
     log_pref = 0.5 * (gammaln(lo + 1) - gammaln(hi + 1)) - x / 2
     base = np.where(m >= n, alpha, -alpha.conjugate())
     return np.exp(log_pref) * base ** (hi - lo) * eval_genlaguerre(lo, hi - lo, x)
 
 
-def displacement_matrix(alpha: complex, dim: int) -> np.ndarray:
-    """Top-left ``dim x dim`` block of the displacement operator, every entry
-    evaluated from the closed form over the index grid in one call, so each
-    is free of truncation error (the block as a whole is not unitary)."""
+def displacement_matrix(alpha, dim: int) -> np.ndarray:
+    """Top-left ``dim x dim`` block of the displacement operator, shape
+    (..., dim, dim) for amplitudes of shape (...), every entry evaluated from
+    the closed form over the index grid in one call, so each is free of
+    truncation error (the block as a whole is not unitary)."""
     if dim < 2:
         raise ValueError(f"Fock truncation needs dim >= 2, got {dim}")
-    return _readonly(displacement_elements(np.arange(dim)[:, None], np.arange(dim), alpha))
+    alpha, levels = np.asarray(alpha)[..., None, None], np.arange(dim)
+    return _readonly(displacement_elements(levels[:, None], levels, alpha))

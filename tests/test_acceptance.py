@@ -21,9 +21,9 @@ from qho_cal.analytics import (
 )
 from qho_cal.fock import displacement_matrix, ladder_operators, matrix_exponential
 from qho_cal.lindblad import integrate
-from qho_cal.model import PhysicalParams, make_rates, thermal_probabilities
+from qho_cal.model import PhysicalParams, guardian_probs, make_rates, thermal_probabilities
 from qho_cal.trajectories import EnsembleConfig, iter_ensemble
-from qho_cal.work import guardian_probs, measure_ensemble, work_moments
+from qho_cal.work import measure_ensemble, work_moments
 from readout_tap import inverse_cdf, run_with_populations, tapped_readout
 
 pytestmark = [

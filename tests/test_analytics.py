@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import poisson
 
-from qho_cal import analytics
+from qho_cal import analytics, fock
 from qho_cal.analytics import (
     TruncationPolicy,
     _pert_matrix_raw,
@@ -22,8 +22,9 @@ from qho_cal.analytics import (
     unitary_table,
 )
 from qho_cal.cli import parse_config, run_analytic
-from qho_cal.errors import RegimeWarning, SimulationError
+from qho_cal.errors import PrecisionLossWarning, RegimeWarning, SimulationError
 from qho_cal.fock import (
+    displacement_elements,
     displacement_matrix,
     ladder_operators,
     matrix_exponential,
@@ -78,12 +79,20 @@ class TestMu:
         assert mu(p.drive_time, p.lambda0) == pytest.approx(2.4674, abs=1e-4)
 
     def test_quadratic_scaling(self):
-        for t in (3.0, 17.0, 120.0):
+        times = np.array([3.0, 17.0, 120.0])
+        for t in times:
             assert mu(2 * t, 0.01) == pytest.approx(4 * mu(t, 0.01), rel=1e-12)
+        np.testing.assert_allclose(mu(2 * times, 0.01), 4 * mu(times, 0.01), rtol=1e-12)
+        np.testing.assert_allclose(mu(times, 0.01), [mu(t, 0.01) for t in times], rtol=1e-15)
 
     def test_negative_time_rejected(self):
+        p = PhysicalParams(gamma=1e-4, beta=2.0, lambda0=0.01)
         with pytest.raises(ValueError):
             mu(-1.0, 0.01)
+        with pytest.raises(ValueError):
+            mu(np.array([0.0, 1.0, -1.0]), 0.01)
+        with pytest.raises(ValueError):
+            unitary_projective_moments(np.array([2.0, -0.5]), p)
 
 
 class TestUnitaryProjectiveMoments:
@@ -102,9 +111,13 @@ class TestUnitaryProjectiveMoments:
     def test_variance_mean_ratio_time_independent(self):
         p = PhysicalParams(gamma=1e-4, beta=1.3, lambda0=0.01)
         expected = 2.0 * (bath_occupation(1.3) + 0.5)
-        for t in (10.0, 80.0, 250.0):
+        times = np.array([10.0, 80.0, 250.0])
+        for t in times:
             mean, var = unitary_projective_moments(t, p)
             assert var / mean == pytest.approx(expected, rel=1e-12)
+        means, variances = unitary_projective_moments(times, p)
+        assert means.shape == variances.shape == times.shape
+        np.testing.assert_allclose(variances / means, expected, rtol=1e-12)
 
 
 class TestUnitaryT0:
@@ -119,6 +132,20 @@ class TestUnitaryT0:
         for m in range(4):
             for n in range(4):
                 assert table[n, m, 0] == (1.0 if m == n else 0.0)
+
+    def test_grid_shares_the_depth_of_its_largest_time(self):
+        # one call over a grid sizes the final levels from its largest time;
+        # every entry equals that of the time alone, whose table is shorter,
+        # and t = 0 is the exact identity padded with zeros
+        times, lam = np.array([0.0, 40.0, 120.0, 250.0]), 0.01
+        table = unitary_table(times, lam, n_max=3)
+        assert table.shape == (len(times),) + unitary_table(times[-1], lam, 3).shape
+        for t, row in zip(times, table):
+            alone = unitary_table(t, lam, 3)
+            np.testing.assert_array_equal(row[:, : alone.shape[1]], alone)
+            assert row[:, alone.shape[1] :].max(initial=0.0) < 1e-30
+        np.testing.assert_array_equal(table[0, :, :4, 0], np.eye(4))
+        assert not table[0, :, 4:].any()
 
     def test_vacuum_column_is_poisson(self):
         t, lam = 200.0, 0.01
@@ -270,8 +297,16 @@ class TestPerturbativeU:
         # in and far out of the expansion's regime
         p = parse_config(f"preset={preset}", {}).params
         r = make_rates(p)
-        for t in (p.drive_time / 20, p.drive_time / 2, p.drive_time):
-            got = perturbative_matrix(t, p, r, dim=12)
+        times = np.array([0.0, p.drive_time / 20, p.drive_time / 2, p.drive_time])
+        stacked = perturbative_matrix(times, p, r, dim=12)
+        assert stacked.shape == (len(times), 12, 12)
+        # one call over the times gives each time the bits of its own call,
+        # and t = 0 the exact displacement block
+        np.testing.assert_array_equal(stacked[0], displacement_matrix(0.0, 12))
+        for t, got in zip(times, stacked):
+            np.testing.assert_array_equal(got, perturbative_matrix(t, p, r, dim=12))
+            if t == 0.0:
+                continue
             for nodes in (32, 64):
                 want = nested_loop_matrix(t, p, r, 12, nodes)
                 np.testing.assert_allclose(
@@ -670,6 +705,37 @@ def test_regime_warning_names_the_caller(tmp_path):
         analytics.write_analytic_csv(tmp_path / "ana.csv", (0.0, 10.0, 20.0), p, r)
         perturbative_moments(20.0, p, r)
     assert [w.filename for w in record] == [__file__, __file__]
+
+
+def test_precision_loss_warning_names_the_caller(tmp_path):
+    # a drive of 2000 reaches mu = 100, so the unitary table runs past the
+    # Laguerre precision limit: one warning for the whole grid, attributed
+    # to the first frame outside the package (this file)
+    p = PhysicalParams(gamma=0.001, beta=2.0, lambda0=0.01, drive_time=2000.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        analytics.write_analytic_csv(tmp_path / "ana.csv", np.linspace(0.0, 2000.0, 5), p,
+                                     make_rates(p))
+    caught = [w for w in caught if w.category is PrecisionLossWarning]
+    assert [w.filename for w in caught] == [__file__]
+
+
+@pytest.mark.parametrize("points", [11, 101])
+def test_analytic_csv_builds_displacements_once_per_block(points, tmp_path, monkeypatch):
+    # the unitary table takes one displacement call for the whole grid and
+    # the no-jump amplitudes one per block of perturbative times
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return displacement_elements(*args)
+
+    monkeypatch.setattr(analytics, "displacement_elements", spy)
+    monkeypatch.setattr(fock, "displacement_elements", spy)
+    p = parse_config("preset=fig5a", {}).params
+    grid = np.linspace(0.0, p.drive_time, points)
+    analytics.write_analytic_csv(tmp_path / "ana.csv", grid, p, make_rates(p))
+    assert len(calls) == 1 + math.ceil(points / analytics._BLOCK)
 
 
 class TestTruncatedMoments:

@@ -187,6 +187,18 @@ class TestDisplacementElement:
             probs, poisson.pmf(np.arange(25), alpha**2), atol=1e-12
         )
 
+    def test_amplitude_array_matches_each_amplitude(self):
+        # one call over an array of amplitudes gives each amplitude the bits
+        # of its own call, and the general formula is the exact identity at 0
+        alphas = np.array([0.0, 0.3, 1.0 + 0.7j, -2.2, 0.9 - 1.1j])
+        m, n = np.arange(12)[:, None], np.arange(12)
+        stacked = displacement_elements(m, n, alphas[:, None, None])
+        assert stacked.shape == (len(alphas), 12, 12)
+        for alpha, got in zip(alphas, stacked):
+            np.testing.assert_array_equal(got, displacement_elements(m, n, alpha))
+        np.testing.assert_array_equal(stacked[0], np.eye(12))
+        np.testing.assert_array_equal(displacement_matrix(alphas, 12), stacked)
+
     def test_adjoint_symmetry(self):
         alpha = 0.6 + 0.2j
         for m, n in [(3, 1), (0, 4), (5, 5), (2, 7)]:

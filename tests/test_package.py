@@ -2,7 +2,9 @@
 ``__version__``; every other name is imported from the module that owns it,
 and each module's ``__all__`` lists the names it offers."""
 
+import ast
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -13,6 +15,7 @@ import pytest
 import qho_cal
 
 PACKAGE = Path(qho_cal.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
 MODULES = ["analytics", "cli", "errors", "fock", "lindblad", "model", "quadrature",
            "trajectories", "work"]
 
@@ -46,3 +49,21 @@ def test_package_binds_no_other_public_name():
     proc = run_python("import qho_cal; print(sorted(n for n in vars(qho_cal) if n[0] != '_'))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_tests_import_each_name_from_its_owner():
+    # every function or class a test takes from qho_cal.<m> is defined in
+    # qho_cal.<m>, so no test leans on a name another module passes along
+    borrowed = []
+    for path in sorted(TESTS.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.ImportFrom) and node.level == 0
+                    and (node.module or "").startswith("qho_cal.")):
+                continue
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                obj = getattr(module, alias.name)
+                if inspect.isfunction(obj) or inspect.isclass(obj):
+                    if obj.__module__ != node.module:
+                        borrowed.append(f"{path.name}: {alias.name} from {node.module}")
+    assert borrowed == []

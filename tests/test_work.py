@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qho_cal.errors import InsufficientDataError
-from qho_cal.model import PhysicalParams, make_rates
+from qho_cal.model import PhysicalParams, guardian_probs, make_rates
 from qho_cal.trajectories import (
     JUMP_DTYPE,
     MEASUREMENT,
@@ -18,12 +18,7 @@ from qho_cal.trajectories import (
     iter_ensemble,
     uniforms,
 )
-from qho_cal.work import (
-    MomentSummary,
-    guardian_probs,
-    measure_ensemble,
-    work_moments,
-)
+from qho_cal.work import MomentSummary, measure_ensemble, work_moments
 from readout_tap import (
     cumulative_heats,
     inverse_cdf,
