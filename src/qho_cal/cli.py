@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .analytics import TruncationPolicy, write_analytic_csv
-from .errors import ConfigError, GridMismatchError, QhoCalError, SimulationError
+from .errors import ConfigError, GridMismatchError, QhoCalError
 from .lindblad import integrate, thermal_state, write_populations_csv
 from .model import PhysicalParams, make_rates
 from .trajectories import EnsembleConfig, iter_ensemble
@@ -379,11 +379,8 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (SimulationError, GridMismatchError) as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return 3
     except QhoCalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"numerical error: {exc}", file=sys.stderr)
         return 3
 
 

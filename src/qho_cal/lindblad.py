@@ -4,8 +4,9 @@ Propagates rho' = -i[H, rho] + sum_i (C_i rho C_i^+ - {C_i^+ C_i, rho}/2)
 with H = (lambda0/sqrt(2)) P in the same frame as the trajectory engine, so
 trajectory ensemble averages must reproduce these populations. The truncated
 generator is time independent, so each grid interval is bridged exactly by
-the matrix exponential of the dim^2 x dim^2 Liouvillian; trace, hermiticity
-and positivity are monitored, never enforced, to keep the check unbiased.
+the matrix exponential of the dim^2 x dim^2 Liouvillian, one per length of
+quadrature.interval_lengths; trace, hermiticity and positivity are
+monitored, never enforced, to keep the check unbiased.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from .errors import SimulationError
 from .model import PhysicalParams, Rates, jump_operators, nh_generator, thermal_probabilities
-from .quadrature import checked_grid, write_csv
+from .quadrature import checked_grid, interval_lengths, write_csv
 from .fock import matrix_exponential
 
 __all__ = [
@@ -57,9 +58,8 @@ def integrate(
     row-major vectorised density matrix once, from the trajectories' no-jump
     generator K = model.nh_generator and the jump operators C_i, and bridges
     an interval of length s with exp(L s), one dense Pade ``expm`` per
-    distinct interval length. Lengths within four ulp of the largest grid
-    time count as one, which absorbs the rounding of ``np.linspace``: a
-    uniform grid costs a single ``expm``. The generator takes
+    positive length of quadrature.interval_lengths: a uniform grid costs a
+    single ``expm``. The generator takes
     16 dim^4 bytes (160 kB at dim = 10, 41 MB at dim = 40) and each ``expm``
     costs O(dim^6) time and about ten times the generator in workspace:
     milliseconds at dim = 10; at dim = 40 (fig5c, 11 points) 3-5 s on two
@@ -75,8 +75,8 @@ def integrate(
     generator = -1j * (np.kron(k, eye) - np.kron(eye, k.conj()))
     for c in jump_operators(rates, dim):
         generator += np.kron(c, c.conj())
-    propagators: dict[float, np.ndarray] = {}
-    same_length = 4.0 * np.spacing(grid[-1])
+    lengths, index = interval_lengths(grid)
+    propagators = [matrix_exponential(s * generator) if s > 0 else None for s in lengths]
 
     def check(rho: np.ndarray, t: float) -> None:
         drift = abs(np.trace(rho).real - 1.0)
@@ -90,18 +90,12 @@ def integrate(
 
     out: list[np.ndarray] = []
     vec = rho0.astype(complex).ravel()
-    t_prev = 0.0
-    for t_next in grid:
-        seg = t_next - t_prev
-        if seg > 0:
-            key = next((s for s in propagators if abs(s - seg) <= same_length), seg)
-            if key not in propagators:
-                propagators[key] = matrix_exponential(seg * generator)
-            vec = propagators[key] @ vec
+    for t, i in zip(grid, index):
+        if propagators[i] is not None:
+            vec = propagators[i] @ vec
         rho = vec.reshape(dim, dim)
-        check(rho, t_next)
+        check(rho, t)
         out.append(rho.copy())
-        t_prev = t_next
     return out
 
 

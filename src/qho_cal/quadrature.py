@@ -1,5 +1,5 @@
-"""Small numeric helpers: Gauss-Legendre nodes, the one time-grid rule,
-stable CSV float formatting and the one CSV writer."""
+"""Small numeric helpers: Gauss-Legendre nodes, the rules for a time grid and
+for its intervals, stable CSV float formatting and the one CSV writer."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import numpy as np
 
 from .errors import ConfigError
 
-__all__ = ["gauss_legendre", "checked_grid", "csv_float", "write_csv"]
+__all__ = ["gauss_legendre", "checked_grid", "interval_lengths", "csv_float", "write_csv"]
 
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -35,6 +35,19 @@ def checked_grid(grid) -> tuple[float, ...]:
     if not (np.isfinite(times).all() and np.all(np.diff(times) > 0) and min(times) >= 0):
         raise ValueError("grid times must be finite, non-negative and strictly increasing")
     return times
+
+
+def interval_lengths(grid) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct lengths of the intervals (0, grid[0]], (grid[0], grid[1]],
+    ... and each interval's index into them. A length within four ulp of
+    grid[-1] of an earlier one takes its index: np.linspace spans merge."""
+    spans = np.diff(grid, prepend=0.0)
+    index, firsts = np.full(spans.size, -1), []
+    while (todo := np.flatnonzero(index < 0)).size:
+        near = np.abs(spans[todo] - spans[todo[0]]) <= 4.0 * np.spacing(grid[-1])
+        index[todo[near]] = len(firsts)
+        firsts.append(todo[0])
+    return spans[firsts], index
 
 
 def csv_float(x: float) -> str:

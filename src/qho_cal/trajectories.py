@@ -49,8 +49,8 @@ No generator object exists per trajectory, and results are bitwise
 identical for every batch size.
 
 Ensembles are columnar and serial: iter_ensemble checks and builds what
-every batch shares once (the key, the initial-level probabilities, the
-guardian probabilities, the propagators) and then evolves one
+every batch shares once (the key, the level and guardian probabilities,
+one propagator per distinct interval length) and then evolves one
 TrajectoryBatch at a time, when it is asked for. A batch holds n
 trajectories on K checkpoints as arrays (see its docstring), never one
 object per trajectory or per jump.
@@ -75,7 +75,7 @@ from .model import (
     nh_generator,
     thermal_probabilities,
 )
-from .quadrature import checked_grid
+from .quadrature import checked_grid, interval_lengths
 
 __all__ = [
     "DYNAMICS",
@@ -90,8 +90,8 @@ __all__ = [
 
 _LEAK_WARN = 1e-3
 _LEAK_FAIL = 1e-1
-# the eigen propagator must reproduce expm(-i K span) on every grid interval
-# and over the whole span T
+# the eigen propagator must reproduce expm(-i K span) for every distinct
+# interval length and over the whole span T
 _EIG_TOL = 1e-8
 # a jump instant is accepted when log ||psi||^2 is this close to log r
 _ROOT_TOL = 1e-13
@@ -254,9 +254,9 @@ class _Ensemble:
     Philox key, the grid, dim, the initial-level probabilities (thermal,
     or one at a fixed level), the guardian probabilities and the jump
     operators. ``K = V diag(k) V^-1`` once gives the closed-form no-jump
-    evolution; every grid interval and the whole span T is checked against
-    fock.matrix_exponential, a Pade ``expm`` that shares nothing with the
-    eigendecomposition it checks."""
+    evolution: ``steps`` per grid interval, ``whole`` over T, each distinct
+    length checked against fock.matrix_exponential, a Pade ``expm`` that
+    shares nothing with the eigendecomposition it checks."""
 
     def __init__(self, params: PhysicalParams, rates: Rates, config: EnsembleConfig) -> None:
         self.grid = grid = config.checkpoint_grid
@@ -286,20 +286,20 @@ class _Ensemble:
         self.w1 = np.sum(np.abs(c1) ** 2, axis=0)
         self.rate = self.w0 + self.w1
         self.can_jump = bool(self.rate.any())
-        # a grid that starts at t = 0 opens with an empty interval; the jump
-        # record starts with the whole span T and propagates over parts of it
-        self.interval_t = {0.0: np.eye(dim, dtype=complex)}
-        spans = [b - a for a, b in zip((0.0,) + grid[:-1], grid)] + [grid[-1]]
-        for span in spans:
-            if span in self.interval_t:
-                continue
-            u_t = self.propagate(np.eye(dim, dtype=complex), np.full(dim, span))
-            gap = float(np.max(np.abs(u_t.T - matrix_exponential(-1j * span * k))))
+        eye, u = np.eye(dim, dtype=complex), []
+        lengths, index = interval_lengths(grid)
+        # an empty interval takes the exact identity; the whole span T comes
+        # last, as the jump record propagates over parts of it
+        for span in (*lengths, grid[-1]):
+            u.append(self.propagate(eye, np.full(dim, span)) if span > 0 else eye)
+            exact = matrix_exponential(-1j * span * k) if span > 0 else eye
+            gap = float(np.max(np.abs(u[-1].T - exact)))
             if not gap <= _EIG_TOL:
                 raise SimulationError(
                     f"no-jump eigen propagator is off by {gap:.2e} from expm over {span}"
                 )
-            self.interval_t[span] = u_t
+        *u, self.whole = u
+        self.steps = [u[i] for i in index]
 
     def propagate(self, states: np.ndarray, tau: np.ndarray) -> np.ndarray:
         """Rows of ``states`` evolved by their own times ``tau``."""
@@ -461,7 +461,7 @@ class _Evolution:
         ens, grid = self.ens, self.ens.grid
         end_t = grid[-1]
         # from the initial level the state at T is a row of the T propagator
-        rows = np.flatnonzero(_norm2(ens.interval_t[end_t][self.levels]) < self.thresholds)
+        rows = np.flatnonzero(_norm2(ens.whole[self.levels]) < self.thresholds)
         states = np.eye(ens.dim, dtype=complex)[self.levels[rows]]
         t_last = np.zeros(rows.size)
         r = self.thresholds[rows]
@@ -511,9 +511,7 @@ class _Evolution:
             _rows_times(psi, self.ens.jump_t[0]),
             _rows_times(psi, self.ens.jump_t[1]),
         )
-        # np.linalg.norm, not _normalized: they round differently, which moves the jumps
-        post /= np.linalg.norm(post, axis=1)[:, None]
-        return kinds, post, draws[:, 1]
+        return kinds, _normalized(post), draws[:, 1]
 
     def _readout(self, order, active, rows, times, posts, post_heats):
         """Yield ``(k, table, pops, jumped, heat)`` per checkpoint: at grid[k],
@@ -537,9 +535,8 @@ class _Evolution:
         states = np.empty((active[-1], ens.dim), dtype=complex)
         pops = np.empty(states.shape)
         heat = np.zeros(active[-1], dtype=np.int64)
-        t_prev, n_act = 0.0, 0
-        for k, t in enumerate(grid):
-            u_t = ens.interval_t[t - t_prev]
+        n_act = 0
+        for k, (t, u_t) in enumerate(zip(grid, ens.steps)):
             table = _normalized(_rows_times(table, u_t))
             states[:n_act] = _rows_times(states[:n_act], u_t)
             sel = by_ck[bounds[k]:bounds[k + 1]]
@@ -549,7 +546,6 @@ class _Evolution:
             n_act = active[k]
             jumped = _populations(_normalized(states[:n_act]), out=pops[:n_act])
             yield k, _populations(table), jumped, order[:n_act], heat[:n_act]
-            t_prev = t
         self.states = table[self.levels]
         self.states[order[:n_act]] = states[:n_act]
 

@@ -696,6 +696,12 @@ def test_rows_do_not_depend_on_the_block(preset):
             np.testing.assert_array_equal(rows[t], alone, err_msg=f"t={t}")
 
 
+def test_negative_time_is_rejected():
+    p, r = fig4()
+    with pytest.raises(ValueError, match="time must be non-negative, got -1.0"):
+        perturbative_moments(-1.0, p, r)
+
+
 def test_regime_warning_names_the_caller(tmp_path):
     # one warning per call, attributed to the first frame outside the
     # package (this file), not to a line of the library

@@ -20,7 +20,7 @@ from qho_cal.cli import (
     run_oracle,
     run_simulate,
 )
-from qho_cal.errors import ConfigError, SimulationError
+from qho_cal.errors import ConfigError, InsufficientDataError, SimulationError
 from qho_cal.model import PhysicalParams
 from qho_cal.trajectories import EnsembleConfig
 
@@ -423,6 +423,23 @@ class TestMainEntry:
     def test_config_error_exit_code(self, tmp_path, capsys):
         assert main(["simulate", "--preset", "fig9"]) == 2
         assert "configuration error" in capsys.readouterr().err
+
+    def test_unreadable_config_file_exits_2(self, tmp_path, capsys):
+        missing = tmp_path / "missing.cfg"
+        assert main(["analytic", "--config", str(missing), "--out", str(tmp_path / "a.csv")]) == 2
+        assert "configuration error: cannot read config file" in capsys.readouterr().err
+
+    def test_insufficient_data_is_a_numerical_error(self, tmp_path, capsys, monkeypatch):
+        # every package error that is not a configuration error exits 3
+        def refuse(batches):
+            raise InsufficientDataError("too few samples")
+
+        monkeypatch.setattr(cli, "measure_ensemble", refuse)
+        out = tmp_path / "sim.csv"
+        argv = ["simulate", "--preset", "fig4", "--ntraj", "60", "--grid", "4", "--out", str(out)]
+        assert main(argv) == 3
+        assert "numerical error: too few samples" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_repeated_config_key_exits_2_without_csv(self, tmp_path, capsys):
         config = tmp_path / "exp.cfg"

@@ -62,6 +62,8 @@ class TestLadderOperators:
     def test_invalid_dimension(self, dim):
         with pytest.raises(ValueError):
             ladder_operators(dim)
+        with pytest.raises(ValueError, match="dim >= 2"):
+            displacement_matrix(0.1, dim)
 
     def test_immutable(self):
         lowering, _ = ladder_operators(4)

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from scipy.stats import poisson
 
+from qho_cal import lindblad
+from qho_cal.errors import SimulationError
 from qho_cal.fock import displacement_matrix, matrix_exponential, quadratures
 from qho_cal.lindblad import integrate, thermal_state, write_populations_csv
 from qho_cal.model import PhysicalParams, bath_occupation, jump_operators, make_rates
@@ -106,8 +108,6 @@ class TestIntegrate:
     def test_uniform_grid_costs_one_expm(self, monkeypatch):
         # np.linspace spacings differ in the last bits (6 distinct lengths on
         # this grid); the propagator cache treats them as one length
-        import qho_cal.lindblad as lindblad
-
         calls = []
 
         def counting(m):
@@ -139,6 +139,40 @@ class TestIntegrate:
         skew[0, 1] = 0.5  # not hermitian
         with pytest.raises(ValueError):
             integrate(skew, p, r, [1.0])
+
+    def test_positivity_violation_is_an_error(self):
+        # hermitian with unit trace, as the input check asks, but with a
+        # negative population, which the monitor catches after the interval
+        p = fig4_params()
+        rho0 = thermal_state(p.beta, p.dim)
+        rho0[0, 0] += 0.2
+        rho0[1, 1] -= 0.2
+        with pytest.raises(SimulationError, match="positivity violation"):
+            integrate(rho0, p, make_rates(p), [1.0])
+
+    @pytest.mark.parametrize("broken", ["jumps", "damping"])
+    def test_generator_that_loses_trace_is_an_error(self, monkeypatch, broken):
+        # the jump terms without the damping they cause, or the damping
+        # without them: the trace drifts
+        p = fig4_params()
+        r = make_rates(p)
+        if broken == "jumps":
+            monkeypatch.setattr(lindblad, "jump_operators", lambda rates, dim: ())
+        else:
+            k = lindblad.nh_generator(p, r)
+            monkeypatch.setattr(lindblad, "nh_generator", lambda params, rates: (k + k.conj().T) / 2)
+        with pytest.raises(SimulationError, match="trace drift"):
+            integrate(thermal_state(p.beta, p.dim), p, r, [0.3 * p.drive_time])
+
+    def test_hermiticity_loss_is_an_error(self):
+        # a Liouvillian built from any K and C_i maps hermitian matrices to
+        # hermitian ones, so no generator breaks hermiticity; an initial skew
+        # inside the input check's 1e-8 and beyond the monitor's 1e-10 does
+        p = fig4_params()
+        rho0 = thermal_state(p.beta, p.dim)
+        rho0[0, 1] += 1e-9
+        with pytest.raises(SimulationError, match="hermiticity loss"):
+            integrate(rho0, p, make_rates(p), [0.0])
 
     def test_rejects_bad_grid(self):
         p = fig4_params()

@@ -16,6 +16,7 @@ from qho_cal.model import (
     jump_operators,
     make_rates,
     nh_generator,
+    thermal_probabilities,
 )
 
 
@@ -42,6 +43,8 @@ class TestBathOccupation:
     def test_invalid_temperature(self, beta):
         with pytest.raises(ValueError):
             bath_occupation(beta)
+        with pytest.raises(ValueError, match="beta must be positive"):
+            thermal_probabilities(beta, 3)
 
 
 class TestPhysicalParams:

@@ -179,6 +179,11 @@ class TestEnsembleConfig:
         with pytest.raises(ValueError, match="seed"):
             EnsembleConfig(checkpoint_grid=(0.0,), master_seed=-1)
 
+    @pytest.mark.parametrize("field", ["n_traj", "batch_size"])
+    def test_counts_must_be_positive(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be positive"):
+            EnsembleConfig(checkpoint_grid=(0.0,), **{field: 0})
+
     def test_grid_beyond_drive_time_rejected(self):
         p = PhysicalParams(gamma=1e-4, beta=2.0)
         cfg = EnsembleConfig(checkpoint_grid=(0.0, 2 * p.drive_time), n_traj=1)
@@ -503,14 +508,13 @@ def reference_readout(evolution):
     _, (rows, times, posts, _) = evolution._jump_record()
     ck = np.searchsorted(grid, times)
     states = np.eye(ens.dim, dtype=complex)[evolution.levels]
-    pops, t_prev = [], 0.0
-    for k, t in enumerate(grid):
-        states = trajectories._rows_times(states, ens.interval_t[t - t_prev])
+    pops = []
+    for k, (t, u_t) in enumerate(zip(grid, ens.steps)):
+        states = trajectories._rows_times(states, u_t)
         sel = ck == k
         states[rows[sel]] = ens.propagate(posts[sel], t - times[sel])
         states /= np.sqrt(trajectories._norm2(states))[:, None]
         pops.append(states.real**2 + states.imag**2)
-        t_prev = t
     return np.stack(pops), states
 
 
@@ -762,6 +766,42 @@ class TestPropagatorCheck:
         with pytest.raises(SimulationError, match="off by"):
             run_ensemble(p, r, cfg)
 
+
+    @pytest.mark.parametrize("points", [11, 101, 1001])
+    def test_one_check_per_distinct_interval_length(self, monkeypatch, points):
+        # quadrature.interval_lengths merges the np.linspace spans, so a
+        # uniform fig4 grid from 0 checks one interval length and the whole
+        # span T; the empty first interval is the exact identity, unchecked
+        calls = []
+        expm = trajectories.matrix_exponential
+        monkeypatch.setattr(trajectories, "matrix_exponential", lambda m: calls.append(1) or expm(m))
+        p = PhysicalParams(gamma=0.001, beta=2.0, lambda0=0.01, dim=10)
+        cfg = EnsembleConfig(checkpoint_grid=grid_to(p.drive_time, points))
+        ens = trajectories._Ensemble(p, make_rates(p), cfg)
+        assert len(calls) <= 2
+        assert len(ens.steps) == points
+        assert np.array_equal(ens.steps[0], np.eye(p.dim))
+        assert all(step is ens.steps[1] for step in ens.steps[1:])
+
+
+class TestEngineErrors:
+    def test_jump_without_a_rate_is_an_error(self):
+        # at beta = 800 the bath occupation underflows to 0, so gamma1 = 0
+        # and |0> can neither emit nor absorb
+        p = PhysicalParams(gamma=0.1, beta=800.0, lambda0=0.01, dim=6)
+        r = make_rates(p)
+        assert r.gamma1 == 0.0
+        ens = trajectories._Ensemble(p, r, EnsembleConfig(checkpoint_grid=(p.drive_time,)))
+        ground = np.eye(p.dim, dtype=complex)[:1]
+        with pytest.raises(SimulationError, match="jump without a jump rate in trajectory 9"):
+            _Evolution(ens, 7, 4)._jump(np.array([2]), ground, np.full((1, 2), 0.5))
+
+    def test_root_solve_that_does_not_converge_is_an_error(self, monkeypatch):
+        monkeypatch.setattr(trajectories, "_ROOT_MAX_ITER", 1)
+        p = PhysicalParams(gamma=0.1, beta=2.0, lambda0=0.01, dim=10)
+        cfg = EnsembleConfig(checkpoint_grid=grid_to(p.drive_time, 3), n_traj=16, master_seed=1)
+        with pytest.raises(SimulationError, match="did not converge"):
+            run_ensemble(p, make_rates(p), cfg)
 
 class TestStationarity:
     def test_equilibrium_occupations_without_drive(self):
