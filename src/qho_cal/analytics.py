@@ -43,13 +43,13 @@ factor is evaluated once per jump kind and node set, not once per sequence.
 
 perturbative_moments takes a time or a whole grid, like every kernel on the
 CSV path, and builds its tables a block of up to _BLOCK times at a time,
-stacked on a leading axis: the amplitudes u and u V_p, which both jump-time
-rules share, are built once per block, and the Gauss-Legendre rules, the
-jump factors, the Grams, the densities and the moments take one pass per
-block. Each row comes out bitwise the same whether its time is computed
-alone or in a grid. Node doubling checks the four moments of every time; it
-concerns only the jump-time rules, since the no-jump expansion integrands
-are polynomials that a fixed 3-node rule integrates exactly.
+stacked on a leading axis: u, the Gauss-Legendre rules, the jump factors,
+the Grams and the moments take one pass per block, and each jump sequence's
+density is one einsum over its own branch amplitudes u V_p, which both
+jump-time rules share. A row comes out bitwise the same alone or in a grid.
+Node doubling checks the four moments of every time; it concerns only the
+jump-time rules, since the no-jump expansion integrands are polynomials
+that a fixed 3-node rule integrates exactly.
 """
 
 from __future__ import annotations
@@ -377,33 +377,21 @@ def _transfer_tables(
     node_counts: Sequence[int],
 ) -> np.ndarray:
     """Transfer tables of transfer_table for a block of times, one per
-    jump-time node count, shape (len(node_counts), len(times), n, m, 5). The
-    amplitudes are shared by every node count; only the Grams differ."""
+    jump-time node count, shape (len(node_counts), len(times), n, m, 5). Each
+    jump sequence builds its own branch amplitudes u V_p, shared by every
+    node count, and its density over the stacked Grams is one einsum."""
     dim = policy.m_max + 7
     jumps_max = policy.jumps_max if rates.gamma_sigma > 0 else 0
-    sequences = [seq for seq in _SEQUENCES if len(seq) <= jumps_max]
-    u = _pert_matrix_raw(times, params, rates, dim)[:, : policy.m_max + 1]
-    levels = range(policy.n_max + 1)
-    vectors = np.concatenate([_branch_vectors(levels, seq, dim) for seq in sequences], axis=1)
-    amp = vectors @ u.swapaxes(-1, -2)[:, None]
-    # real and imaginary parts side by side on the final-level axis
-    amp = np.concatenate([amp.real, amp.imag], axis=-1)
+    n_lv, m_lv = policy.n_max + 1, policy.m_max + 1
+    u = _pert_matrix_raw(times, params, rates, dim)[:, :m_lv]
     grams = [_gram_weights(times, q, params, rates, jumps_max) for q in node_counts]
-    m_lv = policy.m_max + 1
-    table = np.zeros((len(node_counts), len(times), policy.n_max + 1, m_lv, 2 * _MAX_JUMPS + 1))
-    start = 0
-    for seq in sequences:
-        x = amp[:, :, start : start + 2 ** len(seq)]
-        start += x.shape[2]
-        gram = np.stack([g[seq] for g in grams])[:, :, None, :, :, None]
-        # (G[p, q] x_p) x_q summed over (p, q) in row-major order, the order
-        # of np.einsum("pq,kpm,kqm->km", G, x, x)
-        terms = gram * x[:, :, :, None] * x[:, :, None]
-        density = terms.reshape(*terms.shape[:3], -1, terms.shape[-1]).sum(axis=-2)
+    table = np.zeros((len(node_counts), len(times), n_lv, m_lv, 2 * _MAX_JUMPS + 1))
+    for seq in grams[0]:
+        amp = _branch_vectors(range(n_lv), seq, dim) @ u.swapaxes(-1, -2)[:, None]
+        gram = np.stack([g[seq] for g in grams])
+        density = np.einsum("ctpq,tnpm,tnqm->ctnm", gram, amp, amp.conj()).real
         rate = math.prod(rates.gamma0 if i == 0 else rates.gamma1 for i in seq)
-        table[..., seq.count(0) - seq.count(1) + _MAX_JUMPS] += rate * (
-            density[..., :m_lv] + density[..., m_lv:]
-        )
+        table[..., seq.count(0) - seq.count(1) + _MAX_JUMPS] += rate * density
     return table
 
 

@@ -6,7 +6,8 @@ trajectory ensemble averages must reproduce these populations. The truncated
 generator is time independent, so each grid interval is bridged exactly by
 the matrix exponential of the dim^2 x dim^2 Liouvillian, one per length of
 quadrature.interval_lengths; trace, hermiticity and positivity are
-monitored, never enforced, to keep the check unbiased.
+monitored, never enforced, to keep the check unbiased. The initial state
+must pass the monitor's own rule at t = 0, or integrate raises ValueError.
 """
 
 from __future__ import annotations
@@ -36,13 +37,24 @@ def thermal_state(beta: float, dim: int) -> np.ndarray:
     return np.diag(thermal_probabilities(beta, dim)).astype(complex)
 
 
+def _check(rho: np.ndarray, t: float, error: type[Exception]) -> None:
+    """Raise ``error`` unless ``rho`` is accepted as the density matrix at
+    time t: trace and hermiticity within tolerances that grow with
+    max(1, t), and no eigenvalue below -_POSITIVITY_TOL."""
+    drift = abs(np.trace(rho).real - 1.0)
+    if drift > _TRACE_TOL * max(1.0, t):
+        raise error(f"trace drift {drift:.2e} at t = {t}")
+    if np.abs(rho - rho.conj().T).max() > _HERM_TOL * max(1.0, t):
+        raise error(f"hermiticity loss at t = {t}")
+    lo = float(np.linalg.eigvalsh(rho).min())
+    if lo < -_POSITIVITY_TOL:
+        raise error(f"positivity violation {lo:.2e} at t = {t}")
+
+
 def _validate_rho(rho: np.ndarray, dim: int) -> None:
     if rho.shape != (dim, dim):
         raise ValueError(f"density matrix must be {dim}x{dim}, got {rho.shape}")
-    if np.abs(rho - rho.conj().T).max() > 1e-8:
-        raise ValueError("initial density matrix is not hermitian")
-    if abs(np.trace(rho) - 1.0) > 1e-6:
-        raise ValueError(f"initial density matrix has trace {np.trace(rho)}")
+    _check(rho, 0.0, ValueError)
 
 
 def integrate(
@@ -78,23 +90,13 @@ def integrate(
     lengths, index = interval_lengths(grid)
     propagators = [matrix_exponential(s * generator) if s > 0 else None for s in lengths]
 
-    def check(rho: np.ndarray, t: float) -> None:
-        drift = abs(np.trace(rho).real - 1.0)
-        if drift > _TRACE_TOL * max(1.0, t):
-            raise SimulationError(f"trace drift {drift:.2e} at t = {t}")
-        if np.abs(rho - rho.conj().T).max() > _HERM_TOL * max(1.0, t):
-            raise SimulationError(f"hermiticity loss at t = {t}")
-        lo = float(np.linalg.eigvalsh(rho).min())
-        if lo < -_POSITIVITY_TOL:
-            raise SimulationError(f"positivity violation {lo:.2e} at t = {t}")
-
     out: list[np.ndarray] = []
     vec = rho0.astype(complex).ravel()
     for t, i in zip(grid, index):
         if propagators[i] is not None:
             vec = propagators[i] @ vec
         rho = vec.reshape(dim, dim)
-        check(rho, t)
+        _check(rho, t, SimulationError)
         out.append(rho.copy())
     return out
 

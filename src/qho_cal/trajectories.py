@@ -288,9 +288,11 @@ class _Ensemble:
         self.can_jump = bool(self.rate.any())
         eye, u = np.eye(dim, dtype=complex), []
         lengths, index = interval_lengths(grid)
-        # an empty interval takes the exact identity; the whole span T comes
-        # last, as the jump record propagates over parts of it
-        for span in (*lengths, grid[-1]):
+        # an empty interval takes the exact identity; the whole span T, over
+        # parts of which the jump record propagates, shares the check of an
+        # interval exactly as long or comes last
+        spans = list(lengths) if grid[-1] in lengths else [*lengths, grid[-1]]
+        for span in spans:
             u.append(self.propagate(eye, np.full(dim, span)) if span > 0 else eye)
             exact = matrix_exponential(-1j * span * k) if span > 0 else eye
             gap = float(np.max(np.abs(u[-1].T - exact)))
@@ -298,8 +300,8 @@ class _Ensemble:
                 raise SimulationError(
                     f"no-jump eigen propagator is off by {gap:.2e} from expm over {span}"
                 )
-        *u, self.whole = u
         self.steps = [u[i] for i in index]
+        self.whole = u[spans.index(grid[-1])]
 
     def propagate(self, states: np.ndarray, tau: np.ndarray) -> np.ndarray:
         """Rows of ``states`` evolved by their own times ``tau``."""
@@ -394,7 +396,7 @@ class _Evolution:
     def run(self) -> TrajectoryBatch:
         """The batch: its jump record, then its checkpoints read out and
         measured, written in trajectory-id order (the leak sums summed in it
-        too, so that they are summed in the same order for every batch size)."""
+        too; across batch sizes the ensemble's leak agrees to rounding)."""
         grid = self.ens.grid
         (rows, times, kinds), last = self._jump_record()
         # rounds run forward in time, so a stable sort keeps each row's jumps in order

@@ -17,6 +17,15 @@ def fig4_params(dim=10):
     return PhysicalParams(gamma=0.001, beta=2.0, lambda0=0.01, dim=dim)
 
 
+def broken_propagator(monkeypatch, delta):
+    """Make every lindblad propagator add ``delta`` times the trace to the
+    state it maps (row-major vec, as in integrate)."""
+    expm = lindblad.matrix_exponential
+    dim = delta.shape[0]
+    add = np.outer(delta.ravel(), np.eye(dim).ravel())
+    monkeypatch.setattr(lindblad, "matrix_exponential", lambda m: expm(m) + add)
+
+
 class TestThermalState:
     def test_zero_temperature(self):
         rho = thermal_state(600.0, 5)
@@ -139,16 +148,22 @@ class TestIntegrate:
         skew[0, 1] = 0.5  # not hermitian
         with pytest.raises(ValueError):
             integrate(skew, p, r, [1.0])
+        # a trace 1e-7 high is beyond the monitor's 1e-8 at t = 0
+        with pytest.raises(ValueError, match="trace drift 1.00e-07 at t = 0.0"):
+            integrate(thermal_state(2.0, 10) + np.diag([1e-7] + [0.0] * 9), p, r, [0.0])
 
-    def test_positivity_violation_is_an_error(self):
-        # hermitian with unit trace, as the input check asks, but with a
-        # negative population, which the monitor catches after the interval
-        p = fig4_params()
-        rho0 = thermal_state(p.beta, p.dim)
-        rho0[0, 0] += 0.2
-        rho0[1, 1] -= 0.2
-        with pytest.raises(SimulationError, match="positivity violation"):
-            integrate(rho0, p, make_rates(p), [1.0])
+    def test_positivity_violation_is_an_error(self, monkeypatch):
+        # hermitian with unit trace but a negative population: the input
+        # check applies the monitor's rule, so the input fails as a ValueError
+        p, r = fig4_params(), make_rates(fig4_params())
+        delta = np.diag([0.2, -0.2] + [0.0] * (p.dim - 2))
+        with pytest.raises(ValueError, match="positivity violation"):
+            integrate(thermal_state(p.beta, p.dim) + delta, p, r, [1.0])
+        # a propagator that adds the same traceless, hermitian delta times
+        # the trace reaches the monitor after the interval
+        broken_propagator(monkeypatch, delta)
+        with pytest.raises(SimulationError, match="positivity violation .* at t = 1.0"):
+            integrate(thermal_state(p.beta, p.dim), p, r, [1.0])
 
     @pytest.mark.parametrize("broken", ["jumps", "damping"])
     def test_generator_that_loses_trace_is_an_error(self, monkeypatch, broken):
@@ -164,15 +179,19 @@ class TestIntegrate:
         with pytest.raises(SimulationError, match="trace drift"):
             integrate(thermal_state(p.beta, p.dim), p, r, [0.3 * p.drive_time])
 
-    def test_hermiticity_loss_is_an_error(self):
+    def test_hermiticity_loss_is_an_error(self, monkeypatch):
         # a Liouvillian built from any K and C_i maps hermitian matrices to
-        # hermitian ones, so no generator breaks hermiticity; an initial skew
-        # inside the input check's 1e-8 and beyond the monitor's 1e-10 does
-        p = fig4_params()
-        rho0 = thermal_state(p.beta, p.dim)
-        rho0[0, 1] += 1e-9
-        with pytest.raises(SimulationError, match="hermiticity loss"):
-            integrate(rho0, p, make_rates(p), [0.0])
+        # hermitian ones, so no generator breaks hermiticity. A 1e-9 skew
+        # is beyond the monitor's 1e-10: as input it fails as a ValueError,
+        # and added by the propagator it reaches the monitor
+        p, r = fig4_params(), make_rates(fig4_params())
+        skew = np.zeros((p.dim, p.dim))
+        skew[0, 1] = 1e-9
+        with pytest.raises(ValueError, match="hermiticity loss"):
+            integrate(thermal_state(p.beta, p.dim) + skew, p, r, [0.0])
+        broken_propagator(monkeypatch, skew)
+        with pytest.raises(SimulationError, match="hermiticity loss at t = 1.0"):
+            integrate(thermal_state(p.beta, p.dim), p, r, [1.0])
 
     def test_rejects_bad_grid(self):
         p = fig4_params()

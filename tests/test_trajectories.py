@@ -767,21 +767,26 @@ class TestPropagatorCheck:
             run_ensemble(p, r, cfg)
 
 
-    @pytest.mark.parametrize("points", [11, 101, 1001])
+    @pytest.mark.parametrize("points", [11, 101, 1001, 2, 1])
     def test_one_check_per_distinct_interval_length(self, monkeypatch, points):
         # quadrature.interval_lengths merges the np.linspace spans, so a
         # uniform fig4 grid from 0 checks one interval length and the whole
-        # span T; the empty first interval is the exact identity, unchecked
+        # span T; the empty first interval is the exact identity, unchecked.
+        # T shares the check of an interval exactly as long: the 2-point
+        # grid (0, T) and the 1-point grid (T,) make one check
+        checks = 1 if points <= 2 else 2
         calls = []
         expm = trajectories.matrix_exponential
         monkeypatch.setattr(trajectories, "matrix_exponential", lambda m: calls.append(1) or expm(m))
         p = PhysicalParams(gamma=0.001, beta=2.0, lambda0=0.01, dim=10)
-        cfg = EnsembleConfig(checkpoint_grid=grid_to(p.drive_time, points))
-        ens = trajectories._Ensemble(p, make_rates(p), cfg)
-        assert len(calls) <= 2
+        grid = grid_to(p.drive_time, points) if points > 1 else (p.drive_time,)
+        ens = trajectories._Ensemble(p, make_rates(p), EnsembleConfig(checkpoint_grid=grid))
+        assert len(calls) == checks
         assert len(ens.steps) == points
-        assert np.array_equal(ens.steps[0], np.eye(p.dim))
-        assert all(step is ens.steps[1] for step in ens.steps[1:])
+        if points > 1:
+            assert np.array_equal(ens.steps[0], np.eye(p.dim))
+        assert all(step is ens.steps[-1] for step in ens.steps[1:])
+        assert (ens.whole is ens.steps[-1]) == (checks == 1)
 
 
 class TestEngineErrors:
@@ -1044,3 +1049,27 @@ class TestTruncationGuard:
         )
         with pytest.raises(SimulationError):
             run_ensemble(p, r, cfg)
+
+    def test_leak_agrees_across_batch_sizes(self, monkeypatch):
+        # each batch sums its top-level populations in trajectory-id order,
+        # but the ensemble adds one sum per batch, so the per-checkpoint leak
+        # agrees across batch sizes to rounding, not bit for bit
+        tops = []
+        run = trajectories._Evolution.run
+
+        def recording(self):
+            batch = run(self)
+            tops[-1] += self.top
+            return batch
+
+        monkeypatch.setattr(trajectories._Evolution, "run", recording)
+        p = PhysicalParams(gamma=0.1, beta=2.0, lambda0=0.01, dim=10)
+        cfg = EnsembleConfig(checkpoint_grid=grid_to(p.drive_time, 21), n_traj=300, master_seed=3)
+        for size in (7, 64, cfg.n_traj):
+            tops.append(np.zeros(21))
+            for _ in iter_ensemble(p, make_rates(p), replace(cfg, batch_size=size)):
+                pass
+        leaks = np.array(tops) / cfg.n_traj
+        assert leaks.max() > 0
+        for leak in leaks[:2]:
+            np.testing.assert_allclose(leak, leaks[2], rtol=1e-12, atol=0)
