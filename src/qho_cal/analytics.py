@@ -41,15 +41,16 @@ its Gram is a sum over the outer nodes s2 of the Kronecker product of a
 2x2 inner Gram H(s2) = sum_s1 w1 c_1 c_1^T with w2 c_2 c_2^T; each jump
 factor is evaluated once per jump kind and node set, not once per sequence.
 
-perturbative_moments takes a time or a whole grid, like every kernel on the
-CSV path, and builds its tables a block of up to _BLOCK times at a time,
-stacked on a leading axis: u, the Gauss-Legendre rules, the jump factors,
-the Grams and the moments take one pass per block, and each jump sequence's
-density is one einsum over its own branch amplitudes u V_p, which both
-jump-time rules share. A row comes out bitwise the same alone or in a grid.
-Node doubling checks the four moments of every time; it concerns only the
-jump-time rules, since the no-jump expansion integrands are polynomials
-that a fixed 3-node rule integrates exactly.
+transfer_table takes a time or a whole grid, like every kernel on the CSV
+path; it checks the times once and builds the tables a block of up to
+_BLOCK times at a time, stacked on a leading axis: u, the Gauss-Legendre
+rules, the jump factors and the Grams take one pass per block, and each
+jump sequence's density is one einsum over its own branch amplitudes u V_p,
+which every jump-time rule shares. A table comes out bitwise the same alone
+or in a grid. perturbative_moments reads the moments from one such call at
+two node counts and checks the four moments of every time against node
+doubling; it concerns only the jump-time rules, since the no-jump expansion
+integrands are polynomials that a fixed 3-node rule integrates exactly.
 """
 
 from __future__ import annotations
@@ -84,8 +85,8 @@ _QUAD_TOL = 1e-8
 # jump-time Gauss-Legendre nodes, checked against twice as many
 _JUMP_NODES = 32
 _MAX_JUMPS = 2
-# grid times per pass of the perturbative tables: fig5a at 11 points (one
-# pass) takes about 6 ms against 22-25 ms one time at a time, and a
+# grid times per pass of transfer_table's block loop: fig5a at 11 points
+# (one pass) takes about 6 ms against 22-25 ms one time at a time, and a
 # 1001-point run peaks near 61 MiB against 297 MiB in a single pass (one
 # BLAS thread, shared 2-core x86-64 host)
 _BLOCK = 16
@@ -369,48 +370,40 @@ def _gram_weights(
     return grams
 
 
-def _transfer_tables(
-    times: np.ndarray,
-    params: PhysicalParams,
-    rates: Rates,
-    policy: TruncationPolicy,
-    node_counts: Sequence[int],
-) -> np.ndarray:
-    """Transfer tables of transfer_table for a block of times, one per
-    jump-time node count, shape (len(node_counts), len(times), n, m, 5). Each
-    jump sequence builds its own branch amplitudes u V_p, shared by every
-    node count, and its density over the stacked Grams is one einsum."""
-    dim = policy.m_max + 7
-    jumps_max = policy.jumps_max if rates.gamma_sigma > 0 else 0
-    n_lv, m_lv = policy.n_max + 1, policy.m_max + 1
-    u = _pert_matrix_raw(times, params, rates, dim)[:, :m_lv]
-    grams = [_gram_weights(times, q, params, rates, jumps_max) for q in node_counts]
-    table = np.zeros((len(node_counts), len(times), n_lv, m_lv, 2 * _MAX_JUMPS + 1))
-    for seq in grams[0]:
-        amp = _branch_vectors(range(n_lv), seq, dim) @ u.swapaxes(-1, -2)[:, None]
-        gram = np.stack([g[seq] for g in grams])
-        density = np.einsum("ctpq,tnpm,tnqm->ctnm", gram, amp, amp.conj()).real
-        rate = math.prod(rates.gamma0 if i == 0 else rates.gamma1 for i in seq)
-        table[..., seq.count(0) - seq.count(1) + _MAX_JUMPS] += rate * density
-    return table
-
-
 def transfer_table(
-    t: float,
+    t,
     params: PhysicalParams,
     rates: Rates,
     policy: TruncationPolicy = TruncationPolicy(),
-    nodes: int = _JUMP_NODES,
+    nodes: int | Sequence[int] = _JUMP_NODES,
 ) -> np.ndarray:
-    """Transfer weights P[n, m, Q + 2] at time t for n <= n_max, m <= m_max
-    and jump heat Q in -2..2: the no-jump |u(m,t|n)|^2 plus the one- and
-    two-jump densities integrated over ordered jump times, with one
-    ``nodes``-point Gauss-Legendre rule per time axis (the inner rule of the
-    two-jump integral spans [0, t2] for each outer node t2), reduced to the
-    Gram weights G[p, p'] = sum_nodes w C_p C_p' of the branch expansion.
-    ``nodes`` sets only these jump-time rules; the no-jump amplitude is exact.
-    A one-time block of the grid code."""
-    return _transfer_tables(np.array([float(t)]), params, rates, policy, (nodes,))[0, 0]
+    """Transfer weights P[n, m, Q + 2] for n <= n_max, m <= m_max and jump
+    heat Q in -2..2 at a time or an array of times of shape (...), shape
+    (..., n, m, 5): the no-jump |u(m,t|n)|^2 plus the one- and two-jump
+    densities integrated over ordered jump times, with one ``nodes``-point
+    Gauss-Legendre rule per time axis (the inner rule of the two-jump
+    integral spans [0, t2] for each outer node t2), reduced to the Gram
+    weights G[p, p'] = sum_nodes w C_p C_p' of the branch expansion.
+    ``nodes`` sets only these jump-time rules; the no-jump amplitude is
+    exact. A sequence of node counts stacks one table per count on a leading
+    axis; every count shares the block's no-jump and branch amplitudes."""
+    _check_regime(t, rates)
+    times, counts = np.asarray(t, dtype=float), np.atleast_1d(nodes)
+    dim, n_lv, m_lv = policy.m_max + 7, policy.n_max + 1, policy.m_max + 1
+    jumps_max = policy.jumps_max if rates.gamma_sigma > 0 else 0
+    table = np.zeros((len(counts), times.size, n_lv, m_lv, 2 * _MAX_JUMPS + 1))
+    for lo in range(0, times.size, _BLOCK):
+        block, out = times.reshape(-1)[lo : lo + _BLOCK], table[:, lo : lo + _BLOCK]
+        u = _pert_matrix_raw(block, params, rates, dim)[:, :m_lv]
+        grams = [_gram_weights(block, q, params, rates, jumps_max) for q in counts]
+        for seq in grams[0]:
+            amp = _branch_vectors(range(n_lv), seq, dim) @ u.swapaxes(-1, -2)[:, None]
+            gram = np.stack([g[seq] for g in grams])
+            density = np.einsum("ctpq,tnpm,tnqm->ctnm", gram, amp, amp.conj()).real
+            rate = math.prod(rates.gamma0 if i == 0 else rates.gamma1 for i in seq)
+            out[..., seq.count(0) - seq.count(1) + _MAX_JUMPS] += rate * density
+    table = table.reshape(counts.shape + times.shape + table.shape[2:])
+    return table if np.ndim(nodes) else table[0]
 
 
 def perturbative_moments(
@@ -421,29 +414,28 @@ def perturbative_moments(
 ) -> np.ndarray:
     """[<W_p>, <W_p^2>, <W_c>, <W_c^2>] with dissipative corrections at a
     time t or at each of an array of times, shape (..., 4), from the
-    transfer tables truncated per ``policy``, built _BLOCK times per pass.
+    transfer tables truncated per ``policy``.
 
     Every table is built at _JUMP_NODES and twice as many jump-time nodes; a
     moment that moves by more than 1e-8 max(1, |moment|) raises.
     """
-    _check_regime(t, rates)
-    times = np.asarray(t, dtype=float)
-    flat = times.reshape(-1)
+    tables = transfer_table(t, params, rates, policy, (_JUMP_NODES, 2 * _JUMP_NODES))
+    tables = tables.reshape(2, -1, *tables.shape[-3:])
     weights = thermal_probabilities(params.beta, policy.n_max + 1)
-    moments = np.empty((flat.size, 4))
-    for i in range(0, flat.size, _BLOCK):
-        block = flat[i : i + _BLOCK]
-        tables = _transfer_tables(block, params, rates, policy, (_JUMP_NODES, 2 * _JUMP_NODES))
-        coarse, fine = work_moments(tables, weights, rates)
-        delta = np.abs(fine - coarse)
-        failed = (delta > _QUAD_TOL * np.maximum(1.0, np.abs(fine))).any(axis=-1)
-        if failed.any():
-            raise SimulationError(
-                f"jump-time quadrature not converged at {_JUMP_NODES} nodes "
-                f"(delta = {delta[failed.argmax()].max():.2e})"
-            )
-        moments[i : i + _BLOCK] = fine
-    return moments.reshape(times.shape + (4,))
+    # one _BLOCK of tables at a time: work_moments over the whole stack took
+    # a 1001-point fig5a run's peak from 61.1-61.6 to 63.0-63.7 MiB
+    moments = np.empty(tables.shape[:2] + (4,))
+    for i in range(0, tables.shape[1], _BLOCK):
+        moments[:, i : i + _BLOCK] = work_moments(tables[:, i : i + _BLOCK], weights, rates)
+    coarse, fine = moments
+    delta = np.abs(fine - coarse)
+    failed = (delta > _QUAD_TOL * np.maximum(1.0, np.abs(fine))).any(axis=-1)
+    if failed.any():
+        raise SimulationError(
+            f"jump-time quadrature not converged at {_JUMP_NODES} nodes "
+            f"(delta = {delta[failed.argmax()].max():.2e})"
+        )
+    return fine.reshape(np.shape(t) + (4,))
 
 
 def truncated_calorimetric_moment(

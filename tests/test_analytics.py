@@ -562,6 +562,10 @@ class TestTransmissionTN:
             transmission_TN(0, 0, (0, 1), (2.0, 1.0), 3.0, p, r)
         with pytest.raises(ValueError):
             transmission_TN(0, 0, (0,), (), 3.0, p, r)
+        with pytest.raises(ValueError, match="jump index must be 0 or 1, got 2"):
+            transmission_TN(0, 0, (2,), (1.0,), 3.0, p, r)
+        with pytest.raises(ValueError, match="levels must be non-negative, got m=-1, n=0"):
+            transmission_TN(-1, 0, (), (), 3.0, p, r)
 
 
 def per_node_transfer_table(t, params, rates, policy, nodes):
@@ -645,7 +649,7 @@ class TestTransferTableGramWeights:
         r = make_rates(p)
         times = p.drive_time * np.array([0.0, 0.05, 0.3, 0.5, 1.0])
         policy = TruncationPolicy(n_max=1, m_max=10, jumps_max=2)
-        tables = analytics._transfer_tables(times, p, r, policy, (32, 64))
+        tables = transfer_table(times, p, r, policy, (32, 64))
         assert tables.shape == (2, len(times), 2, 11, 5)
         for (k, nodes), (b, t) in itertools.product(enumerate((32, 64)), enumerate(times)):
             want = per_node_transfer_table(t, p, r, policy, nodes)
@@ -700,6 +704,39 @@ def test_negative_time_is_rejected():
     p, r = fig4()
     with pytest.raises(ValueError, match="time must be non-negative, got -1.0"):
         perturbative_moments(-1.0, p, r)
+    with pytest.raises(ValueError, match="time must be non-negative, got -1.0"):
+        transfer_table(-1.0, p, r)
+
+
+@pytest.mark.parametrize("kernel", [transfer_table, perturbative_moments])
+def test_one_regime_warning_per_call_over_blocks(kernel):
+    # a 40-point fig5c grid spans three blocks and leaves the second-order
+    # regime in its first block: one warning per call, not one per block
+    p = parse_config("preset=fig5c", {}).params
+    r = make_rates(p)
+    grid = np.linspace(0.0, p.drive_time, 40)
+    assert math.ceil(grid.size / analytics._BLOCK) == 3
+    for _ in range(2):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            kernel(grid, p, r)
+        assert [w.category for w in caught] == [RegimeWarning]
+
+
+@pytest.mark.parametrize("preset", ["fig4", "fig5c"])
+def test_transfer_table_grid_matches_one_time_calls(preset):
+    # a grid that crosses a block boundary, at one node count and at two
+    p = parse_config(f"preset={preset}", {}).params
+    r = make_rates(p)
+    grid = np.linspace(0.0, p.drive_time, analytics._BLOCK + 3)
+    single, pair = transfer_table(grid, p, r), transfer_table(grid, p, r, nodes=(32, 64))
+    assert single.shape == (grid.size, 2, 11, 5) and pair.shape == (2,) + single.shape
+    for b, t in enumerate(grid):
+        alone = transfer_table(t, p, r)
+        assert alone.shape == (2, 11, 5)
+        np.testing.assert_array_equal(single[b], alone, err_msg=f"t={t}")
+        np.testing.assert_array_equal(pair[0, b], alone, err_msg=f"t={t}")
+        np.testing.assert_array_equal(pair[1, b], transfer_table(t, p, r, nodes=64))
 
 
 def test_regime_warning_names_the_caller(tmp_path):

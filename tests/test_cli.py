@@ -70,6 +70,18 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="line 2"):
             parse_config("gamma=0.001\nbogus=3\n")
 
+    def test_line_without_equals_is_config_error(self, tmp_path, capsys):
+        config = tmp_path / "exp.cfg"
+        config.write_text("preset=fig4\ngrid 5\n")
+        out = tmp_path / "out.csv"
+        assert main(["analytic", "--config", str(config), "--out", str(out)]) == 2
+        assert "line 2: expected key=value" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unknown_override_key_rejected(self):
+        with pytest.raises(ConfigError, match="unknown configuration key 'bogus'"):
+            parse_config("preset=fig4", {"bogus": 3})
+
     def test_unparsable_value_reports_line(self):
         with pytest.raises(ConfigError, match="line 1"):
             parse_config("gamma=abc\n")
@@ -641,8 +653,9 @@ class TestMainEntry:
             ("t,mean_Wp\n0,abc\n", "non-numeric"),
             ("t,mean_Wp,se_mean_Wp\n0,0,0\n1,0.5\n", "fields"),
             ("t,p0,p1\n0,0.9,0.1\n", "missing columns mean_Wp"),  # an oracle CSV
+            ("t,mean_Wp,se_mean_Wp\n", "at least one data row"),
         ],
-        ids=["non-numeric", "ragged", "oracle-as-simulated"],
+        ids=["non-numeric", "ragged", "oracle-as-simulated", "header-only"],
     )
     def test_compare_bad_input_is_config_error(self, tmp_path, capsys, sim_text, message):
         sim = tmp_path / "sim.csv"
@@ -652,10 +665,10 @@ class TestMainEntry:
         assert main(["compare", str(sim), str(ana)]) == 2
         assert message in capsys.readouterr().err
 
-    def test_compare_missing_file_is_config_error(self, tmp_path):
+    def test_compare_missing_file_is_config_error(self, tmp_path, capsys):
         sim = tmp_path / "nope.csv"
-        code = main(["compare", str(sim), str(sim)])
-        assert code in (2, 3)  # unreadable input: not a crash
+        assert main(["compare", str(sim), str(sim)]) == 2
+        assert "cannot read CSV" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["simulate", "analytic", "oracle"])
     def test_unwritable_out_is_config_error(self, tmp_path, capsys, monkeypatch, command):

@@ -151,6 +151,8 @@ class TestIntegrate:
         # a trace 1e-7 high is beyond the monitor's 1e-8 at t = 0
         with pytest.raises(ValueError, match="trace drift 1.00e-07 at t = 0.0"):
             integrate(thermal_state(2.0, 10) + np.diag([1e-7] + [0.0] * 9), p, r, [0.0])
+        with pytest.raises(ValueError, match=r"must be 10x10, got \(8, 8\)"):
+            integrate(thermal_state(2.0, 8), p, r, [1.0])
 
     def test_positivity_violation_is_an_error(self, monkeypatch):
         # hermitian with unit trace but a negative population: the input

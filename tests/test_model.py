@@ -67,6 +67,8 @@ class TestPhysicalParams:
             params_for(gamma=-1e-3)
         with pytest.raises(ValueError):
             PhysicalParams(gamma=0.0, beta=1.0, drive_time=-1.0)
+        with pytest.raises(ValueError, match="lambda0 must be non-negative, got -0.01"):
+            PhysicalParams(gamma=0.0, beta=1.0, lambda0=-0.01)
 
     def test_strong_drive_warns_but_runs(self):
         with pytest.warns(RegimeWarning):

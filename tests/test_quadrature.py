@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from qho_cal.quadrature import gauss_legendre, interval_lengths
+from qho_cal.errors import ConfigError
+from qho_cal.quadrature import gauss_legendre, interval_lengths, write_csv
 
 # one unit in the last place of the grid end 8.0, the rule's scale
 ULP = float(np.spacing(8.0))
@@ -56,3 +57,10 @@ class TestIntervalLengths:
 def test_gauss_legendre_needs_a_node():
     with pytest.raises(ValueError, match="at least one node"):
         gauss_legendre(0, 0.0, 1.0)
+
+
+def test_write_csv_under_a_file_is_config_error(tmp_path):
+    # a parent path that is a file cannot hold the CSV
+    (tmp_path / "file").write_text("")
+    with pytest.raises(ConfigError, match="cannot write CSV"):
+        write_csv(tmp_path / "file" / "out.csv", "t", [(0.0,)])

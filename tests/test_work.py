@@ -434,6 +434,10 @@ class TestSummarize:
         with pytest.raises(InsufficientDataError, match=r"got 1 at t = 0\.0"):
             measure_ensemble([valued_batch([[3]], [[3]])])
 
+    def test_one_count_row_per_time(self):
+        with pytest.raises(ValueError, match="one count row per time"):
+            MomentSummary.from_counts([0.0, 0.5, 1.0], 0, np.array([[2, 1], [1, 2]]))
+
     def test_rows_with_different_totals(self):
         with pytest.raises(ValueError, match="different sample counts"):
             MomentSummary.from_counts([0.0, 1.0], 0, np.array([[2, 1], [1, 1]]))
