@@ -65,7 +65,7 @@ import numpy as np
 from .errors import RegimeWarning, SimulationError, outside_stacklevel
 from .fock import displacement_elements, displacement_matrix, quadratures
 from .model import PhysicalParams, Rates, bath_occupation, thermal_probabilities
-from .quadrature import gauss_legendre, write_csv
+from .quadrature import checked_grid, gauss_legendre, write_csv
 from .work import work_moments
 
 __all__ = [
@@ -482,8 +482,10 @@ def write_analytic_csv(
     when there is any dissipation. The unitary projective columns are the
     closed forms over the untruncated thermal distribution; every other
     column averages over the initial levels n <= policy.n_max (weights
-    renormalized) and is read from one table per time."""
-    times = np.asarray(grid, dtype=float)
+    renormalized) and is read from one table per time. ``grid`` must pass
+    quadrature.checked_grid."""
+    grid = checked_grid(grid)
+    times = np.asarray(grid)
     weights = thermal_probabilities(params.beta, policy.n_max + 1)
     means, variances = unitary_projective_moments(times, params)
     unitary = work_moments(unitary_table(times, params.lambda0, policy.n_max), weights, rates)

@@ -239,43 +239,34 @@ def run_oracle(cfg: ExperimentConfig) -> str:
     return out
 
 
-def _read_csv(
-    path: str, columns: Sequence[str]
-) -> tuple[dict[str, int], np.ndarray, list[str]]:
-    """Returns (column index by name, float matrix, trailing string column
-    or []). A file without the named columns, a row whose field count
-    differs from the header or a field that is not a number is a
-    configuration error."""
-    rows = []
-    methods = []
-    header: list[str] | None = None
+def _read_csv(path: str, columns: Sequence[str]) -> dict[str, np.ndarray]:
+    """The columns of a CSV by header name: floats, except a trailing
+    ``method`` column, which stays strings. A file without the named
+    columns, a row whose field count differs from the header or a field
+    that is not a number is a configuration error."""
     try:
         fh = open(path)
     except OSError as exc:
         raise ConfigError(f"cannot read CSV {path}: {exc}") from exc
     with fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if header is None:
-                header = line.split(",")
-                continue
-            parts = line.split(",")
-            if len(parts) != len(header):
-                raise ConfigError(f"{path}: {len(parts)} fields, header has {len(header)}")
-            if header[-1] == "method":
-                methods.append(parts.pop())
-            try:
-                rows.append([float(x) for x in parts])
-            except ValueError as exc:
-                raise ConfigError(f"{path}: non-numeric field in {line!r}") from exc
-    if header is None or not rows:
+        lines = [line for line in map(str.strip, fh) if line and not line.startswith("#")]
+    if len(lines) < 2:
         raise ConfigError(f"{path}: needs a header row and at least one data row")
+    header = lines[0].split(",")
+    numeric = len(header) - (header[-1] == "method")
+    rows = []
+    for line in lines[1:]:
+        parts = line.split(",")
+        if len(parts) != len(header):
+            raise ConfigError(f"{path}: {len(parts)} fields, header has {len(header)}")
+        try:
+            rows.append([float(x) for x in parts[:numeric]] + parts[numeric:])
+        except ValueError as exc:
+            raise ConfigError(f"{path}: non-numeric field in {line!r}") from exc
     missing = [name for name in columns if name not in header]
     if missing:
         raise ConfigError(f"{path}: missing columns {', '.join(missing)}")
-    return {name: i for i, name in enumerate(header)}, np.array(rows), methods
+    return {name: np.array(column) for name, column in zip(header, zip(*rows))}
 
 
 _COMPARED = (("mean_Wp", "se_mean_Wp"), ("var_Wp", "se_var_Wp"),
@@ -289,40 +280,33 @@ def run_compare(sim_path: str, analytic_path: str) -> int:
     grid for the unitary curves, t <= half the final grid time for the
     perturbative ones (beyond that, discarded higher jump numbers bite).
     Returns 0 on pass, 4 on failure. The two CSVs must share their time
-    grid to 1e-9 absolute, or GridMismatchError is raised.
+    grid to 1e-9 absolute, or GridMismatchError is raised before anything
+    is printed.
     """
-    sim_cols, sim, _ = _read_csv(sim_path, ["t", *(c for pair in _COMPARED for c in pair)])
-    ana_cols, ana, methods = _read_csv(analytic_path, ["t", *(v for v, _ in _COMPARED), "method"])
-
-    failures = 0
-    report_rows = []
-    for method in dict.fromkeys(methods):
-        rows = [i for i, m in enumerate(methods) if m == method]
-        ana_t = ana[rows, ana_cols["t"]]
-        sim_t = sim[:, sim_cols["t"]]
-        if ana_t.shape != sim_t.shape or not np.allclose(ana_t, sim_t, rtol=0, atol=1e-9):
+    sim = _read_csv(sim_path, ["t", *(c for pair in _COMPARED for c in pair)])
+    ana = _read_csv(analytic_path, ["t", *(v for v, _ in _COMPARED), "method"])
+    t = sim["t"]
+    scored = []  # (method, column, worst |z| in the method's window)
+    for method in dict.fromkeys(ana["method"]):
+        rows = ana["method"] == method
+        if rows.sum() != t.size or not np.allclose(ana["t"][rows], t, rtol=0, atol=1e-9):
             raise GridMismatchError(
                 f"time grids differ between {sim_path} and {analytic_path}"
             )
-        window = np.ones_like(sim_t, dtype=bool)
-        if method == "perturbative":
-            window = sim_t <= 0.5 * sim_t[-1] + 1e-9
+        window = (t <= 0.5 * t[-1] + 1e-9) if method == "perturbative" else np.full(t.size, True)
         for value_col, se_col in _COMPARED:
-            diff = np.abs(sim[:, sim_cols[value_col]] - ana[rows, ana_cols[value_col]])
-            se = sim[:, sim_cols[se_col]]
+            diff = np.abs(sim[value_col] - ana[value_col][rows])
+            se = sim[se_col]
             # a real difference against an SE of 0 cannot be scored: z = inf
             scaled = np.divide(diff, se, out=np.full_like(diff, np.inf), where=se > 0)
-            z = np.where(diff <= 1e-12, 0.0, scaled)
-            worst = float(z[window].max()) if window.any() else 0.0
-            ok = worst <= _Z_MAX
-            failures += 0 if ok else 1
-            report_rows.append((method, value_col, worst, ok))
-    for method, col, worst, ok in report_rows:
-        status = "pass" if ok else "FAIL"
+            z = np.where(diff <= 1e-12, 0.0, scaled)[window]
+            scored.append((method, value_col, float(z.max()) if z.size else 0.0))
+    for method, col, worst in scored:
+        status = "pass" if worst <= _Z_MAX else "FAIL"
         print(f"compare [{method:12s}] {col:8s} max|z| = {worst:7.3f}  {status}")
-    overall = "pass" if failures == 0 else "FAIL"
-    print(f"compare: {overall} (z threshold {_Z_MAX})")
-    return 0 if failures == 0 else 4
+    passed = all(worst <= _Z_MAX for _, _, worst in scored)
+    print(f"compare: {'pass' if passed else 'FAIL'} (z threshold {_Z_MAX})")
+    return 0 if passed else 4
 
 
 def _build_parser() -> argparse.ArgumentParser:

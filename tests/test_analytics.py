@@ -781,6 +781,27 @@ def test_analytic_csv_builds_displacements_once_per_block(points, tmp_path, monk
     assert len(calls) == 1 + math.ceil(points / analytics._BLOCK)
 
 
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        ([], "grid must not be empty"),
+        ([np.nan], "finite, non-negative and strictly increasing"),
+        ([np.inf], "finite, non-negative and strictly increasing"),
+        ([3.0, 1.0, 2.0], "finite, non-negative and strictly increasing"),
+        ([1.0, 1.0], "finite, non-negative and strictly increasing"),
+    ],
+    ids=["empty", "nan", "inf", "unsorted", "repeated"],
+)
+def test_analytic_csv_applies_the_grid_rule(grid, message, tmp_path):
+    # the rule of quadrature.checked_grid, which simulate and oracle apply
+    # too, refuses the grid before any curve is computed or file written
+    p = parse_config("preset=fig5a", {}).params
+    out = tmp_path / "ana.csv"
+    with pytest.raises(ValueError, match=message):
+        analytics.write_analytic_csv(out, grid, p, make_rates(p))
+    assert not out.exists()
+
+
 class TestTruncatedMoments:
     def test_no_jump_no_coupling_matches_unitary(self):
         p = PhysicalParams(gamma=0.0, beta=2.0, lambda0=0.01)

@@ -416,6 +416,40 @@ class TestRunCompare:
         with pytest.raises(GridMismatchError):
             run_compare(sim, ana)
 
+    def test_mismatch_in_a_later_method_prints_nothing(self, tmp_path, capsys):
+        # the unitary rows share the simulated grid, the perturbative rows do
+        # not: every method's grid is checked before any line is printed
+        sim, ana = self._write_pair(
+            tmp_path,
+            ["0,0,0,0,0,0,0,0,0,10", "1,0.5,0.01,1,0.05,0.4,0.01,0.9,0.05,10"],
+            ["0,0,0,0,0,unitary", "1,0.5,1,0.4,0.9,unitary",
+             "0,0,0,0,0,perturbative", "2,0.5,1,0.4,0.9,perturbative"],
+        )
+        assert main(["compare", sim, ana]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "time grids differ" in captured.err
+
+    def test_comment_and_blank_lines_between_rows_are_skipped(self, tmp_path, capsys):
+        sim_rows = ["0,0,0,0,0,0,0,0,0,10", "1,0.5,0.01,1,0.05,0.4,0.01,0.9,0.05,10"]
+        ana_rows = ["0,0,0,0,0,unitary", "1,0.9,1,0.4,0.9,unitary"]
+        sim, ana = self._write_pair(tmp_path, sim_rows, ana_rows)
+        assert main(["compare", sim, ana]) == 4
+        plain = capsys.readouterr().out
+        sim, ana = self._write_pair(
+            tmp_path,
+            [sim_rows[0], "", "# note", sim_rows[1]],
+            [ana_rows[0], "  # x", "", ana_rows[1]],
+        )
+        assert main(["compare", sim, ana]) == 4
+        assert capsys.readouterr().out == plain
+
+    def test_analytic_csv_without_method_column(self, tmp_path, capsys):
+        sim, ana = self._write_pair(tmp_path, ["0,0,0,0,0,0,0,0,0,10"], ["0,0,0,0,0,unitary"])
+        Path(ana).write_text("t,mean_Wp,var_Wp,mean_Wc,var_Wc\n0,0,0,0,0\n")
+        assert main(["compare", sim, ana]) == 2
+        assert "missing columns method" in capsys.readouterr().err
+
     def test_nearby_drive_time_is_a_grid_mismatch(self, tmp_path, capsys):
         # fig4's T = pi / lambda0 = 314.159265... against drive_time=314.16:
         # the grids end 7e-4 apart, far outside the 1e-9 a shared grid
