@@ -31,6 +31,7 @@ from .analytics import TruncationPolicy, write_analytic_csv
 from .errors import ConfigError, GridMismatchError, QhoCalError
 from .lindblad import integrate, thermal_state, write_populations_csv
 from .model import PhysicalParams, make_rates
+from .quadrature import checked_grid
 from .trajectories import EnsembleConfig, iter_ensemble
 from .work import measure_ensemble, write_moments_csv
 
@@ -243,7 +244,7 @@ def _read_csv(path: str, columns: Sequence[str]) -> dict[str, np.ndarray]:
     """The columns of a CSV by header name: floats, except a trailing
     ``method`` column, which stays strings. A file without the named
     columns, a row whose field count differs from the header or a field
-    that is not a number is a configuration error."""
+    that is not a finite number is a configuration error."""
     try:
         fh = open(path)
     except OSError as exc:
@@ -260,9 +261,12 @@ def _read_csv(path: str, columns: Sequence[str]) -> dict[str, np.ndarray]:
         if len(parts) != len(header):
             raise ConfigError(f"{path}: {len(parts)} fields, header has {len(header)}")
         try:
-            rows.append([float(x) for x in parts[:numeric]] + parts[numeric:])
+            values = [float(x) for x in parts[:numeric]]
         except ValueError as exc:
             raise ConfigError(f"{path}: non-numeric field in {line!r}") from exc
+        if not np.isfinite(values).all():
+            raise ConfigError(f"{path}: non-finite field in data row {len(rows) + 1}: {line!r}")
+        rows.append(values + parts[numeric:])
     missing = [name for name in columns if name not in header]
     if missing:
         raise ConfigError(f"{path}: missing columns {', '.join(missing)}")
@@ -279,13 +283,18 @@ def run_compare(sim_path: str, analytic_path: str) -> int:
     Pass/fail at z <= 3 over each method's validity window: the whole
     grid for the unitary curves, t <= half the final grid time for the
     perturbative ones (beyond that, discarded higher jump numbers bite).
-    Returns 0 on pass, 4 on failure. The two CSVs must share their time
-    grid to 1e-9 absolute, or GridMismatchError is raised before anything
-    is printed.
+    Returns 0 on pass, 4 on failure. Before anything is printed, the
+    simulated times must pass quadrature.checked_grid, or ConfigError is
+    raised, and the two CSVs must share their time grid to 1e-9 absolute,
+    or GridMismatchError is raised.
     """
     sim = _read_csv(sim_path, ["t", *(c for pair in _COMPARED for c in pair)])
     ana = _read_csv(analytic_path, ["t", *(v for v, _ in _COMPARED), "method"])
     t = sim["t"]
+    try:
+        checked_grid(t)
+    except ValueError as exc:
+        raise ConfigError(f"{sim_path}: {exc}") from exc
     scored = []  # (method, column, worst |z| in the method's window)
     for method in dict.fromkeys(ana["method"]):
         rows = ana["method"] == method

@@ -149,6 +149,12 @@ class TrajectoryBatch:
     work) and ``states[i]`` its final normalized state. Its jumps, in time
     order, are ``jumps[jump_offsets[i]:jump_offsets[i + 1]]`` with fields
     ``time`` and ``kind`` (0: emission by C0, 1: absorption by C1).
+
+    ``W_p`` and ``W_c`` share the narrowest signed integer type that holds
+    ``±(dim - 1 + J)``, J the most jumps of any row of the batch (int8 on
+    every preset; int16 from dim 129 without jumps). So the batches of one
+    ensemble may differ in type, and a reader widens before it squares or
+    sums: an int8 square overflows once |W| is 12 or more.
     """
 
     times: np.ndarray
@@ -420,8 +426,11 @@ class _Evolution:
         starts = np.searchsorted(levels, np.arange(self.ens.dim + 1)).tolist()
         spans = [(l, slice(a, b)) for l, (a, b) in enumerate(zip(starts, starts[1:])) if b > a]
         heats, top = np.zeros(self.n, dtype=np.int32), np.empty(self.n)
-        # |W| <= dim + the row's jump count, far below 2**31
-        w_p, w_c = np.empty((2, len(grid), self.n), dtype=np.int32)
+        # |W_p| <= dim - 1 + J and |W_c| <= 1 + J, J the most jumps of any
+        # row: the narrowest signed type whose range -bound - 1 .. bound holds
+        # both (int8 on every preset)
+        bound = self.ens.dim - 1 + int(n_jumps.max(initial=0))
+        w_p, w_c = np.empty((2, len(grid), self.n), dtype=np.min_scalar_type(-bound - 1))
         block = max(1, _BLOCK // self.n)
         for k, table, pops, rows, heat in self._readout(order, active, *last):
             np.take(table[:, -1], self.levels, out=top)

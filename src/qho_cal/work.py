@@ -153,7 +153,9 @@ def measure_ensemble(batches: Iterable[TrajectoryBatch]) -> EnsembleWorkResult:
     with ``lowest`` and B from the smallest and largest value of either
     estimator, so the result does not depend on how the ensemble is cut into
     batches. Only the batches are read: each arrives measured (see
-    TrajectoryBatch).
+    TrajectoryBatch), its work values in the narrowest integer type that
+    holds them, which may differ from batch to batch; each row is widened
+    before ``lowest`` is subtracted.
     """
     times: np.ndarray | None = None
     for batch in batches:
@@ -173,7 +175,9 @@ def measure_ensemble(batches: Iterable[TrajectoryBatch]) -> EnsembleWorkResult:
             lowest -= below
         for table, rows in zip(counts, values):
             for k, row in enumerate(rows):
-                table[k] += np.bincount(row - lowest, minlength=counts.shape[2])
+                # widened first: an int8 row minus lowest would wrap
+                table[k] += np.bincount(np.subtract(row, lowest, dtype=np.intp),
+                                        minlength=counts.shape[2])
         # free this batch before the next is evolved
         del batch, values
 

@@ -377,6 +377,38 @@ class TestRunCompare:
         report = capsys.readouterr().out.splitlines()[:4]
         assert all(line.endswith("max|z| =     inf  FAIL") for line in report)
 
+    @pytest.mark.parametrize("times", [("10", "1"), ("1", "1"), ("-1", "1")],
+                             ids=["decreasing", "repeated", "negative"])
+    def test_simulated_times_must_be_a_grid(self, tmp_path, capsys, times):
+        # the perturbative mean_Wp is off by 5 against an SE of 0; a grid
+        # that does not increase left the t <= T/2 window empty, and the pair
+        # passed with max|z| = 0
+        sim, ana = self._write_pair(
+            tmp_path,
+            [f"{times[0]},5,0,0,0,0,0,0,0,10", f"{times[1]},0,0,0,0,0,0,0,0,10"],
+            [f"{times[0]},0,0,0,0,perturbative", f"{times[1]},0,0,0,0,perturbative"],
+        )
+        assert main(["compare", sim, ana]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"configuration error: {sim}: grid times must be" in captured.err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("which", ["simulated", "analytic"])
+    def test_non_finite_cell_is_config_error(self, tmp_path, capsys, which, value):
+        # an inf mean_Wp scored as nan (inf - inf) and printed numpy's
+        # RuntimeWarning before the report; now the file and row are named
+        sim_rows = ["0,0,0,0,0,0,0,0,0,10", "1,0.5,0.01,1,0.05,0.4,0.01,0.9,0.05,10"]
+        ana_rows = ["0,0,0,0,0,unitary", "1,0.5,1,0.4,0.9,unitary"]
+        rows = sim_rows if which == "simulated" else ana_rows
+        rows[1] = rows[1].replace("0.5", value, 1)
+        sim, ana = self._write_pair(tmp_path, sim_rows, ana_rows)
+        assert main(["compare", sim, ana]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        path = sim if which == "simulated" else ana
+        assert f"{path}: non-finite field in data row 2: '{rows[1]}'" in captured.err
+
     def test_perturbative_window_excuses_late_times(self, tmp_path):
         # identical early rows, drifted late row: perturbative method only
         # audited up to half the horizon

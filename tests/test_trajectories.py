@@ -941,7 +941,8 @@ class TestEnsemble:
         # fig4 at 8192 trajectories x 101 checkpoints: a (K, n) int64 heat
         # array takes 6.3 MiB, and measuring peaked at 17.4 MiB while each
         # batch kept one (numpy 2.4, x86-64). The readout keeps one heat row,
-        # taken from the jump record, and measuring peaks near 11.1 MiB
+        # taken from the jump record, and measuring peaks near 6.2 MiB (10.9
+        # MiB while the work values were int32, see the next test)
         p = PhysicalParams(gamma=0.001, beta=2.0, lambda0=0.01, dim=10)
         cfg = EnsembleConfig(
             checkpoint_grid=grid_to(p.drive_time, 101), n_traj=8192, master_seed=5
@@ -953,6 +954,50 @@ class TestEnsemble:
         finally:
             tracemalloc.stop()
         assert peak <= 12 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+    @pytest.mark.filterwarnings("ignore::qho_cal.errors.TruncationWarning")
+    def test_work_values_stored_narrow(self):
+        # fig4 at 8192 trajectories x 101 checkpoints: |W| <= dim - 1 + J
+        # fits int8, and measuring peaks near 6.2 MiB; stored as int32 the
+        # work values alone took 6.3 MiB and measuring peaked at 10.9 MiB
+        # (numpy 2.4, x86-64)
+        p = PhysicalParams(gamma=0.001, beta=2.0, lambda0=0.01, dim=10)
+        cfg = EnsembleConfig(
+            checkpoint_grid=grid_to(p.drive_time, 101), n_traj=8192, master_seed=5
+        )
+        dtypes = []
+
+        def recorded(batches):
+            for batch in batches:
+                dtypes.append((batch.W_p.dtype, batch.W_c.dtype))
+                yield batch
+
+        tracemalloc.start()
+        try:
+            measure_ensemble(recorded(iter_ensemble(p, make_rates(p), cfg)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert dtypes == [(np.dtype(np.int8), np.dtype(np.int8))]
+        assert peak <= 7 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+    @pytest.mark.filterwarnings("ignore::qho_cal.errors.TruncationWarning")
+    @pytest.mark.parametrize("dim, dtype", [(128, np.int8), (129, np.int16)])
+    def test_work_type_holds_its_bound(self, dim, dtype):
+        # without coupling no row jumps (J = 0), so |W_p| <= dim - 1: int8
+        # holds that up to dim 128, and dim 129 needs int16
+        p = PhysicalParams(gamma=0.0, beta=0.02, lambda0=0.05, dim=dim)
+        cfg = EnsembleConfig(
+            checkpoint_grid=grid_to(p.drive_time, 3), n_traj=2000, master_seed=7
+        )
+        (batch,) = iter_ensemble(p, make_rates(p), cfg)
+        assert batch.W_p.dtype == batch.W_c.dtype == dtype
+        assert len(batch.jumps) == 0
+        final = batch.W_p + batch.levels
+        assert final.min() >= 0 and final.max() < dim
+        assert set(np.unique(batch.W_c).tolist()) <= {-1, 0, 1}
+        # the thermal levels reach high: a wrapped value would leave the range
+        assert batch.levels.max() > 64
 
     def test_trajectory_count_and_ids(self):
         p = PhysicalParams(gamma=1e-3, beta=2.0)

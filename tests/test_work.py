@@ -578,3 +578,14 @@ class TestCountTable:
         assert whole.lowest == p.lowest
         assert np.array_equal(whole.histograms, p.histograms)
         assert whole.mean[0] == p.mean[0] and whole.variance[0] == p.variance[0]
+
+    def test_narrow_batches_of_different_types(self):
+        # an int8 batch spanning -100..100 and an int16 one above it: each row
+        # is widened before lowest is subtracted (100 - -100 wraps in int8)
+        narrow = np.array([[[-100, 0, 100]]] * 2, dtype=np.int8)
+        wide = np.array([[[300, 300, 300]]] * 2, dtype=np.int16)
+        result = measure_ensemble(valued_batch(*a) for a in (narrow, wide))
+        p = result.projective
+        assert p.lowest == -100
+        assert np.flatnonzero(p.histograms[0]).tolist() == [0, 100, 200, 400]
+        assert p.mean[0] == 150.0
