@@ -74,8 +74,6 @@ __all__ = [
     "drive_displacement",
     "unitary_projective_moments",
     "unitary_table",
-    "perturbative_matrix",
-    "transmission_TN",
     "transfer_table",
     "perturbative_moments",
     "write_analytic_csv",
@@ -190,6 +188,9 @@ def unitary_calorimetric_moment(
 
 
 def _pert_matrix_raw(t, params: PhysicalParams, rates: Rates, dim: int) -> np.ndarray:
+    """No-jump amplitudes u(m, t | n) on ``dim`` levels, shape (..., dim, dim)
+    at a time or an array of times of shape (...); the times are not checked
+    here (transfer_table applies _check_regime)."""
     lam, t = params.lambda0, np.asarray(t, dtype=float)
     u0 = np.asarray(displacement_matrix(drive_displacement(t, lam), dim))
     gs = rates.gamma_sigma
@@ -234,20 +235,6 @@ def _check_regime(times, rates: Rates) -> None:
         )
 
 
-def perturbative_matrix(
-    t,
-    params: PhysicalParams,
-    rates: Rates,
-    dim: int,
-) -> np.ndarray:
-    """Amplitudes u(m, t | n) on a ``dim``-level truncation, shape
-    (..., dim, dim) at a time or an array of times of shape (...). The
-    expansion integrals are polynomials in the integration times, which a
-    fixed 3-node Gauss-Legendre rule integrates exactly: no quadrature error."""
-    _check_regime(t, rates)
-    return _pert_matrix_raw(t, params, rates, dim)
-
-
 # ---------------------------------------------------------------------------
 # transfer coefficients with jumps
 
@@ -261,66 +248,20 @@ def _jump_factor(i: int, s, params: PhysicalParams, rates: Rates) -> tuple[np.nd
     sign = -1.0 if i == 0 else 1.0
     gs, s = rates.gamma_sigma, np.asarray(s, dtype=float)
     a = np.exp(sign * gs * s / 2.0)
-    # b -> alpha(s) without coupling, where the rate product is zero
-    b = sign * params.lambda0 * (a - 1.0) / gs if gs > 0 else drive_displacement(s, params.lambda0)
-    return b, a
-
-
-def _branch_coeffs(
-    indices: Sequence[int], times: Sequence, params: PhysicalParams, rates: Rates
-) -> tuple[float, np.ndarray]:
-    """Expand the commuted jump factors (earliest first) into 2^L branches p,
-    one per choice of A_k (p_k = 1) or 1 (p_k = 0) at each jump. Returns the
-    rate product and the scalar weights C_p = prod_k (a_k or b_k) on the last
-    axis, first jump most significant; jump times may be arrays that
-    broadcast against each other."""
-    rate_product, coeff = 1.0, np.ones(1)
-    for i, s in zip(indices, times):
-        factor = np.stack(_jump_factor(i, s, params, rates), axis=-1)
-        rate_product *= rates.gamma0 if i == 0 else rates.gamma1
-        coeff = coeff[..., :, None] * factor[..., None, :]
-        coeff = coeff.reshape(coeff.shape[:-2] + (-1,))
-    return rate_product, coeff
+    # transfer_table builds no jump factor without coupling (gamma_sigma = 0)
+    return sign * params.lambda0 * (a - 1.0) / gs, a
 
 
 def _branch_vectors(levels: Sequence[int], indices: Sequence[int], dim: int) -> np.ndarray:
     """Branch vectors A^{p_L} ... A^{p_1}|n>, shape (len(levels), 2^L, dim),
-    in the branch order of _branch_coeffs (A_0 = a, A_1 = a^+)."""
+    branch p = (p_1 ... p_L) in binary, first jump most significant: p_k = 1
+    applies A_k (A_0 = a, A_1 = a^+) and p_k = 0 the identity, the order of
+    the (b_k, a_k) weights in _gram_weights."""
     vecs = np.eye(dim)[list(levels)]
     lowering = np.diag(np.sqrt(np.arange(1.0, dim)), 1)
     for i in indices:
         vecs = np.stack([vecs, vecs @ (lowering.T if i == 0 else lowering)], axis=-2)
     return vecs.reshape(len(levels), -1, dim)
-
-
-def transmission_TN(
-    m: int,
-    n: int,
-    indices: Sequence[int],
-    times: Sequence[float],
-    t: float,
-    params: PhysicalParams,
-    rates: Rates,
-) -> float:
-    """Transfer density for an ordered jump sequence at the given times:
-    squared amplitude of U_nh(t - t_N) C_{i_N} ... C_{i_1} U_nh(t_1) between
-    |n> and <m|, with every jump operator commuted through the propagator
-    exactly and the remaining full-interval amplitude taken from the
-    second-order expansion. With no jumps this is the no-jump transfer
-    probability |u(m,t|n)|^2 and with one jump the closed one-jump formula,
-    identically."""
-    if len(indices) != len(times):
-        raise ValueError("one time per jump index required")
-    if any(b <= a for a, b in zip(times, times[1:])):
-        raise ValueError("jump times must be strictly increasing")
-    if times and not (0 <= times[0] and times[-1] <= t):
-        raise ValueError("jump times must lie within [0, t]")
-    if m < 0 or n < 0:
-        raise ValueError(f"levels must be non-negative, got m={m}, n={n}")
-    dim = max(m, n + len(indices)) + 5
-    rate_product, coeff = _branch_coeffs(indices, times, params, rates)
-    u = perturbative_matrix(t, params, rates, dim=dim)
-    return rate_product * float(abs(coeff @ _branch_vectors([n], indices, dim)[0] @ u[m]) ** 2)
 
 
 # ---------------------------------------------------------------------------

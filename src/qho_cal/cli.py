@@ -240,17 +240,20 @@ def run_oracle(cfg: ExperimentConfig) -> str:
     return out
 
 
-def _read_csv(path: str, columns: Sequence[str]) -> dict[str, np.ndarray]:
+def _read_csv(path: str, columns: Sequence[str]) -> tuple[dict[str, np.ndarray], dict[str, str]]:
     """The columns of a CSV by header name: floats, except a trailing
-    ``method`` column, which stays strings. A file without the named
-    columns, a row whose field count differs from the header or a field
-    that is not a finite number is a configuration error."""
+    ``method`` column, which stays strings; and the key=value pairs of its
+    ``#`` comment lines, as written. A file without the named columns, a row
+    whose field count differs from the header or a field that is not a
+    finite number is a configuration error."""
     try:
         fh = open(path)
     except OSError as exc:
         raise ConfigError(f"cannot read CSV {path}: {exc}") from exc
     with fh:
-        lines = [line for line in map(str.strip, fh) if line and not line.startswith("#")]
+        lines = [line for line in map(str.strip, fh) if line]
+    notes = dict(w.split("=", 1) for x in lines if x[0] == "#" for w in x[1:].split() if "=" in w)
+    lines = [line for line in lines if line[0] != "#"]
     if len(lines) < 2:
         raise ConfigError(f"{path}: needs a header row and at least one data row")
     header = lines[0].split(",")
@@ -270,7 +273,7 @@ def _read_csv(path: str, columns: Sequence[str]) -> dict[str, np.ndarray]:
     missing = [name for name in columns if name not in header]
     if missing:
         raise ConfigError(f"{path}: missing columns {', '.join(missing)}")
-    return {name: np.array(column) for name, column in zip(header, zip(*rows))}
+    return {name: np.array(column) for name, column in zip(header, zip(*rows))}, notes
 
 
 _COMPARED = (("mean_Wp", "se_mean_Wp"), ("var_Wp", "se_var_Wp"),
@@ -285,11 +288,12 @@ def run_compare(sim_path: str, analytic_path: str) -> int:
     perturbative ones (beyond that, discarded higher jump numbers bite).
     Returns 0 on pass, 4 on failure. Before anything is printed, the
     simulated times must pass quadrature.checked_grid, or ConfigError is
-    raised, and the two CSVs must share their time grid to 1e-9 absolute,
-    or GridMismatchError is raised.
+    raised; the two CSVs must share their time grid to 1e-9 absolute, or
+    GridMismatchError is raised; and two CSVs that both carry provenance
+    must give the same lambda0, gamma and beta, or ConfigError is raised.
     """
-    sim = _read_csv(sim_path, ["t", *(c for pair in _COMPARED for c in pair)])
-    ana = _read_csv(analytic_path, ["t", *(v for v, _ in _COMPARED), "method"])
+    sim, sim_notes = _read_csv(sim_path, ["t", *(c for pair in _COMPARED for c in pair)])
+    ana, ana_notes = _read_csv(analytic_path, ["t", *(v for v, _ in _COMPARED), "method"])
     t = sim["t"]
     try:
         checked_grid(t)
@@ -310,6 +314,11 @@ def run_compare(sim_path: str, analytic_path: str) -> int:
             scaled = np.divide(diff, se, out=np.full_like(diff, np.inf), where=se > 0)
             z = np.where(diff <= 1e-12, 0.0, scaled)[window]
             scored.append((method, value_col, float(z.max()) if z.size else 0.0))
+    # dim is not compared (no analytic cell depends on it), nor drive_time (the grids end there)
+    for key in ("lambda0", "gamma", "beta"):
+        if key in sim_notes and key in ana_notes and sim_notes[key] != ana_notes[key]:
+            raise ConfigError(f"{key} differs: {sim_notes[key]} in {sim_path}, "
+                              f"{ana_notes[key]} in {analytic_path}")
     for method, col, worst in scored:
         status = "pass" if worst <= _Z_MAX else "FAIL"
         print(f"compare [{method:12s}] {col:8s} max|z| = {worst:7.3f}  {status}")

@@ -442,8 +442,8 @@ class _Evolution:
             pos = at[rows]
             final, emitted = _outcomes(table, pops, pos, drawn[k % block], spans, self.ens.pf0)
             heats[pos] = heat
-            np.take(final - levels + heats, at, out=w_p[k])
-            np.take(calorimetric_value(emitted, ell, heats), at, out=w_c[k])
+            w_p[k] = (final - levels + heats)[at]
+            w_c[k] = calorimetric_value(emitted, ell, heats)[at]
         return TrajectoryBatch(
             times=np.array(grid),
             first_id=self.first_id,

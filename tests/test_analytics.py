@@ -9,12 +9,11 @@ from scipy.stats import poisson
 from qho_cal import analytics, fock
 from qho_cal.analytics import (
     TruncationPolicy,
+    _jump_factor,
     _pert_matrix_raw,
     mu,
-    perturbative_matrix,
     perturbative_moments,
     transfer_table,
-    transmission_TN,
     truncated_calorimetric_moment,
     truncated_projective_moment,
     unitary_calorimetric_moment,
@@ -272,19 +271,18 @@ class TestPerturbativeU:
         p = PhysicalParams(gamma=0.0, beta=2.0, lambda0=0.01, dim=10)
         r = make_rates(p)
         t = 0.4 * p.drive_time
-        u = perturbative_matrix(t, p, r, dim=12)
+        u = _pert_matrix_raw(t, p, r, dim=12)
         disp = displacement_matrix(p.lambda0 * t / 2.0, 12)
         np.testing.assert_allclose(u, disp, atol=1e-14)
-        assert transmission_TN(3, 1, (), (), t, p, r) == pytest.approx(
-            abs(disp[3, 1]) ** 2, rel=1e-12
-        )
+        table = transfer_table(t, p, r, TruncationPolicy(n_max=1, m_max=3, jumps_max=0))
+        assert table[1, 3, 2] == pytest.approx(abs(disp[3, 1]) ** 2, rel=1e-12)
 
     def test_matches_nested_loop_reference(self):
         p = PhysicalParams(gamma=0.01, beta=2.0, lambda0=0.01, dim=10)
         r = make_rates(p)
         t, dim = 0.3 * p.drive_time, 12
         np.testing.assert_allclose(
-            perturbative_matrix(t, p, r, dim=dim),
+            _pert_matrix_raw(t, p, r, dim=dim),
             nested_loop_matrix(t, p, r, dim, 64),
             rtol=0,
             atol=1e-13,
@@ -298,13 +296,13 @@ class TestPerturbativeU:
         p = parse_config(f"preset={preset}", {}).params
         r = make_rates(p)
         times = np.array([0.0, p.drive_time / 20, p.drive_time / 2, p.drive_time])
-        stacked = perturbative_matrix(times, p, r, dim=12)
+        stacked = _pert_matrix_raw(times, p, r, dim=12)
         assert stacked.shape == (len(times), 12, 12)
         # one call over the times gives each time the bits of its own call,
         # and t = 0 the exact displacement block
         np.testing.assert_array_equal(stacked[0], displacement_matrix(0.0, 12))
         for t, got in zip(times, stacked):
-            np.testing.assert_array_equal(got, perturbative_matrix(t, p, r, dim=12))
+            np.testing.assert_array_equal(got, _pert_matrix_raw(t, p, r, dim=12))
             if t == 0.0:
                 continue
             for nodes in (32, 64):
@@ -316,7 +314,7 @@ class TestPerturbativeU:
 
     def test_identity_at_t_zero(self):
         p, r = fig4()
-        u = perturbative_matrix(0.0, p, r, dim=8)
+        u = _pert_matrix_raw(0.0, p, r, dim=8)
         np.testing.assert_allclose(u, np.eye(8), atol=1e-14)
 
     def test_against_full_propagator(self):
@@ -327,7 +325,7 @@ class TestPerturbativeU:
         dim = 40
         k = nh_generator(PhysicalParams(gamma=p.gamma, beta=p.beta, lambda0=p.lambda0, dim=dim), r)
         exact = matrix_exponential(-1j * t * np.asarray(k))
-        u = perturbative_matrix(t, p, r, dim=dim)
+        u = _pert_matrix_raw(t, p, r, dim=dim)
         t0_exact = np.abs(exact) ** 2
         t0_pert = np.abs(u) ** 2
         for n in (0, 1):
@@ -339,7 +337,7 @@ class TestPerturbativeU:
         p = PhysicalParams(gamma=0.05, beta=2.0, lambda0=0.01, dim=10)
         r = make_rates(p)
         with pytest.warns(RegimeWarning):
-            perturbative_matrix(100.0, p, r, dim=6)
+            transfer_table(100.0, p, r)
 
 
 class TestCommutationIdentity:
@@ -366,13 +364,52 @@ class TestCommutationIdentity:
         assert np.abs(lhs1[sub] - rhs1[sub]).max() < 1e-10
 
 
+def jumped_vector(n, seq, times, params, rates, dim):
+    """The rate product of the jump sequence ``seq`` (earliest first) and its
+    vector C_iL ... C_i1 |n> on ``dim`` levels, each jump operator commuted
+    through the propagator into the factor a_i(s) A_i + b_i(s) (A_0 = a,
+    A_1 = a^+) at its jump time s. Jump times may be arrays that broadcast
+    against each other; the vectors stack on their shape."""
+    gs, lam = rates.gamma_sigma, params.lambda0
+    root = np.sqrt(np.arange(1.0, dim))
+    vec, rate = np.eye(dim)[n], 1.0
+    for i, s in zip(seq, map(np.asarray, times)):
+        moved = np.zeros(vec.shape)
+        if i == 0:  # emission: a
+            a = np.exp(-gs * s / 2.0)
+            b = lam * (1.0 - a) / gs
+            rate *= rates.gamma0
+            moved[..., :-1] = root * vec[..., 1:]
+        else:  # absorption: a^+
+            a = np.exp(gs * s / 2.0)
+            b = lam * (a - 1.0) / gs
+            rate *= rates.gamma1
+            moved[..., 1:] = root * vec[..., :-1]
+        vec = a[..., None] * moved + b[..., None] * vec
+    return rate, vec
+
+
+def transfer_density(m, n, seq, times, t, params, rates):
+    """Transfer density from level n to level m at time t through the jump
+    sequence ``seq`` at ``times``: the rate product times the squared
+    amplitude of U_nh(t - t_L) C_iL ... C_i1 U_nh(t_1) between |n> and <m|,
+    on max(m, n + L) + 5 levels with the full-interval amplitude taken from
+    the second-order expansion. Without jumps it is |u(m,t|n)|^2."""
+    dim = max(m, n + len(seq)) + 5
+    rate, vec = jumped_vector(n, seq, times, params, rates, dim)
+    amp = vec @ _pert_matrix_raw(t, params, rates, dim)[m]
+    return rate * (amp.real**2 + amp.imag**2)
+
+
+# The per-time transfer densities, the reference the transfer table is
+# integrated against, checked against full matrix-exponential compositions.
 class TestTransmissionT0:
     def test_matches_unitary_without_coupling(self):
         p = PhysicalParams(gamma=0.0, beta=2.0, lambda0=0.01)
         r = make_rates(p)
         t = 0.6 * p.drive_time
         for m, n in [(0, 0), (3, 0), (2, 1)]:
-            assert transmission_TN(m, n, (), (), t, p, r) == pytest.approx(
+            assert transfer_density(m, n, (), (), t, p, r) == pytest.approx(
                 unitary_column(n, t, p.lambda0)[m], rel=1e-12
             )
 
@@ -384,14 +421,14 @@ class TestTransmissionT0:
         for n in (0, 1, 2):
             s = (r.gamma_sigma * n + r.gamma1) * t / 2.0
             exact = math.exp(-2 * s)
-            got = transmission_TN(n, n, (), (), t, p, r)
+            got = transfer_density(n, n, (), (), t, p, r)
             assert abs(got - exact) <= 2.2 * s**3 / 6.0 + 1e-12
 
     def test_subnormalized(self):
         p, r = fig4()
         for frac in (0.2, 0.5):
             t = frac * p.drive_time
-            u = perturbative_matrix(t, p, r, dim=30)
+            u = _pert_matrix_raw(t, p, r, dim=30)
             for n in (0, 1):
                 total = float(np.sum(np.abs(u[:, n]) ** 2))
                 assert total <= 1.0 + 1e-9
@@ -403,11 +440,11 @@ class TestTransmissionT1:
         p, r = fig4()
         t = 0.2 * p.drive_time
         n = 1
-        u = perturbative_matrix(t, p, r, dim=10)
+        u = _pert_matrix_raw(t, p, r, dim=10)
         for i1, shift, fac in ((0, -1, 1.0), (1, +1, 2.0)):
             rate = r.gamma0 if i1 == 0 else r.gamma1
             for m in range(5):
-                got = transmission_TN(m, n, (i1,), (0.0,), t, p, r)
+                got = transfer_density(m, n, (i1,), (0.0,), t, p, r)
                 expected = rate * fac * abs(u[m, n + shift]) ** 2
                 assert got == pytest.approx(expected, rel=1e-9, abs=1e-18)
 
@@ -415,7 +452,7 @@ class TestTransmissionT1:
         p = PhysicalParams(gamma=1e-4, beta=800.0, lambda0=0.01)
         r = make_rates(p)
         t = 0.3 * p.drive_time
-        assert transmission_TN(2, 0, (1,), (0.1 * t,), t, p, r) == 0.0
+        assert transfer_density(2, 0, (1,), (0.1 * t,), t, p, r) == 0.0
 
     def test_time_integrated_decay_without_drive(self):
         # lambda0 = 0, start |1>, emission: integral over t1 gives 1 - exp(-gamma0 t)
@@ -423,9 +460,7 @@ class TestTransmissionT1:
         r = make_rates(p)
         t = 45.0
         nodes, weights = gauss_legendre(64, 0.0, t)
-        total = sum(
-            w * transmission_TN(0, 1, (0,), (t1,), t, p, r) for t1, w in zip(nodes, weights)
-        )
+        total = weights @ transfer_density(0, 1, (0,), (nodes,), t, p, r)
         assert total == pytest.approx(1.0 - math.exp(-r.gamma0 * t), abs=1e-10)
 
     def test_against_full_propagator(self):
@@ -443,23 +478,18 @@ class TestTransmissionT1:
             for n in (0, 1, 2):
                 for m in range(6):
                     exact = abs(exact_amp[m, n]) ** 2
-                    got = transmission_TN(m, n, (i1,), (t1,), t, p, r)
+                    got = transfer_density(m, n, (i1,), (t1,), t, p, r)
                     assert got == pytest.approx(exact, rel=2e-2, abs=1e-10)
 
     def test_no_coupling_gives_zero_without_warning(self):
-        # gamma = 0: every jump rate vanishes, so any jump density is 0.0
+        # gamma = 0: every jump rate vanishes, so the table's jump heat
+        # slices are exactly 0.0, and no jump factor divides by gamma_sigma
         p = PhysicalParams(gamma=0.0, beta=2.0, lambda0=0.01)
         r = make_rates(p)
-        t = 0.5 * p.drive_time
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for seq, times in (((0,), (0.3 * t,)), ((1,), (0.0,)), ((0, 1), (0.2 * t, 0.6 * t))):
-                assert transmission_TN(1, 1, seq, times, t, p, r) == 0.0
-
-    def test_invalid_jump_time(self):
-        p, r = fig4()
-        with pytest.raises(ValueError):
-            transmission_TN(0, 0, (0,), (5.0,), 1.0, p, r)
+            table = transfer_table(0.5 * p.drive_time, p, r, TruncationPolicy(n_max=3))
+        assert not table[..., [0, 1, 3, 4]].any()
 
 
 class TestTransmissionTN:
@@ -468,14 +498,14 @@ class TestTransmissionTN:
         # gamma0 |b0(t1) u(m,t|n) + a0(t1) sqrt(n) u(m,t|n-1)|^2
         p, r = fig4()
         t = 0.15 * p.drive_time
-        u = perturbative_matrix(t, p, r, dim=7)
-        assert transmission_TN(2, 0, (), (), t, p, r) == pytest.approx(
+        u = _pert_matrix_raw(t, p, r, dim=7)
+        assert transfer_density(2, 0, (), (), t, p, r) == pytest.approx(
             abs(u[2, 0]) ** 2, rel=1e-12
         )
         t1 = 0.3 * t
         a0 = math.exp(-r.gamma_sigma * t1 / 2.0)
         b0 = p.lambda0 * (1.0 - a0) / r.gamma_sigma
-        got = transmission_TN(2, 1, (0,), (t1,), t, p, r)
+        got = transfer_density(2, 1, (0,), (t1,), t, p, r)
         assert got == pytest.approx(
             r.gamma0 * abs(b0 * u[2, 1] + a0 * u[2, 0]) ** 2, rel=1e-12
         )
@@ -499,7 +529,7 @@ class TestTransmissionTN:
             for n in (0, 1):
                 for m in range(5):
                     exact = abs(exact_amp[m, n]) ** 2
-                    got = transmission_TN(m, n, seq, (t1, t2), t, p, r)
+                    got = transfer_density(m, n, seq, (t1, t2), t, p, r)
                     assert got == pytest.approx(exact, rel=3e-2, abs=1e-12)
 
     def test_probability_bookkeeping(self):
@@ -528,8 +558,8 @@ class TestTransmissionTN:
         assert abs(deficit3) < abs(deficit2)
 
     def test_internal_kernels_match_public_density(self):
-        # the table's heat slices agree with the public per-time transfer
-        # densities integrated on the same Gauss-Legendre rules
+        # the table's heat slices agree with the per-time transfer densities,
+        # on their own truncation, integrated on the same Gauss-Legendre rules
         p, r = fig4()
         t = 0.2 * p.drive_time
         n = 1
@@ -538,71 +568,43 @@ class TestTransmissionTN:
         nodes, weights = gauss_legendre(48, 0.0, t)
         for i1, q in ((0, 1), (1, -1)):
             for m in (0, 2):
-                direct = sum(
-                    w * transmission_TN(m, n, (i1,), (t1,), t, p, r)
-                    for t1, w in zip(nodes, weights)
-                )
+                direct = weights @ transfer_density(m, n, (i1,), (nodes,), t, p, r)
                 assert table[n, m, q + 2] == pytest.approx(direct, rel=1e-6, abs=1e-15)
         # two emissions (Q = +2) on a nested 8-point rule
         table = transfer_table(t, p, r, TruncationPolicy(n_max=1, m_max=6), nodes=8)
         outer, w_outer = gauss_legendre(8, 0.0, t)
+        inner, w_inner = gauss_legendre(8, 0.0, outer[:, None])
         for m in (0, 1):
-            direct = 0.0
-            for t2, w2 in zip(outer, w_outer):
-                inner, w_inner = gauss_legendre(8, 0.0, t2)
-                direct += w2 * sum(
-                    w1 * transmission_TN(m, n, (0, 0), (t1, t2), t, p, r)
-                    for t1, w1 in zip(inner, w_inner)
-                )
+            density = transfer_density(m, n, (0, 0), (inner, outer[:, None]), t, p, r)
+            direct = np.sum(w_outer[:, None] * w_inner * density)
             assert table[n, m, 4] == pytest.approx(direct, rel=1e-6, abs=1e-18)
 
     def test_validation(self):
+        # a jump is an emission (index 0) or an absorption (index 1)
         p, r = fig4()
-        with pytest.raises(ValueError):
-            transmission_TN(0, 0, (0, 1), (2.0, 1.0), 3.0, p, r)
-        with pytest.raises(ValueError):
-            transmission_TN(0, 0, (0,), (), 3.0, p, r)
-        with pytest.raises(ValueError, match="jump index must be 0 or 1, got 2"):
-            transmission_TN(0, 0, (2,), (1.0,), 3.0, p, r)
-        with pytest.raises(ValueError, match="levels must be non-negative, got m=-1, n=0"):
-            transmission_TN(-1, 0, (), (), 3.0, p, r)
+        for i in (-1, 2):
+            with pytest.raises(ValueError, match=f"jump index must be 0 or 1, got {i}"):
+                _jump_factor(i, 1.0, p, r)
 
 
 def per_node_transfer_table(t, params, rates, policy, nodes):
     """The transfer table summed node by node: every jump sequence's vector
-    C_iL ... C_i1 |n> (commuted jump factors a_i(s) A_i + b_i(s)) is built at
-    each Gauss-Legendre node (pair), then its squared amplitude is weighted
-    and summed. A reference for the Gram-weight reduction."""
+    C_iL ... C_i1 |n> (jumped_vector) is built at each Gauss-Legendre node
+    (pair), then its squared amplitude is weighted and summed. A reference
+    for the Gram-weight reduction."""
     dim = policy.m_max + 7
     u = _pert_matrix_raw(t, params, rates, dim)[: policy.m_max + 1]
-    gs, lam = rates.gamma_sigma, params.lambda0
-    jumps_max = policy.jumps_max if gs > 0 else 0
+    jumps_max = policy.jumps_max if rates.gamma_sigma > 0 else 0
     s2, w2 = gauss_legendre(nodes, 0.0, t)
     s1, w1 = gauss_legendre(nodes, 0.0, s2[:, None])
     rules = {0: ((), 1.0), 1: ((s2,), w2), 2: ((s1, s2[:, None]), w2[:, None] * w1)}
-    root = np.sqrt(np.arange(1.0, dim))
     table = np.zeros((policy.n_max + 1, policy.m_max + 1, 5))
     for seq in ((), (0,), (1,), (0, 0), (0, 1), (1, 0), (1, 1)):
         if len(seq) > jumps_max:
             continue
         times, weights = rules[len(seq)]
         for n in range(policy.n_max + 1):
-            vec = np.eye(dim)[n]
-            rate = 1.0
-            for i, s in zip(seq, times):
-                if i == 0:  # emission: a
-                    a = np.exp(-gs * s / 2.0)
-                    b = lam * (1.0 - a) / gs
-                    rate *= rates.gamma0
-                    moved = np.zeros(vec.shape)
-                    moved[..., :-1] = root * vec[..., 1:]
-                else:  # absorption: a^+
-                    a = np.exp(gs * s / 2.0)
-                    b = lam * (a - 1.0) / gs
-                    rate *= rates.gamma1
-                    moved = np.zeros(vec.shape)
-                    moved[..., 1:] = root * vec[..., :-1]
-                vec = a[..., None] * moved + b[..., None] * vec
+            rate, vec = jumped_vector(n, seq, times, params, rates, dim)
             amp = vec @ u.T
             density = rate * (amp.real**2 + amp.imag**2)
             heat = seq.count(0) - seq.count(1)

@@ -496,6 +496,47 @@ class TestRunCompare:
         assert main(["compare", str(sim), str(ana)]) == 3
         assert "time grids differ" in capsys.readouterr().err
 
+    def _write_provenance_pair(self, tmp_path, sim_config, ana_config):
+        # a pair that passes on its values, each file opened by the
+        # provenance lines that the CSV writers put there for its config
+        sim, ana = self._write_pair(
+            tmp_path,
+            ["0,0,0,0,0,0,0,0,0,10", "1,0.5,0.01,1,0.05,0.4,0.01,0.9,0.05,10"],
+            ["0,0,0,0,0,unitary", "1,0.5,1,0.4,0.9,unitary"],
+        )
+        for path, config in ((sim, sim_config), (ana, ana_config)):
+            if config is not None:
+                notes = parse_config(config).provenance()
+                Path(path).write_text("".join(f"# {n}\n" for n in notes) + Path(path).read_text())
+        return sim, ana
+
+    @pytest.mark.parametrize("key, value", [("lambda0", "0.0101"), ("gamma", "0.002"),
+                                            ("beta", "2.5")])
+    def test_different_physics_is_config_error(self, tmp_path, capsys, key, value):
+        # the same grid and values in both files, written for different
+        # physics: exit 2 before any line is printed
+        base = "preset=fig4\ndrive_time=1\n"
+        sim, ana = self._write_provenance_pair(tmp_path, base, base + f"{key}={value}\n")
+        assert main(["compare", sim, ana]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        was = {"lambda0": "0.01", "gamma": "0.001", "beta": "2.0"}[key]
+        assert f"configuration error: {key} differs: {was} in {sim}, {value} in {ana}" in captured.err
+
+    @pytest.mark.parametrize("sim_config, ana_config",
+                             [("preset=fig4", None), (None, "preset=fig4"),
+                              ("preset=fig4", "preset=fig4\ndim=14\ndrive_time=3\n")],
+                             ids=["simulated-only", "analytic-only", "dim-and-drive_time"])
+    def test_provenance_scored_as_without(self, tmp_path, capsys, sim_config, ana_config):
+        # a file without provenance is scored as it is, and dim and
+        # drive_time are not compared: the report is that of the bare pair
+        sim, ana = self._write_provenance_pair(tmp_path, None, None)
+        assert main(["compare", sim, ana]) == 0
+        plain = capsys.readouterr().out
+        sim, ana = self._write_provenance_pair(tmp_path, sim_config, ana_config)
+        assert main(["compare", sim, ana]) == 0
+        assert capsys.readouterr().out == plain
+
 
 class TestMainEntry:
     def test_config_error_exit_code(self, tmp_path, capsys):
